@@ -12,9 +12,11 @@ writes a Chrome trace under ``perfbench/results/``.
 A repetition builds every simulation of the workload from its spec (fresh
 runner, no topology cache), runs it and checks its outputs.  Repetitions
 continue until ``--seconds`` is spent (at least two).  ``flows_per_s``,
-``step_ms_p50`` and ``setup_s`` are host times scaled to a reference host
-speed, which a calibration kernel measures around every simulation (see
-:class:`Calibration`); stderr also gets their unscaled values.  The process
+``step_ms_p50``, ``step_ms_p99`` and ``setup_s`` are host times scaled to a
+reference host speed, which a calibration kernel measures around every
+simulation (see :class:`Calibration`); stderr also gets their unscaled
+values.  ``step_ms_p99`` is taken over a per-step profile, each step's
+lower quartile over the repetitions (see :func:`step_profile_ms`).  The process
 exits with 1 when any correctness check fails, and prints the JSON object as
 the last line of stdout either way.
 """
@@ -22,6 +24,8 @@ the last line of stdout either way.
 from __future__ import annotations
 
 import argparse
+import gc
+import hashlib
 import json
 import resource
 import statistics
@@ -120,9 +124,9 @@ class Calibration:
             acc += float(np.where(worst > acc % 1.0, worst, 0.0).sum())
         return perf_counter() - t0
 
-    def slowness(self, samples: int = CAL_SAMPLES) -> List[float]:
-        """``samples`` kernel times, each relative to the reference host."""
-        return [self.kernel() / REFERENCE_CAL_S for _ in range(samples)]
+    def slowness(self) -> List[float]:
+        """``CAL_SAMPLES`` kernel times, each relative to the reference host."""
+        return [self.kernel() / REFERENCE_CAL_S for _ in range(CAL_SAMPLES)]
 
 
 class StepClock:
@@ -137,7 +141,13 @@ class StepClock:
 
 @dataclass
 class JobRun:
-    """One simulation of a repetition and what it was measured to do."""
+    """One simulation of a repetition and what it was measured to do.
+
+    Only scalars, step gaps and a digest of the outputs outlive the run, so
+    the process's peak memory is that of one simulation whatever the number
+    of repetitions.  Traced runs keep ``result`` and ``profile`` until their
+    layer metrics are taken (:func:`run_traced_rep`).
+    """
 
     router: str
     offered: int
@@ -145,6 +155,11 @@ class JobRun:
     run_s: float = 0.0
     gaps_s: np.ndarray = field(default_factory=lambda: np.empty(0))
     steps: int = 0
+    completed: int = 0
+    #: scenario-failed plus unfinished flows
+    lost: int = 0
+    #: digest of the flow-id, FCT and slowdown columns, bit for bit
+    fingerprint: Optional[bytes] = None
     result: object = None
     profile: object = None
     problems: List[str] = field(default_factory=list)
@@ -153,24 +168,16 @@ class JobRun:
 
     @property
     def failed(self) -> int:
-        if self.problems:
-            return self.offered
-        return len(self.result.failed_flows) + self.result.unfinished_flows
+        return self.offered if self.problems else self.lost
 
-    @property
-    def completed(self) -> int:
-        return len(self.result.store) if self.result is not None else 0
 
-    def fingerprint(self) -> Optional[tuple]:
-        """The FCT and slowdown columns, bit for bit."""
-        if self.result is None:
-            return None
-        store = self.result.store
-        return (
-            store.column("flow_id").tobytes(),
-            store.fcts().tobytes(),
-            store.slowdowns().tobytes(),
-        )
+def fingerprint(result) -> bytes:
+    """SHA-256 of the flow-id, FCT and slowdown columns of ``result``."""
+    store = result.store
+    digest = hashlib.sha256()
+    for column in (store.column("flow_id"), store.fcts(), store.slowdowns()):
+        digest.update(column.tobytes())
+    return digest.digest()
 
 
 def check_run(result, offered: int, scenario) -> List[str]:
@@ -241,16 +248,21 @@ def run_job(
     if tracer is not None:
         tracer.attach(sim)
     t1 = perf_counter()
-    out.result = tracer.run(sim) if tracer is not None else sim.run()
+    result = tracer.run(sim) if tracer is not None else sim.run()
     out.run_s = perf_counter() - t1
     if cal is not None:
         out.slowness = statistics.median(slowness + cal.slowness())
     out.steps = len(clock.stamps)
     out.gaps_s = np.diff(np.asarray(clock.stamps))
     with spans.span("analysis.profile"):
-        out.profile = SlowdownProfile.from_result(job.spec.name, out.result)
+        profile = SlowdownProfile.from_result(job.spec.name, result)
     with spans.span("bench.check"):
-        out.problems = check_run(out.result, len(demands), scenario)
+        out.problems = check_run(result, len(demands), scenario)
+    out.completed = len(result.store)
+    out.lost = len(result.failed_flows) + result.unfinished_flows
+    out.fingerprint = fingerprint(result)
+    if tracer is not None:
+        out.result, out.profile = result, profile
     return out
 
 
@@ -298,6 +310,9 @@ def run_rep(jobs: List[Job], rec=None, tracer=None, cal=None) -> Rep:
             runs.append(
                 JobRun(router=job.spec.router, offered=job.spec.num_flows, problems=[repr(exc)])
             )
+        # free the finished simulation's reference cycles before the next one
+        with (rec or _NoSpans).span("bench.gc"):
+            gc.collect()
     return Rep(jobs=runs)
 
 
@@ -312,14 +327,41 @@ def run_traced_rep(jobs: List[Job], run_id: str) -> tuple:
             rec.exit()
     if not rep.problems:
         rep.layers = layer_metrics(rec, tracer, rep.jobs)
+    for job in rep.jobs:
+        job.result = job.profile = None
+    gc.collect()
     return rep, rec
 
 
 def check_identical(reference: Rep, other: Rep, label: str) -> None:
     """Flag ``other``'s jobs whose outputs differ bit-wise from ``reference``'s."""
     for ref, job in zip(reference.jobs, other.jobs):
-        if ref.fingerprint() != job.fingerprint() and not job.problems:
+        if job.problems:
+            continue
+        if ref.fingerprint != job.fingerprint:
             job.problems.append(f"{label}: {job.router} FCT/slowdown columns differ")
+        elif ref.steps != job.steps:
+            job.problems.append(f"{label}: {job.router} ran {job.steps} steps, not {ref.steps}")
+
+
+def step_profile_ms(reps: List[Rep]) -> np.ndarray:
+    """Each step's scaled host ms, as its lower quartile over the repetitions.
+
+    Every repetition runs the same simulations step for step
+    (:func:`check_identical`), so step ``i`` of one repetition is step ``i``
+    of the next.  The lower quartile over repetitions keeps a step that is
+    slow every time and drops a stall the host caused in some repetitions
+    only; the 99th percentile of a single repetition would mostly count
+    those stalls (README.md, "Host speed").
+    """
+    return np.concatenate(
+        [
+            np.percentile(
+                np.stack([rep.jobs[k].gaps_s / rep.jobs[k].slowness for rep in reps]), 25, axis=0
+            )
+            for k in range(len(reps[0].jobs))
+        ]
+    ) * 1e3
 
 
 def _measure_loop(seconds: float, one_round) -> list:
@@ -342,7 +384,6 @@ def measure(
     jobs = wl.jobs(seed, flows)
     cal = Calibration()
     warmup = run_rep(wl.jobs(seed, min(WARMUP_FLOWS, flows or WARMUP_FLOWS)), cal=cal)
-    problems = list(warmup.problems)
 
     if not trace:
         reps = _measure_loop(seconds, lambda i: run_rep(jobs, cal=cal))
@@ -360,8 +401,10 @@ def measure(
         check_identical(reps[0], rep, f"traced repetition {i} vs untraced")
 
     measured = reps + [rep for rep, _ in traced]
-    for rep in measured:
-        problems.extend(rep.problems)
+    if warmup.problems:
+        # a failed warm-up is reported like a measured repetition
+        measured.append(warmup)
+    problems = [p for rep in measured for p in rep.problems]
     report = {
         "correct": not problems,
         "attempted": sum(rep.offered for rep in measured),
@@ -375,30 +418,27 @@ def measure(
 
     if not trace:
         runs = [j for rep in reps for j in rep.jobs]
-        # step percentiles per repetition (each pools >= 1000 step gaps),
-        # then the median over repetitions
+        profile_ms = step_profile_ms(reps)
         scaled_ms = [
             np.concatenate([j.gaps_s / j.slowness for j in rep.jobs]) * 1e3 for rep in reps
         ]
         raw_ms = [np.concatenate([j.gaps_s for j in rep.jobs]) * 1e3 for rep in reps]
         values = {
             "flows_per_s": statistics.median(rep.reference_flows_per_s for rep in reps),
+            # a repetition's median already ignores its stalls
             "step_ms_p50": statistics.median(np.percentile(g, 50) for g in scaled_ms),
-            # unscaled: the slowest 1 % of steps fall in the host's slow
-            # moments whatever its average speed, so dividing them by the
-            # average slowness over-corrects (README.md, "Host speed")
-            "step_ms_p99": statistics.median(np.percentile(g, 99) for g in raw_ms),
+            "step_ms_p99": np.percentile(profile_ms, 99),
             "setup_s": statistics.median(s / j.slowness for j in runs for s in j.setup_s),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         }
-        fewest = min(g.size for g in raw_ms)
         print(
-            f"{workload} seed {seed}: {len(reps)} repetitions of >= {fewest} step gaps "
-            f"(>= {int(fewest * 0.01)} beyond p99), "
+            f"{workload} seed {seed}: {len(reps)} repetitions, a profile of "
+            f"{profile_ms.size} steps ({int(profile_ms.size * 0.01)} beyond p99), "
             f"{sum(len(j.setup_s) for j in runs)} set-up samples; host slowness "
             f"{statistics.median(j.slowness for j in runs):.3f}; unscaled: flows_per_s="
-            f"{statistics.median(rep.flows_per_s for rep in reps):.6g} step_ms_p50="
-            f"{statistics.median(np.percentile(g, 50) for g in raw_ms):.6g} setup_s="
+            f"{statistics.median(rep.flows_per_s for rep in reps):.6g} step_ms_p50/p99 "
+            f"per repetition={statistics.median(np.percentile(g, 50) for g in raw_ms):.6g}/"
+            f"{statistics.median(np.percentile(g, 99) for g in raw_ms):.6g} setup_s="
             f"{statistics.median(s for j in runs for s in j.setup_s):.6g}",
             file=sys.stderr,
         )

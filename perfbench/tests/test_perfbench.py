@@ -16,7 +16,19 @@ import pytest
 from repro.backend import get_backend
 from repro.experiments import ExperimentRunner
 
-from perfbench.run import END_TO_END_UNITS, MIN_REPS, check_identical, measure, run_rep
+import numpy as np
+
+import perfbench.run
+from perfbench.run import (
+    END_TO_END_UNITS,
+    MIN_REPS,
+    JobRun,
+    Rep,
+    check_identical,
+    measure,
+    run_rep,
+    step_profile_ms,
+)
 from perfbench.tracing import CC_CLASSES, CC_KERNELS, LAYER_UNITS
 from perfbench.workloads import WORKLOADS
 
@@ -80,6 +92,40 @@ def test_repetitions_that_differ_are_flagged():
     check_identical(reference, other, "other seed")
     assert not same.problems
     assert other.problems and other.failed == other.offered
+
+
+def _rep(gaps_ms, slowness=1.0, steps=None):
+    gaps = np.asarray(gaps_ms) / 1e3
+    job = JobRun(router="lcmp", offered=1, gaps_s=gaps, slowness=slowness, fingerprint=b"x")
+    job.steps = steps if steps is not None else gaps.size + 1
+    return Rep(jobs=[job])
+
+
+def test_step_profile_keeps_slow_steps_and_drops_stalls_of_some_repetitions():
+    reps = [_rep([1, 2, 1]), _rep([1, 2, 9]), _rep([1, 2, 9]), _rep([2, 4, 2], slowness=2.0)]
+    assert step_profile_ms(reps).tolist() == [1.0, 2.0, 1.0]
+
+
+def test_repetitions_with_another_step_count_are_flagged():
+    reference, other = _rep([1, 2]), _rep([1, 2], steps=4)
+    check_identical(reference, other, "rep 1")
+    assert other.problems
+
+
+def test_repetitions_keep_no_simulation_results():
+    rep = run_rep(WORKLOADS["fig7-bso13"].jobs(3, TINY))
+    assert all(job.result is None and job.profile is None for job in rep.jobs)
+    assert all(job.fingerprint is not None for job in rep.jobs)
+
+
+def test_a_failed_check_counts_every_flow_as_failed(monkeypatch):
+    monkeypatch.setattr(perfbench.run, "check_run", lambda *args: ["forced violation"])
+    report = measure("burst-hpcc", seed=3, seconds=0, trace=False, flows=TINY)
+    assert not report["correct"]
+    # the measured repetitions plus the warm-up that also failed
+    assert report["attempted"] == (MIN_REPS + 1) * TINY
+    assert report["failed"] == report["attempted"]
+    assert report["metrics"] == {}
 
 
 def test_traced_run_restores_the_wrapped_classes():

@@ -44,6 +44,8 @@ ROUTERS = ("lcmp", "ecmp", "ucmp", "redte")
 CC_CLASSES = {cls.name: cls for cls in (DCQCN, DCTCP, HPCC, Timely)}
 CC_KERNELS = (("advance_batch_slots", "cc.advance"), ("feedback_batch_slots", "cc.feedback"))
 
+#: raw spans a recorder keeps for the Chrome trace
+MAX_TRACE_EVENTS = 50_000
 #: the span around one whole repetition; its self time is what no layer claims
 ROOT = "workload"
 #: span-name prefix -> row of the self-time table
@@ -113,12 +115,11 @@ class SpanRecorder:
 
     A span has an id, a parent id (0 for the root), a name and start/end
     times.  Per-name aggregates (calls, total and self time) cover every
-    span; the raw spans kept for the Chrome trace stop at ``max_events``.
+    span; the raw spans kept for the Chrome trace stop at ``MAX_TRACE_EVENTS``.
     """
 
-    def __init__(self, run_id: str, max_events: int = 50_000) -> None:
+    def __init__(self, run_id: str) -> None:
         self.run_id = run_id
-        self.max_events = max_events
         self.events: List[Tuple[int, int, str, int, int]] = []
         self.dropped = 0
         #: name -> [calls, total_ns, self_ns]
@@ -145,7 +146,7 @@ class SpanRecorder:
             parent = self._stack[-1]
             parent[2] += dur
             parent_id = parent[3]
-        if len(self.events) < self.max_events:
+        if len(self.events) < MAX_TRACE_EVENTS:
             self.events.append((span_id, parent_id, name, start, end))
         else:
             self.dropped += 1

@@ -208,7 +208,7 @@ WORKLOADS: Dict[str, Workload] = {
         Workload(
             "burst-hpcc",
             "3000 4 MB flows arriving within 10 ms under HPCC: thousands of active flows, "
-            "so per-flow array work dominates and routing is ~2 %",
+            "so per-flow array work dominates and routing is under 1 %",
             3000,
             _burst,
         ),
