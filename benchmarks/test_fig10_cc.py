@@ -5,10 +5,10 @@ by the Fig. 5 benchmark), LCMP vs ECMP vs UCMP — plus the canned
 heterogeneous fleet (80 % DCQCN + 20 % HPCC, per-flow assignment) that only
 the grouped CC dispatch can run on the fast path.
 
-Every run executes on the vectorized SoA core (the default) with the
-per-class column-block CC kernels; ``test_fig10_scalar_equivalence`` pins
-that choice down with one small run per congestion control comparing the
-SoA core against the pure-Python scalar reference — the figure data is
+Every run executes on the array core (the default) with the per-class
+column-block CC kernels; ``test_fig10_scalar_equivalence`` pins that
+choice down with one small run per congestion control comparing the
+array core against the pure-Python scalar reference — the figure data is
 produced by the fast path *because* the fast path is bit-identical.
 
 Expected shape (paper): LCMP's improvements are consistent across congestion
@@ -47,7 +47,7 @@ def test_fig10_cc_orthogonality(benchmark, runner, save_result, flow_scale):
 
 @pytest.mark.parametrize("cc", ["hpcc", "timely", "dctcp", "dcqcn"])
 def test_fig10_scalar_equivalence(runner, cc):
-    """One small run per CC: the SoA core the figure uses matches the
+    """One small run per CC: the array core the figure uses matches the
     scalar reference bit for bit on the figure's own spec shape."""
     base = ExperimentSpec(
         name=f"fig10-equiv-{cc}",

@@ -1,21 +1,21 @@
-"""Per-kernel micro-benchmarks across the registered array backends.
+"""Per-kernel micro-benchmarks of the shared numpy kernels.
 
-Each ``@pytest.mark.benchmark`` lane times one backend kernel on the
-geometry the 20k-flow fluid step actually presents (20k segments of
-uniform length 4 — the testbed8 path shape — over ~40 links), so the
-recorded trajectory (``BENCH_backend_throughput.json``, group
-``kernel-micro``) shows *which* kernel a backend regression comes from,
-in ns/op, next to the end-to-end lanes.
+Each ``@pytest.mark.benchmark`` lane times one kernel on the geometry the
+20k-flow fluid step actually presents (20k segments of uniform length 4 —
+the testbed8 path shape — over ~40 links), so the recorded trajectory
+(``BENCH_step_throughput.json``, group ``kernel-micro``) shows *which*
+kernel a regression comes from, in ns/op, next to the end-to-end lanes.
 
 The shapes are fixed and the inputs deterministic, so numbers are
-comparable across commits on one machine; cross-backend output equality
-is asserted by ``tests/backend/test_kernel_parity.py``, not here.
+comparable across commits on one machine; output equality against the
+loop oracle is asserted by ``tests/backend/test_kernel_parity.py``, not
+here.
 """
 
 import numpy as np
 import pytest
 
-from repro.backend import available_backends, get_backend
+from repro.backend import get_backend
 
 #: the hot-lane geometry: 20k flows × 4 hops on ~40 registered links
 NUM_SEGMENTS = 20_000
@@ -47,9 +47,9 @@ def _inputs():
 INPUTS = _inputs()
 
 
-@pytest.fixture(params=available_backends())
-def backend(request):
-    return get_backend(request.param)
+@pytest.fixture
+def backend():
+    return get_backend("numpy")
 
 
 @pytest.mark.benchmark(group="kernel-micro")
@@ -69,11 +69,6 @@ def test_bench_segment_reduce(benchmark, backend, op):
         INPUTS["lengths"],
         op,
     )
-
-
-@pytest.mark.benchmark(group="kernel-micro")
-def test_bench_segment_cumidx(benchmark, backend):
-    benchmark(backend.segment_cumidx, INPUTS["lengths"])
 
 
 @pytest.mark.benchmark(group="kernel-micro")

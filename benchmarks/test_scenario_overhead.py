@@ -1,4 +1,4 @@
-"""Benchmarks — scenario overhead, core throughput, control-plane batching.
+"""Benchmarks — scenario overhead, core throughput, control plane.
 
 Attaching a scenario must cost essentially nothing when no event fires: the
 injector schedules events up front, the per-step fast-failover sweep existed
@@ -7,47 +7,34 @@ Two properties are asserted exactly (identical engine event counts and
 bit-identical FCTs with and without an empty scenario) and the wall-clock
 cost of both paths is measured for the record.
 
-The second part holds the step-throughput benchmarks over the three
+The second part holds the step-throughput benchmarks over the two
 bit-for-bit equivalent update cores:
 
 * **scalar** — the pure-Python reference loop
-  (``SimulationConfig(vectorized=False)``);
-* **legacy** — the PR-2 object-resident vectorized core
-  (``vectorized=True, soa=False``): array math, but per-flow state in
-  Python objects, crossing the Python↔numpy boundary O(flows) per step;
-* **soa** — the structure-of-arrays FlowTable core (the default): per-flow
-  and congestion-control state resident in table columns, O(1) boundary
-  crossings per step.
+  (``SimulationConfig(vectorized=False)``), the executable spec;
+* **array** — the structure-of-arrays FlowTable core (the default):
+  per-flow and congestion-control state resident in table columns, O(1)
+  Python↔numpy boundary crossings per step.
 
-Two gates are asserted there: the default core is **at least 3x** the
-scalar reference at >= 500 concurrent flows, and **at least 2x** the
-legacy vectorized core at >= 2000 concurrent flows (the SoA acceptance
-criterion).
+One gate is asserted there: the default core is **at least 3x** the
+scalar reference at >= 500 concurrent flows.  Recorded lanes time the
+default core at 2000 and 20k concurrent flows.
 
-The third part holds the **array-resident congestion control** gate: a
-uniform non-DCQCN fleet (HPCC, 2000 flows, the regime the CC-comparison
-figure runs) compared between the per-class column-block kernels
-(``cc_blocks=True``, the default: in-place ``feedback_batch_slots`` /
-``advance_batch_slots`` on the FlowTable block) and the retained
-object-gather dispatch (``cc_blocks=False``: gather the controller objects
-off the table, loop ``on_feedback``/``on_interval``).  Gate: **at least
-2x** end-to-end, with FCTs asserted bit-identical between the two paths.
+The third part records the default core on a uniform non-DCQCN fleet
+(HPCC, 2000 flows, the regime the CC-comparison figure runs), where the
+per-class column-block CC kernels do most of the work.
 
-The fourth part measures the **array-resident control plane** (PR 4): a
-monitored, arrival-heavy LCMP run — burst arrivals, queue monitor plus
-estimator feed at the default 1 ms cadence, link tracing on — compared
-between the batched control plane (telemetry columns + batched arrivals +
-``select_batch``, the default) and the PR-3 configuration
-(``batched_control=False``: one heap event and one sequential ``select``
-chain per flow, per-port sample objects every tick).  Gate: **at least
-1.5x** end-to-end at >= 2000 flows, with FCTs asserted bit-identical
-between the two paths.
+The fourth part records the control plane on a monitored, arrival-heavy
+LCMP run — burst arrivals, queue monitor plus estimator feed at the
+default 1 ms cadence, link tracing on — where telemetry columns, batched
+arrivals and ``select_batch`` do most of the work.
 
 The fifth part gates the **observability plane** (see DESIGN.md,
 "Observability plane"): running the 2000-flow HPCC lane with
 ``SimulationConfig(instrumentation=True)`` — phase timers around every step
-sub-phase plus the slow-path counters — must cost **at most 3 %** wall
-clock against the uninstrumented run, with bit-identical FCTs.  The
+sub-phase plus the slow-path counters — must cost **at most 3 %** host
+time over the whole run against the uninstrumented run (both run in
+lockstep on one CPU), with bit-identical FCTs.  The
 recorded ``test_bench_phase_profile`` lane additionally writes the per-phase
 breakdown (``BENCH_phase_breakdown.json``) and a perfetto-loadable Chrome
 trace (``BENCH_step_trace.trace.json``) next to the wall-clock trajectory.
@@ -58,11 +45,15 @@ benchmarks/README.md); the ``@pytest.mark.benchmark`` lanes feed
 trajectory (``BENCH_step_throughput.json``).
 """
 
+import contextlib
+import gc
 import json
 import os
 import pathlib
+import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.analysis import perf_report, phase_breakdown_json
@@ -83,20 +74,19 @@ NUM_FLOWS = 300
 CONCURRENT_FLOWS = 550
 #: required vectorized-vs-scalar step-throughput ratio
 MIN_SPEEDUP = 3.0
-#: concurrency level of the SoA-vs-legacy benchmark (the FlowTable
-#: acceptance criterion calls for at least 2000 concurrent flows)
+#: concurrency level of the recorded high-concurrency lane
 HIGH_CONCURRENCY_FLOWS = 2000
-#: required SoA-vs-legacy step-throughput ratio at high concurrency
-MIN_SOA_SPEEDUP = 2.0
-#: simulated window of the high-concurrency lane (shorter than the 550-flow
-#: lane: the legacy and scalar baselines pay O(flows) Python work per step)
+#: simulated window of the high-concurrency lane
 HIGH_CONCURRENCY_WINDOW_S = 0.25
+#: concurrency level of the recorded fleet-scale lane
+FLEET_FLOWS = 20_000
+#: simulated window of the fleet-scale lane
+FLEET_WINDOW_S = 0.1
 
 #: per-core SimulationConfig overrides
 _MODES = {
     "scalar": dict(vectorized=False),
-    "legacy": dict(vectorized=True, soa=False),
-    "soa": dict(vectorized=True, soa=True),
+    "array": dict(vectorized=True),
 }
 
 #: flow-count scale for the recorded ``test_bench_*`` lanes only — the CI
@@ -197,8 +187,7 @@ def measure_step_throughput(
     """Wall-clock update steps per second over a fixed simulated window.
 
     Args:
-        mode: ``"scalar"``, ``"legacy"`` (PR-2 object-resident vectorized
-            core) or ``"soa"`` (FlowTable core, the default).
+        mode: ``"scalar"`` or ``"array"`` (the default core).
         num_flows: sustained concurrency level.
         sim_window_s: simulated window to run.
     """
@@ -228,16 +217,16 @@ def _write_results(name: str, text: str) -> None:
 def test_vectorized_step_throughput_speedup():
     """Acceptance (PR 2): >= 3x step throughput at >= 500 concurrent flows.
 
-    The measured headroom is large (~9x with the SoA core on a single
+    The measured headroom is large (~9x with the array core on a single
     developer core), but wall-clock ratios on shared CI runners can catch
     an unlucky scheduling window, so a failing first measurement gets one
     re-measurement before the assertion fires.
     """
     scalar = measure_step_throughput("scalar")
-    vectorized = measure_step_throughput("soa")
+    vectorized = measure_step_throughput("array")
     if vectorized / scalar < MIN_SPEEDUP:
         scalar = measure_step_throughput("scalar")
-        vectorized = measure_step_throughput("soa")
+        vectorized = measure_step_throughput("array")
     speedup = vectorized / scalar
     _write_results(
         "vectorized_step_throughput.txt",
@@ -253,76 +242,49 @@ def test_vectorized_step_throughput_speedup():
     )
 
 
-def test_soa_step_throughput_speedup():
-    """Acceptance (this PR): the SoA FlowTable core is >= 2x the PR-2
-    object-resident vectorized core at >= 2000 concurrent flows.
-
-    Same re-measurement policy as the scalar gate above (one retry covers
-    unlucky scheduling windows on shared CI runners).
-    """
-    legacy = measure_step_throughput(
-        "legacy", HIGH_CONCURRENCY_FLOWS, HIGH_CONCURRENCY_WINDOW_S
-    )
-    soa = measure_step_throughput(
-        "soa", HIGH_CONCURRENCY_FLOWS, HIGH_CONCURRENCY_WINDOW_S
-    )
-    if soa / legacy < MIN_SOA_SPEEDUP:
-        legacy = measure_step_throughput(
-            "legacy", HIGH_CONCURRENCY_FLOWS, HIGH_CONCURRENCY_WINDOW_S
-        )
-        soa = measure_step_throughput(
-            "soa", HIGH_CONCURRENCY_FLOWS, HIGH_CONCURRENCY_WINDOW_S
-        )
-    speedup = soa / legacy
-    _write_results(
-        "soa_step_throughput.txt",
-        "SoA FlowTable core vs PR-2 object-resident vectorized core "
-        f"({HIGH_CONCURRENCY_FLOWS} concurrent flows, DCQCN, testbed8)\n"
-        f"legacy vectorized : {legacy:8.1f} steps/s\n"
-        f"SoA FlowTable     : {soa:8.1f} steps/s\n"
-        f"speedup           : {speedup:8.2f}x (required >= {MIN_SOA_SPEEDUP:g}x)\n",
-    )
-    assert speedup >= MIN_SOA_SPEEDUP, (
-        f"SoA core is only {speedup:.2f}x faster than the legacy "
-        f"vectorized core ({soa:.0f} vs {legacy:.0f} steps/s)"
-    )
-
-
 @pytest.mark.benchmark(group="step-throughput")
-@pytest.mark.parametrize("mode", ["legacy", "soa"])
-def test_bench_step_throughput_high_concurrency(benchmark, mode):
-    """Recorded lanes for the perf trajectory (``--benchmark-json``).
+def test_bench_step_throughput_high_concurrency(benchmark):
+    """Recorded lane for the perf trajectory (``--benchmark-json``).
 
-    One round runs the full high-concurrency window through the named
+    One round runs the full high-concurrency window through the default
     core; the CI benchmark job stores the timings as
     ``BENCH_step_throughput.json`` at the repo root.
     """
     benchmark.pedantic(
         lambda: measure_step_throughput(
-            mode, _scaled(HIGH_CONCURRENCY_FLOWS), HIGH_CONCURRENCY_WINDOW_S
+            "array", _scaled(HIGH_CONCURRENCY_FLOWS), HIGH_CONCURRENCY_WINDOW_S
         ),
         rounds=2,
         iterations=1,
     )
 
 
+@pytest.mark.benchmark(group="step-throughput")
+def test_bench_step_throughput_fleet(benchmark):
+    """Recorded lane: a 20k-flow fleet through the default core, where the
+    per-step kernel cost dominates the run."""
+    steps_per_s = benchmark.pedantic(
+        lambda: measure_step_throughput("array", _scaled(FLEET_FLOWS), FLEET_WINDOW_S),
+        rounds=2,
+        iterations=1,
+    )
+    assert steps_per_s > 0
+
+
 # --------------------------------------------------------------------- #
 # array-resident congestion control (per-class column-block kernels)
 # --------------------------------------------------------------------- #
-#: fleet size of the CC dispatch lane (the acceptance criterion calls for
-#: a uniform 2000-flow non-DCQCN fleet)
+#: fleet size of the CC dispatch lane: a uniform 2000-flow non-DCQCN fleet
 CC_FLEET_FLOWS = 2000
-#: required block-kernel vs object-gather end-to-end speedup
-MIN_CC_BLOCK_SPEEDUP = 2.0
 #: simulated window of the CC dispatch lane
 CC_FLEET_WINDOW_S = 0.25
 
 
 def build_cc_fleet_demands(num_flows: int = CC_FLEET_FLOWS):
     """A sustained-concurrency fleet with enough small flows mixed in that
-    a few hundred complete inside the window — the FCT comparison between
-    the two dispatch paths needs completed records, while the big flows
-    keep ~``num_flows`` controllers active every step."""
+    a few hundred complete inside the window — the FCT comparisons need
+    completed records, while the big flows keep ~``num_flows``
+    controllers active every step."""
     topology = build_testbed8(capacity_scale=0.1)
     hosts = topology.host_groups["DC1"].count
     demands = [
@@ -340,70 +302,41 @@ def build_cc_fleet_demands(num_flows: int = CC_FLEET_FLOWS):
     return topology, demands
 
 
-def run_cc_fleet(
-    cc_blocks: bool,
+def build_cc_fleet_sim(
     cc: str = "hpcc",
     num_flows: int = CC_FLEET_FLOWS,
     instrumentation: bool = False,
-):
-    """One uniform-CC SoA run; returns (wall seconds, result)."""
+) -> FluidSimulation:
+    """The uniform-CC fleet on the default core, constructed but not run."""
     topology, demands = build_cc_fleet_demands(num_flows)
     paths = _testbed8_pathset(topology)
     config = SimulationConfig(
         seed=5,
-        cc_blocks=cc_blocks,
         max_sim_time_s=CC_FLEET_WINDOW_S,
         drain_timeout_s=CC_FLEET_WINDOW_S,
         instrumentation=instrumentation,
     )
     network = RuntimeNetwork(topology, paths, make_router_factory("ecmp"), config)
-    sim = FluidSimulation(network, demands, make_cc_factory(cc), config)
+    return FluidSimulation(network, demands, make_cc_factory(cc), config)
+
+
+def run_cc_fleet(
+    cc: str = "hpcc",
+    num_flows: int = CC_FLEET_FLOWS,
+    instrumentation: bool = False,
+):
+    """One uniform-CC run of the default core; returns (wall seconds, result)."""
+    sim = build_cc_fleet_sim(cc, num_flows, instrumentation)
     start = time.perf_counter()
     result = sim.run()
     return time.perf_counter() - start, result
 
 
-def test_cc_block_dispatch_speedup():
-    """Acceptance (this PR): the per-class column-block CC kernels are
-    >= 2x the retained object-gather dispatch on a uniform 2000-flow HPCC
-    fleet, with bit-identical FCTs.
-
-    Same re-measurement policy as the core gates above (one retry covers
-    unlucky scheduling windows on shared CI runners).
-    """
-    blocks_s, blocks_result = run_cc_fleet(cc_blocks=True)
-    object_s, object_result = run_cc_fleet(cc_blocks=False)
-    # the perf gate is only meaningful because the answer is unchanged
-    assert blocks_result.unfinished_flows == object_result.unfinished_flows
-    assert blocks_result.slowdowns() == object_result.slowdowns()
-    assert len(blocks_result.slowdowns()) > 100
-    if object_s / blocks_s < MIN_CC_BLOCK_SPEEDUP:
-        blocks_s, _ = run_cc_fleet(cc_blocks=True)
-        object_s, _ = run_cc_fleet(cc_blocks=False)
-    speedup = object_s / blocks_s
-    _write_results(
-        "cc_block_throughput.txt",
-        "per-class CC column-block kernels vs object-gather dispatch "
-        f"({CC_FLEET_FLOWS} concurrent flows, uniform HPCC, testbed8)\n"
-        f"object-gather dispatch : {object_s:8.3f} s\n"
-        f"column-block kernels   : {blocks_s:8.3f} s\n"
-        f"speedup                : {speedup:8.2f}x (required >= "
-        f"{MIN_CC_BLOCK_SPEEDUP:g}x)\n",
-    )
-    assert speedup >= MIN_CC_BLOCK_SPEEDUP, (
-        f"CC block kernels are only {speedup:.2f}x faster "
-        f"({blocks_s:.3f}s vs {object_s:.3f}s)"
-    )
-
-
 @pytest.mark.benchmark(group="cc-dispatch")
-@pytest.mark.parametrize("mode", ["object", "blocks"])
-def test_bench_cc_dispatch(benchmark, mode):
-    """Recorded CC dispatch lanes for the perf trajectory."""
+def test_bench_cc_dispatch(benchmark):
+    """Recorded CC dispatch lane for the perf trajectory."""
     benchmark.pedantic(
-        lambda: run_cc_fleet(
-            cc_blocks=(mode == "blocks"), num_flows=_scaled(CC_FLEET_FLOWS)
-        )[0],
+        lambda: run_cc_fleet(num_flows=_scaled(CC_FLEET_FLOWS))[0],
         rounds=2,
         iterations=1,
     )
@@ -412,21 +345,17 @@ def test_bench_cc_dispatch(benchmark, mode):
 # --------------------------------------------------------------------- #
 # array-resident control plane (batched arrivals + telemetry columns)
 # --------------------------------------------------------------------- #
-#: flow count of the monitored control-plane lane (the acceptance
-#: criterion calls for at least 2000 flows)
+#: flow count of the monitored control-plane lane
 CONTROL_PLANE_FLOWS = 3000
 #: flow size: small enough that the run is arrival/decision-dominated
 CONTROL_PLANE_FLOW_BYTES = 150_000
-#: required batched-vs-PR-3 end-to-end speedup
-MIN_CONTROL_PLANE_SPEEDUP = 1.5
 
 
 def build_burst_demands(num_flows: int = CONTROL_PLANE_FLOWS):
     """An arrival-heavy workload: five back-to-back waves of simultaneous
     flows between DC1 and DC8, sized so most decisions happen while the
-    network is busy and the whole run stays short — the regime where the
-    per-flow control plane (heap event + sequential select chain per flow)
-    dominates the PR-3 wall clock."""
+    network is busy and the whole run stays short — the regime where
+    arrival routing and telemetry dominate the wall clock."""
     topology = build_testbed8(capacity_scale=0.1)
     hosts = topology.host_groups["DC1"].count
     demands = [
@@ -444,13 +373,11 @@ def build_burst_demands(num_flows: int = CONTROL_PLANE_FLOWS):
     return topology, demands
 
 
-def run_control_plane(batched: bool, num_flows: int = CONTROL_PLANE_FLOWS):
+def run_control_plane(num_flows: int = CONTROL_PLANE_FLOWS):
     """One monitored LCMP run; returns (wall seconds, result)."""
     topology, demands = build_burst_demands(num_flows)
     paths = _testbed8_pathset(topology)
-    config = SimulationConfig(
-        seed=5, batched_control=batched, max_sim_time_s=5.0, drain_timeout_s=5.0
-    )
+    config = SimulationConfig(seed=5, max_sim_time_s=5.0, drain_timeout_s=5.0)
     network = RuntimeNetwork(
         topology, paths, lcmp_router_factory(topology, paths), config
     )
@@ -462,47 +389,11 @@ def run_control_plane(batched: bool, num_flows: int = CONTROL_PLANE_FLOWS):
     return time.perf_counter() - start, result
 
 
-def test_control_plane_batching_speedup():
-    """Acceptance (this PR): the array-resident control plane is >= 1.5x
-    the PR-3 per-flow configuration on a monitored >= 2000-flow run, with
-    bit-identical results.
-
-    Same re-measurement policy as the core gates above (one retry covers
-    unlucky scheduling windows on shared CI runners).
-    """
-    batched_s, batched_result = run_control_plane(batched=True)
-    legacy_s, legacy_result = run_control_plane(batched=False)
-    assert batched_result.unfinished_flows == 0
-    assert legacy_result.unfinished_flows == 0
-    # the perf gate is only meaningful because the answer is unchanged
-    assert batched_result.slowdowns() == legacy_result.slowdowns()
-    if legacy_s / batched_s < MIN_CONTROL_PLANE_SPEEDUP:
-        batched_s, _ = run_control_plane(batched=True)
-        legacy_s, _ = run_control_plane(batched=False)
-    speedup = legacy_s / batched_s
-    _write_results(
-        "control_plane_throughput.txt",
-        "array-resident control plane vs PR-3 per-flow control plane "
-        f"({CONTROL_PLANE_FLOWS} flows, LCMP, monitor+trace on, testbed8)\n"
-        f"PR-3 control plane    : {legacy_s:8.3f} s\n"
-        f"batched control plane : {batched_s:8.3f} s\n"
-        f"speedup               : {speedup:8.2f}x (required >= "
-        f"{MIN_CONTROL_PLANE_SPEEDUP:g}x)\n",
-    )
-    assert speedup >= MIN_CONTROL_PLANE_SPEEDUP, (
-        f"batched control plane is only {speedup:.2f}x faster "
-        f"({batched_s:.3f}s vs {legacy_s:.3f}s)"
-    )
-
-
 @pytest.mark.benchmark(group="control-plane")
-@pytest.mark.parametrize("mode", ["pr3", "batched"])
-def test_bench_control_plane(benchmark, mode):
-    """Recorded control-plane lanes for the perf trajectory."""
+def test_bench_control_plane(benchmark):
+    """Recorded control-plane lane for the perf trajectory."""
     benchmark.pedantic(
-        lambda: run_control_plane(
-            batched=(mode == "batched"), num_flows=_scaled(CONTROL_PLANE_FLOWS)
-        )[0],
+        lambda: run_control_plane(num_flows=_scaled(CONTROL_PLANE_FLOWS))[0],
         rounds=2,
         iterations=1,
     )
@@ -511,59 +402,146 @@ def test_bench_control_plane(benchmark, mode):
 # --------------------------------------------------------------------- #
 # observability plane (phase timers + counters)
 # --------------------------------------------------------------------- #
-#: maximum tolerated instrumentation wall-clock ratio on the 2000-flow
-#: HPCC lane (instrumented / uninstrumented)
+#: maximum tolerated instrumentation cost on the 2000-flow HPCC lane:
+#: instrumented / uninstrumented host time of the whole run
 MAX_INSTRUMENTATION_OVERHEAD = 1.03
+#: lockstep rounds pooled by one measurement of the overhead
+OVERHEAD_ROUNDS = 5
+#: per-round time limit; a lockstep round takes under a second
+LOCKSTEP_TIMEOUT_S = 120.0
 
 
-def _min_fleet_times(rounds: int = 3):
-    """Best-of-``rounds`` wall time of the HPCC lane, off and on.
+@contextlib.contextmanager
+def _one_cpu():
+    """Pin this process (and the threads it starts) to one CPU.
 
-    Interleaved (off, on, off, on, ...) so a drifting machine load hits
-    both configurations equally, and min-reduced so one unlucky scheduling
-    window cannot dominate either side.
+    Two CPUs of a shared host can run at different speeds; a measurement
+    that lets the two sides land on different CPUs measures the CPUs.
     """
-    base = []
-    instrumented = []
-    for _ in range(rounds):
-        base.append(run_cc_fleet(cc_blocks=True)[0])
-        instrumented.append(run_cc_fleet(cc_blocks=True, instrumentation=True)[0])
-    return min(base), min(instrumented)
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    saved = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(saved)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, saved)
+
+
+def run_lockstep(first: FluidSimulation, second: FluidSimulation):
+    """Run two simulations in lockstep, one update step each in turn.
+
+    Each simulation runs ``run()`` on its own thread.  A step observer
+    stops the running side's clock and hands a baton (one semaphore per
+    side) to the other, so exactly one side computes at a time and the
+    k-th steps of both runs execute within a few milliseconds of each
+    other: host-speed drift, which moves single runs of this lane by
+    +-15 %, hits both sides alike.
+
+    Returns:
+        ``(first_s, second_s)`` — each side's host seconds over its whole
+        ``run()``, set-up and end-of-run work included.
+    """
+    sims = (first, second)
+    batons = (threading.Semaphore(0), threading.Semaphore(0))
+    busy = [0.0, 0.0]
+    done = [False, False]
+    clock = [0.0]
+    errors = []
+
+    def pass_baton(i):
+        busy[i] += time.perf_counter() - clock[0]
+        batons[i if done[1 - i] else 1 - i].release()
+
+    def take_baton(i):
+        batons[i].acquire()
+        clock[0] = time.perf_counter()
+
+    def worker(i):
+        sims[i].add_step_observer(lambda sim, now: (pass_baton(i), take_baton(i)))
+        take_baton(i)
+        try:
+            sims[i].run()
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+        done[i] = True
+        pass_baton(i)
+
+    threads = [threading.Thread(target=worker, args=(i,), daemon=True) for i in (0, 1)]
+    for thread in threads:
+        thread.start()
+    gc.collect()
+    batons[0].release()
+    for thread in threads:
+        thread.join(LOCKSTEP_TIMEOUT_S)
+        assert not thread.is_alive(), "lockstep round did not finish"
+    if errors:
+        raise errors[0]
+    return busy[0], busy[1]
+
+
+def _instrumentation_overhead(rounds: int = OVERHEAD_ROUNDS):
+    """Instrumented / uninstrumented host time of whole HPCC-lane runs.
+
+    Each round runs the lane off and on in lockstep (see
+    :func:`run_lockstep`) on one CPU, alternating which side steps first,
+    and takes the ratio of the two sides' whole-run times; the median over
+    rounds discards a round in which a scheduling stall hit one side.
+
+    Returns:
+        ``(ratio, base_s, inst_s)`` — the median ratio and the two sides'
+        summed host seconds over all rounds.
+    """
+    ratios = []
+    base_s = inst_s = 0.0
+    with _one_cpu():
+        for r in range(rounds):
+            base_first = r % 2 == 0
+            times = run_lockstep(
+                build_cc_fleet_sim(instrumentation=not base_first),
+                build_cc_fleet_sim(instrumentation=base_first),
+            )
+            base, inst = times if base_first else times[::-1]
+            ratios.append(inst / base)
+            base_s += base
+            inst_s += inst
+    return float(np.median(ratios)), base_s, inst_s
 
 
 def test_instrumentation_overhead():
-    """Acceptance (this PR): instrumentation costs <= 3 % on the 2000-flow
-    HPCC lane, with bit-identical FCTs and a populated stats snapshot.
+    """Instrumentation costs <= 3 % on the 2000-flow HPCC lane, with
+    bit-identical FCTs and a populated stats snapshot.
 
-    Same re-measurement policy as the other gates (one retry covers
-    unlucky scheduling windows on shared CI runners) — with the tighter
-    3 % bound the timing rounds are additionally interleaved and
-    min-reduced.
+    The cost is the median whole-run ratio of lockstep rounds (see
+    :func:`_instrumentation_overhead`); back-to-back runs of this ~0.25 s
+    lane differ by up to 20 % on a shared host, far more than the bound.
+    One re-measurement covers an unlucky window, as in the other gates.
     """
-    _, base_result = run_cc_fleet(cc_blocks=True)
-    _, inst_result = run_cc_fleet(cc_blocks=True, instrumentation=True)
+    _, base_result = run_cc_fleet()
+    _, inst_result = run_cc_fleet(instrumentation=True)
     # instrumentation must not change the answer, only describe the run
     assert inst_result.slowdowns() == base_result.slowdowns()
     assert base_result.stats is None
     assert inst_result.stats is not None
     assert inst_result.stats["phases"]["step.update"]["count"] > 0
 
-    base_s, inst_s = _min_fleet_times()
-    if inst_s / base_s > MAX_INSTRUMENTATION_OVERHEAD:
-        base_s, inst_s = _min_fleet_times()
-    ratio = inst_s / base_s
+    ratio, base_s, inst_s = _instrumentation_overhead()
+    if ratio > MAX_INSTRUMENTATION_OVERHEAD:
+        ratio, base_s, inst_s = _instrumentation_overhead()
     _write_results(
         "instrumentation_overhead.txt",
         "observability-plane overhead "
-        f"({CC_FLEET_FLOWS} concurrent flows, uniform HPCC, testbed8)\n"
+        f"({CC_FLEET_FLOWS} concurrent flows, uniform HPCC, testbed8, "
+        f"{OVERHEAD_ROUNDS} lockstep rounds on one CPU)\n"
         f"uninstrumented : {base_s:8.3f} s\n"
         f"instrumented   : {inst_s:8.3f} s\n"
-        f"overhead       : {(ratio - 1.0):8.2%} (allowed <= "
+        f"overhead       : {(ratio - 1.0):8.2%} median over rounds (allowed <= "
         f"{MAX_INSTRUMENTATION_OVERHEAD - 1.0:.0%})\n",
     )
     assert ratio <= MAX_INSTRUMENTATION_OVERHEAD, (
-        f"instrumentation costs {(ratio - 1.0):.2%} wall clock "
-        f"({inst_s:.3f}s vs {base_s:.3f}s)"
+        f"instrumentation costs {(ratio - 1.0):.2%} host time "
+        f"({inst_s:.3f}s vs {base_s:.3f}s summed)"
     )
 
 

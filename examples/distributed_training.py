@@ -77,10 +77,10 @@ def run_policy(label, demands, topology, paths, config, router="lcmp", lcmp_conf
 def main(rounds: int = 8, workers: int = 48) -> None:
     topology = build_testbed8(capacity_scale=0.1)
     paths = testbed8_pathset(topology)
-    # the vectorized SoA core with in-place CC column kernels (the
-    # defaults, spelled out): the gradient bursts put ~all flows through
-    # DCQCN's feedback/advance kernels every step
-    config = SimulationConfig(seed=3, vectorized=True, soa=True, cc_blocks=True)
+    # the array core with in-place CC column kernels (the default,
+    # spelled out): the gradient bursts put ~all flows through DCQCN's
+    # feedback/advance kernels every step
+    config = SimulationConfig(seed=3, vectorized=True)
 
     demands = training_mix_demands(rounds, workers, rpcs_per_round=40)
     print(

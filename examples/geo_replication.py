@@ -48,7 +48,7 @@ def main(num_flows: int = 1200) -> None:
         num_flows=num_flows,
         pairs=CASE_STUDY_PAIRS,   # DC1 <-> DC13, the continent-spanning pair
         seed=7,
-        vectorized=True,          # SoA core: grouped in-place CC kernels
+        vectorized=True,          # array core: grouped in-place CC kernels
     )
 
     print(

@@ -3,8 +3,8 @@
 Heterogeneous-CC fleets (e.g. a datacenter migrating from DCQCN to HPCC
 tenant by tenant) assign a congestion-control algorithm *per flow*.  A
 :class:`MixedCCFactory` draws that assignment deterministically from
-``(seed, flow_id)``, so the same spec produces the same fleet on every core
-(scalar, legacy-vectorized, SoA), in every process of a parallel sweep, and
+``(seed, flow_id)``, so the same spec produces the same fleet on both cores
+(scalar and array), in every process of a parallel sweep, and
 regardless of arrival batching — the property the cross-core equivalence
 suite relies on.
 

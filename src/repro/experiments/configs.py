@@ -87,14 +87,9 @@ class ExperimentSpec:
         update_interval_s / monitor_interval_s: simulator cadences.
         fidelity_noise: measurement-noise sigma (testbed profile of Fig. 6).
         trace_links: record per-link time series (needed by Fig. 1b).
-        vectorized: run the simulator's numpy update core (default) or the
+        vectorized: run the simulator's array core (default) or the
             pure-Python scalar reference path — both produce bit-identical
             results (see DESIGN.md, "Vectorized core").
-        backend: array backend the vectorized cores execute on —
-            ``"numpy"`` (reference), ``"numpy_fused"`` (bit-identical fused
-            kernels) or ``"torch"`` (device-resident, equivalent within a
-            documented tolerance; requires torch).  See DESIGN.md, "Array
-            backends & kernels".
         instrumentation: enable the simulator's observability plane for
             this run; the run's ``result.stats`` then carries the phase
             timer / counter snapshot, and sweeps aggregate the per-run
@@ -122,7 +117,6 @@ class ExperimentSpec:
     fidelity_noise: float = 0.0
     trace_links: bool = False
     vectorized: bool = True
-    backend: str = "numpy"
     instrumentation: bool = False
 
     def with_overrides(self, **kwargs) -> "ExperimentSpec":

@@ -170,7 +170,6 @@ class ExperimentRunner:
             fidelity_noise=spec.fidelity_noise,
             seed=spec.seed,
             vectorized=spec.vectorized,
-            backend=spec.backend,
             instrumentation=spec.instrumentation,
         )
 
@@ -258,7 +257,7 @@ class ExperimentRunner:
         if parallel and workers > 1:
             try:
                 pickle.dumps(specs)
-            except Exception:
+            except (pickle.PicklingError, AttributeError, TypeError):
                 parallel = False
         if not parallel or workers <= 1:
             runs = [self.run(spec) for spec in specs]

@@ -90,10 +90,8 @@ class Router(abc.ABC):
 
     def __init__(self) -> None:
         self.switch = None
-        #: array backend for the batched selection kernels
-        #: (:meth:`~repro.backend.core.ArrayBackend
-        #: .weighted_choice_searchsorted`); the runtime network rebinds it
-        #: to the simulation config's backend at construction
+        #: the shared kernels of the batched selection paths
+        #: (:meth:`~repro.backend.NumpyBackend.weighted_choice_searchsorted`)
         self.backend = get_backend("numpy")
         #: number of select() calls served
         self.decisions = 0

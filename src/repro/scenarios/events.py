@@ -49,7 +49,7 @@ The batched-arrival control plane preserves this order by deferring any
 arrival whose timestamp exactly equals a scheduled scenario instant (see
 :meth:`~repro.scenarios.injector.ScenarioInjector.scheduled_event_times`).
 This ordering is locked in by ``tests/scenarios/fuzz/test_event_ordering.py``
-across all four simulation cores.
+across both simulation cores.
 """
 
 from __future__ import annotations

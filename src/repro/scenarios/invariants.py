@@ -21,12 +21,10 @@ correct run must satisfy regardless of the timeline:
    failed), and no recovery takes longer than the span between the first
    cut and the last repair of the timeline plus one update interval.
 4. **Cross-core bit-identity** (:func:`assert_results_identical`,
-   :func:`assert_scenario_metrics_identical`) — the scalar, legacy
-   vectorized, SoA, cc_blocks and fused-backend cores (see
-   :data:`CORE_CONFIGS`), with or without instrumentation, produce
-   byte-for-byte identical records, link stats, failures and per-event
-   outcomes; the torch backend (when installed) is held to the relaxed
-   :func:`assert_results_close` tolerance contract instead.
+   :func:`assert_scenario_metrics_identical`) — the scalar and array
+   cores (see :data:`CORE_CONFIGS`), with or without instrumentation,
+   produce byte-for-byte identical records, link stats, failures and
+   per-event outcomes.
 
 Each checker raises :class:`InvariantViolation` (an ``AssertionError``
 subclass, so pytest renders it natively) with enough context to replay
@@ -62,43 +60,17 @@ __all__ = [
     "check_no_dead_link_traffic",
     "check_recovery_bound",
     "assert_results_identical",
-    "assert_results_close",
     "assert_scenario_metrics_identical",
     "DeadLinkMonitor",
 ]
 
 #: the simulation cores, as ``SimulationConfig`` field overrides — the
-#: canonical axes the equivalence suite and the fuzzer sweep.  The
-#: ``numpy_fused`` entry runs the default SoA/cc_blocks core on the fused
-#: array backend (bit-identical by contract); when torch is importable a
-#: ``torch`` entry is appended so the fuzzer also exercises the
-#: device-resident backend (equivalent within the documented tolerance,
-#: see DESIGN.md, "Array backends & kernels").
+#: canonical axis the equivalence suite and the fuzzer sweep: the scalar
+#: executable spec and the array core
 CORE_CONFIGS: Dict[str, Dict[str, object]] = {
     "scalar": {"vectorized": False},
-    "vectorized": {"vectorized": True, "soa": False},
-    "soa": {"vectorized": True, "soa": True, "cc_blocks": False},
-    "cc_blocks": {"vectorized": True, "soa": True, "cc_blocks": True},
-    "numpy_fused": {
-        "vectorized": True,
-        "soa": True,
-        "cc_blocks": True,
-        "backend": "numpy_fused",
-    },
+    "array": {"vectorized": True},
 }
-
-try:  # pragma: no cover - exercised only where torch is installed
-    from ..backend import torch_available
-
-    if torch_available():
-        CORE_CONFIGS["torch"] = {
-            "vectorized": True,
-            "soa": True,
-            "cc_blocks": True,
-            "backend": "torch",
-        }
-except ImportError:  # pragma: no cover
-    pass
 
 
 class InvariantViolation(AssertionError):
@@ -298,7 +270,7 @@ class DeadLinkMonitor:
     Attach to a simulation with :meth:`attach` (before ``run()``); after
     every update step it verifies, for each active flow, that a positive
     achieved rate implies every link of its path is up, and — on the
-    vectorized cores — that the flow×link incidence liveness cache agrees
+    array core — that the flow×link incidence liveness cache agrees
     with the :class:`~repro.simulator.link.RuntimeLink` objects whenever
     the cache is current.  Violations are collected (not raised) so a run
     completes and :func:`check_no_dead_link_traffic` can report them with
@@ -425,8 +397,8 @@ def assert_results_identical(reference, other, label: str = "") -> None:
 
     Compares completed-flow records, link stats, run counters and failed
     flows via exact (bitwise, no tolerance) equality — the contract the
-    scalar / legacy-vectorized / SoA / cc_blocks cores and the
-    instrumented/uninstrumented modes all share.
+    scalar and array cores and the instrumented/uninstrumented modes all
+    share.
 
     Raises:
         InvariantViolation: on the first differing field.
@@ -462,63 +434,6 @@ def assert_results_identical(reference, other, label: str = "") -> None:
     for a, b in zip(reference.failed_flows, other.failed_flows):
         if dataclasses.asdict(a) != dataclasses.asdict(b):
             _violate(f"{prefix}failed flow mismatch:\n  {a}\n  {b}")
-    assert_scenario_metrics_identical(reference, other, label=label)
-
-
-def assert_results_close(
-    reference, other, rtol: float = 1e-9, label: str = ""
-) -> None:
-    """Two runs produced equivalent results within a relative tolerance.
-
-    The comparison contract for the ``torch`` array backend: device
-    scatter-adds accumulate duplicates in unspecified order (hardware
-    atomics), so float fields are compared with ``math.isclose(rel_tol=
-    rtol, abs_tol=rtol)`` instead of bitwise — everything discrete
-    (flow ids, counts, orderings, event outcomes) must still match
-    exactly.  See DESIGN.md, "Array backends & kernels".
-
-    Raises:
-        InvariantViolation: on the first field outside tolerance.
-    """
-    prefix = f"tolerance[{label}]: " if label else "tolerance: "
-
-    def close(x, y) -> bool:
-        if isinstance(x, float) and isinstance(y, float):
-            return math.isclose(x, y, rel_tol=rtol, abs_tol=rtol)
-        return x == y
-
-    ref_records, other_records = reference.records, other.records
-    if len(ref_records) != len(other_records):
-        _violate(
-            f"{prefix}{len(ref_records)} vs {len(other_records)} completed records"
-        )
-    for a, b in zip(ref_records, other_records):
-        da, db = dataclasses.asdict(a), dataclasses.asdict(b)
-        if set(da) != set(db) or not all(close(da[k], db[k]) for k in da):
-            _violate(f"{prefix}record outside tolerance:\n  {a}\n  {b}")
-    for field in ("unfinished_flows", "routing_decisions", "monitor_samples"):
-        va, vb = getattr(reference, field), getattr(other, field)
-        if va != vb:
-            _violate(f"{prefix}{field}: {va} vs {vb}")
-    if not close(reference.duration_s, other.duration_s):
-        _violate(
-            f"{prefix}duration_s: {reference.duration_s} vs {other.duration_s}"
-        )
-    if len(reference.link_stats) != len(other.link_stats):
-        _violate(f"{prefix}link_stats length differs")
-    for a, b in zip(reference.link_stats, other.link_stats):
-        da, db = dataclasses.asdict(a), dataclasses.asdict(b)
-        if set(da) != set(db) or not all(close(da[k], db[k]) for k in da):
-            _violate(f"{prefix}link stats outside tolerance:\n  {a}\n  {b}")
-    if len(reference.failed_flows) != len(other.failed_flows):
-        _violate(
-            f"{prefix}{len(reference.failed_flows)} vs "
-            f"{len(other.failed_flows)} failed flows"
-        )
-    for a, b in zip(reference.failed_flows, other.failed_flows):
-        da, db = dataclasses.asdict(a), dataclasses.asdict(b)
-        if set(da) != set(db) or not all(close(da[k], db[k]) for k in da):
-            _violate(f"{prefix}failed flow outside tolerance:\n  {a}\n  {b}")
     assert_scenario_metrics_identical(reference, other, label=label)
 
 

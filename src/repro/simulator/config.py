@@ -38,59 +38,19 @@ class SimulationConfig:
             Mininet emulation is noisier than NS-3).
         seed: base RNG seed; every stochastic component derives its stream
             from this value, making runs reproducible.
-        vectorized: run the numpy flow×link update core (default) instead
-            of the pure-Python scalar loop.  Both paths produce bit-for-bit
-            identical results (see DESIGN.md, "Vectorized core"); the
-            scalar path is kept as the executable specification and for the
-            equivalence tests.
-        soa: with ``vectorized``, keep per-flow and congestion-control
-            state resident in the structure-of-arrays
-            :class:`~repro.simulator.flow_table.FlowTable` (default) so an
-            update step crosses the Python↔numpy boundary O(1) times
-            instead of O(flows).  ``soa=False`` selects the object-resident
-            vectorized core (the PR-2 layout: per-step ``np.fromiter``
-            gathers and ``.tolist()`` writebacks), kept as the baseline the
-            high-concurrency step-throughput benchmark measures against.
-            All three cores are bit-for-bit identical (see DESIGN.md,
-            "Flow table (SoA)").
-        batched_control: with ``vectorized``, run the array-resident
-            control plane (default): monitor sweeps write
-            :class:`~repro.simulator.telemetry.TelemetryPlane` columns
-            instead of per-port sample objects, and flow arrivals drain in
-            batches routed through one
-            :meth:`~repro.routing.base.Router.select_batch` call per
-            switch hop instead of one heap event + Python ``select`` chain
-            per flow.  ``batched_control=False`` selects the PR-3 control
-            plane (per-event arrivals, per-object sampling), kept as the
-            baseline the monitored control-plane benchmark measures
-            against.  The scalar core always uses the per-event control
-            plane (it is the executable specification); results are
-            bit-for-bit identical either way (see DESIGN.md, "Control
-            plane (arrays)").
-        cc_blocks: with ``soa``, dispatch congestion control through each
-            class's in-place column-block kernels
-            (:meth:`~repro.congestion_control.base.CongestionControl
-            .advance_batch_slots` / ``feedback_batch_slots``, the default),
-            grouped per class so mixed-CC fleets stay on the fast path.
-            ``cc_blocks=False`` retains the object-gather dispatch (gather
-            the controller objects off the table and run the object-level
-            batch methods), kept as the baseline the uniform-fleet CC
-            benchmark measures against.  Results are bit-for-bit identical
-            either way (see DESIGN.md, "Congestion control (arrays)").
-        backend: array-backend selection for the vectorized cores' hot
-            kernels (see :mod:`repro.backend` and DESIGN.md, "Array
-            backends & kernels").  ``"numpy"`` (default) is the reference
-            backend — the exact pre-backend idioms, bit-for-bit the PR-5
-            SoA core.  ``"numpy_fused"`` swaps in the fused kernels
-            (``bincount`` scatter-add, uniform-path-length reshape
-            reductions), still bit-identical (guarded by
-            ``tests/backend/`` and the scenario-fuzz harness) and ≥1.3×
-            step throughput at 20k concurrent flows.  ``"torch"`` (only
-            when torch is installed) runs the kernels on torch tensors —
-            equivalent within the documented float tolerance, not
-            bit-identical (``scatter_add`` duplicate order is
-            unspecified).  The scalar core (``vectorized=False``) is the
-            executable specification and always runs plain numpy.
+        vectorized: run the array core (default) instead of the
+            pure-Python scalar loop.  The array core keeps per-flow and
+            congestion-control state in the structure-of-arrays
+            :class:`~repro.simulator.flow_table.FlowTable`, runs the update
+            step as numpy math over the flow×link incidence arrays with the
+            kernels of :mod:`repro.backend`, dispatches congestion control
+            through each class's in-place column kernels, and runs the
+            array control plane (telemetry columns, batched arrivals routed
+            through :meth:`~repro.routing.base.Router.select_batch`).  The
+            scalar core is the executable specification: per-event
+            arrivals, per-object sampling and per-flow controller calls.
+            Both produce bit-for-bit identical results (see DESIGN.md,
+            "Vectorized core").
         instrumentation: enable the runtime observability plane
             (:mod:`repro.obs`): phase timers around every step sub-phase,
             slow-path counters, and an engine/routing/cache metrics harvest
@@ -113,10 +73,6 @@ class SimulationConfig:
     fidelity_noise: float = 0.0
     seed: int = 1
     vectorized: bool = True
-    soa: bool = True
-    batched_control: bool = True
-    cc_blocks: bool = True
-    backend: str = "numpy"
     instrumentation: bool = False
 
     def with_overrides(self, **kwargs) -> "SimulationConfig":
@@ -143,19 +99,3 @@ class SimulationConfig:
             raise ValueError("max_sim_time_s must be positive")
         if self.fidelity_noise < 0:
             raise ValueError("fidelity_noise must be non-negative")
-        # local import: repro.backend is dependency-free, but keeping the
-        # config module import-light preserves its standalone usability
-        # (importing the package registers every backend factory)
-        import repro.backend as _backend  # noqa: F401
-        from ..backend.core import _FACTORIES
-
-        if self.backend not in _FACTORIES:
-            raise ValueError(
-                f"unknown backend {self.backend!r} "
-                f"(registered: {', '.join(sorted(_FACTORIES))})"
-            )
-        if self.backend != "numpy" and not self.vectorized:
-            raise ValueError(
-                "the scalar core is the executable specification and only "
-                "runs the numpy reference backend"
-            )

@@ -1,11 +1,10 @@
 """Structure-of-arrays FlowTable — array-resident per-flow state.
 
-PR 2's vectorized core made the per-step *math* array-based, but the
-per-flow *state* it read and wrote still lived in Python objects, so every
-update step crossed the Python↔numpy boundary O(flows) times (``np.fromiter``
-gathers, ``.tolist()`` writeback loops).  The :class:`FlowTable` removes
-those crossings by making contiguous numpy columns the authoritative home
-of all mutable per-flow state while a vectorized run is in flight:
+The array core runs every per-step operation as numpy math; to keep each
+step from crossing the Python↔numpy boundary O(flows) times (per-object
+gathers and writebacks), the :class:`FlowTable` makes contiguous numpy
+columns the authoritative home of all mutable per-flow state while an
+array run is in flight:
 
 * **rows are stable slots** — a flow keeps its row for its whole lifetime;
   finished/failed flows return their slot to a free list for reuse and the
@@ -27,7 +26,7 @@ of all mutable per-flow state while a vectorized run is in flight:
   epoch no longer matches (a signal headed to a finished flow must never
   reach the slot's next tenant).
 
-Ownership contract (see DESIGN.md, "Flow table (SoA)"): while a
+Ownership contract (see DESIGN.md, "Flow table"): while a
 :class:`~repro.simulator.flow.Flow` and its controller are *bound* to a row,
 the columns are authoritative and the objects are thin views — their
 properties read and write the row.  :meth:`release` copies the final column
@@ -103,16 +102,14 @@ class FlowTable:
 
     Args:
         capacity: initial number of row slots (grows by doubling).
-        backend: the :class:`~repro.backend.core.ArrayBackend` the table's
-            consumers (fluid step, CC column kernels) dispatch through;
-            the numpy reference backend when omitted.
     """
 
-    def __init__(self, capacity: int = 256, backend=None) -> None:
+    def __init__(self, capacity: int = 256) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        #: the array backend bound to this table's kernels
-        self.backend = backend if backend is not None else get_backend("numpy")
+        #: the shared kernels the table's consumers (CC column kernels)
+        #: dispatch through
+        self.backend = get_backend("numpy")
         self._capacity = int(capacity)
         #: flow object occupying each slot (None = free)
         self._flows: List[Optional[object]] = [None] * self._capacity
@@ -248,17 +245,12 @@ class FlowTable:
     # ------------------------------------------------------------------ #
     # slot lifecycle
     # ------------------------------------------------------------------ #
-    def acquire(self, flow, bind: bool = True) -> int:
-        """Give ``flow`` a row slot and initialise its columns.
+    def acquire(self, flow) -> int:
+        """Give ``flow`` a row slot and bind it there.
 
-        Args:
-            flow: the runtime flow (its congestion controller is reached
-                through ``flow.cc``).
-            bind: when True (the SoA core) the flow and its controller
-                become views onto the row — the columns are authoritative
-                until :meth:`release`.  When False (the PR-2 compatibility
-                core) the slot only keys the incidence structure and the
-                feedback delay line; object attributes stay authoritative.
+        The flow and its controller (reached through ``flow.cc``) become
+        views onto the row — the columns are authoritative until
+        :meth:`release`.
 
         Returns:
             The row slot (stable for the flow's lifetime).
@@ -278,10 +270,8 @@ class FlowTable:
         self.epoch[slot] += 1
         self.feedback_live[slot] = True
         self.feedback_tick[slot] = -1
-        flow._slot = slot
-        if bind:
-            flow.bind_table(self, slot)
-            flow.cc.bind_table(self, slot)
+        flow.bind_table(self, slot)
+        flow.cc.bind_table(self, slot)
         return slot
 
     def release(self, flow) -> None:

@@ -22,7 +22,7 @@ re-gathered only when :attr:`RuntimeLink.state_version` says some link
 mutated (scenario fault injection, capacity events) or the registry grew.
 
 Mutable per-link state (queue, carried/dropped bytes, peak queue, offered
-load) is held *in the arrays* while a vectorized run is in flight; the
+load) is held *in the arrays* while an array run is in flight; the
 owning :class:`~repro.simulator.fluid.FluidSimulation` syncs inter-DC slots
 back to their ``RuntimeLink`` objects every step (the queue monitor and the
 scenario injector read them) and syncs everything back via :meth:`sync_all`
@@ -45,16 +45,10 @@ __all__ = ["FlowLinkIncidence"]
 class FlowLinkIncidence:
     """CSR-style flow×link incidence over a stable link registry."""
 
-    def __init__(self, backend=None) -> None:
-        """Create an empty incidence structure.
-
-        Args:
-            backend: the :class:`~repro.backend.core.ArrayBackend`
-                executing the segment kernels (liveness reductions); the
-                numpy reference backend when omitted.
-        """
-        #: the array backend for the structure's segment kernels
-        self.backend = backend if backend is not None else get_backend("numpy")
+    def __init__(self) -> None:
+        """Create an empty incidence structure."""
+        #: the shared kernels for the structure's liveness reductions
+        self.backend = get_backend("numpy")
         # --- link registry (append-only) ---
         self._links: List[RuntimeLink] = []
         self._slot_of: Dict[RuntimeLink, int] = {}

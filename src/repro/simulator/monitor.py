@@ -13,12 +13,12 @@ drives one of two equivalent paths per sweep:
   switch builds one :class:`~repro.simulator.switch.PortSample` per port
   and feeds its router, exactly as before.
 
-Both observe identical values: the vectorized cores sync link state back to
+Both observe identical values: the array core syncs link state back to
 the :class:`~repro.simulator.link.RuntimeLink` objects at the end of each
 update step, and the monitor fires *before* the update when both land on
 the same instant — a sample at time t therefore sees exactly the post-step
 state of t − 1 on every core, which is what keeps traces and router state
-bit-identical across the scalar, legacy-vectorized and SoA paths.
+bit-identical across the scalar and array cores.
 
 :class:`LinkTrace` records per-link time series (queue depth, utilisation)
 for the motivation figure (Fig. 1b) and debugging.  Samples live in

@@ -66,17 +66,9 @@ class RuntimeNetwork:
                 ecn_pmax=self.config.ecn_pmax,
             )
 
-        # every router runs its batched selection kernels on the run's
-        # configured array backend (see repro.backend)
-        from ..backend import get_backend
-
-        router_backend = get_backend(self.config.backend)
         self._switches: Dict[str, DCISwitch] = {}
         for dc in topology.dcs:
-            router = router_factory(dc)
-            if hasattr(router, "backend"):
-                router.backend = router_backend
-            switch = DCISwitch(dc, router)
+            switch = DCISwitch(dc, router_factory(dc))
             for neighbor in topology.neighbors(dc):
                 if topology.nodes[neighbor].kind == "dci":
                     link = self._links.get((dc, neighbor))
@@ -90,8 +82,8 @@ class RuntimeNetwork:
         #: stranded flow per update step during an outage; recomputing
         #: Dijkstra each time made re-route sweeps O(flows x topology).
         #: Invalidated whenever :attr:`RuntimeLink.state_version` moves
-        #: (fault injection / capacity events), mirroring the vectorized
-        #: core's liveness-array cache.
+        #: (fault injection / capacity events), mirroring the array core's
+        #: liveness-array cache.
         self._fallback_cache: Dict[Tuple[str, str], object] = {}
         self._fallback_seen_version = RuntimeLink.state_version
 

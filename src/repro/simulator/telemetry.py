@@ -12,8 +12,8 @@ switch and handed it to the router, whether or not the router cared.
   egress port gets a stable row, ports of one switch are contiguous;
 * **telemetry columns** (queue depth, cumulative carried bytes, offered
   load, capacity, liveness, per-interval utilisation, a queue-depth EWMA)
-  refreshed by one :meth:`sweep` per monitor interval.  Under the
-  vectorized cores the sweep is a handful of fancy-indexed gathers from the
+  refreshed by one :meth:`sweep` per monitor interval.  Under the array
+  core the sweep is a handful of fancy-indexed gathers from the
   flow×link incidence arrays (:mod:`repro.simulator.incidence`) — the same
   arrays the update step writes — so a sweep costs O(1) numpy calls, not
   O(ports) Python object constructions;
@@ -24,11 +24,11 @@ switch and handed it to the router, whether or not the router cared.
   lazily built :class:`PortSample` shims through the base implementation.
 
 Bit-equivalence contract: the columns are gathered from link state that the
-vectorized cores sync back to the :class:`~repro.simulator.link.RuntimeLink`
+array core syncs back to the :class:`~repro.simulator.link.RuntimeLink`
 objects at the end of every update step, and the monitor fires *before* the
 update when both land on the same instant — so a sweep at time t observes
 exactly the values the scalar core's object sampler reads, and router
-state/traces stay bit-identical across all three cores (guarded by
+state/traces stay bit-identical across both cores (guarded by
 ``tests/simulator/test_telemetry.py`` and the equivalence suite).
 """
 
@@ -128,7 +128,7 @@ class TelemetryView:
 class TelemetryPlane:
     """Per-switch × per-port telemetry columns for one runtime network."""
 
-    def __init__(self, network, ewma_alpha: float = 0.125, backend=None) -> None:
+    def __init__(self, network, ewma_alpha: float = 0.125) -> None:
         """Build the port registry and allocate the columns.
 
         Args:
@@ -136,14 +136,13 @@ class TelemetryPlane:
                 whose DCI switch ports are monitored.
             ewma_alpha: weight of the newest sample in the queue-depth EWMA
                 column (``ewma = alpha * q + (1 - alpha) * ewma``).
-            backend: the :class:`~repro.backend.ArrayBackend` the sweep
-                gathers run on; defaults to the numpy reference backend.
         """
         if not 0 < ewma_alpha <= 1:
             raise ValueError("ewma_alpha must be in (0, 1]")
         self._network = network
         self.ewma_alpha = float(ewma_alpha)
-        self.backend = backend if backend is not None else get_backend("numpy")
+        #: the shared kernels the sweep gathers run on
+        self.backend = get_backend("numpy")
 
         #: links in port-registry order (rows of every column)
         self.links: List[RuntimeLink] = []
@@ -214,7 +213,7 @@ class TelemetryPlane:
 
     # ------------------------------------------------------------------ #
     def attach_incidence(self, incidence) -> None:
-        """Source sweeps from the vectorized core's link arrays.
+        """Source sweeps from the array core's link arrays.
 
         Registers every monitored port in the incidence link registry (their
         mutable state then lives in the arrays for the whole run) and
@@ -228,7 +227,7 @@ class TelemetryPlane:
     def sweep(self, now: float) -> None:
         """Refresh every column from current link state.
 
-        Under the vectorized cores this reads the incidence arrays (the
+        Under the array core this reads the incidence arrays (the
         authoritative home of link state between update steps); without an
         attached incidence it gathers from the link objects — both observe
         the identical post-step values.

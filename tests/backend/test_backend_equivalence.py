@@ -1,43 +1,68 @@
-"""End-to-end backend equivalence: full simulations across array backends.
+"""End-to-end kernel equivalence: full simulations, scalar core vs array core.
 
-The fused numpy backend promises **bitwise** identity with the reference
-on every observable output (FCT records, link stats, failures, scenario
-outcomes); the torch backend (exercised only where torch is installed)
-promises equivalence within the documented tolerance.  These runs cover
-the paths the kernels rewired: offered-load scatter-add, queue/ECN
-reductions, feedback delivery, batched routing and the CC slot kernels.
+Every array-core run goes through the shared numpy kernels (offered-load
+scatter-add, queue/ECN reductions, the path-signal walk, feedback
+delivery, batched routing and the CC slot kernels); the scalar core is
+the executable spec that uses none of them.  The two must agree
+**bitwise** on every observable output (FCT records, link stats,
+failures, scenario outcomes) for each congestion control, each router,
+LCMP and a mixed-CC fleet.
+
+Every case runs twice: on testbed8, where all candidate paths have equal
+hop counts (the kernels' uniform-length fast path), and on bso13 with
+5-hop and 2-hop pairs active together (the masked-walk fallback).
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.backend import get_backend
 from repro.congestion_control import make_cc_factory, make_mixed_cc_factory
+from repro.core import lcmp_router_factory
 from repro.routing import make_router_factory
-from repro.scenarios.invariants import (
-    assert_results_close,
-    assert_results_identical,
-)
+from repro.scenarios.invariants import assert_results_identical
 from repro.simulator import FluidSimulation, RuntimeNetwork, SimulationConfig
-from repro.topology import build_testbed8
+from repro.topology import build_bso13, bso13_pathset, build_testbed8
 from repro.topology import testbed8_pathset as _testbed8_pathset
 from repro.workloads import TrafficConfig, TrafficGenerator
 
 CCS = ["dcqcn", "hpcc", "timely", "dctcp", "ideal"]
 ROUTERS = ["ecmp", "wcmp", "ucmp", "redte"]
 
+#: bso13 pairs mixing 5-hop (three candidates) and 2-hop paths
+RAGGED_PAIRS = (("DC1", "DC13"), ("DC13", "DC1"), ("DC2", "DC9"), ("DC9", "DC2"))
 
-def run_with(backend: str, cc="dcqcn", router="ecmp", cc_mix=None, seed=7):
-    """One small-but-complete testbed8 run on the given backend."""
-    topology = build_testbed8(capacity_scale=0.1)
-    paths = _testbed8_pathset(topology)
-    config = SimulationConfig(seed=seed, backend=backend)
+
+def run_with(
+    vectorized: bool,
+    cc="dcqcn",
+    router="ecmp",
+    cc_mix=None,
+    seed=7,
+    num_flows=300,
+    pairs=(("DC1", "DC8"), ("DC2", "DC7")),
+    topology="testbed8",
+):
+    """One small-but-complete run on the given core and topology."""
+    if topology == "bso13":
+        topology = build_bso13(capacity_scale=0.1)
+        paths = bso13_pathset(topology)
+    else:
+        topology = build_testbed8(capacity_scale=0.1)
+        paths = _testbed8_pathset(topology)
+    config = SimulationConfig(seed=seed, vectorized=vectorized)
     traffic = TrafficConfig(
-        workload="websearch", load=0.4, num_flows=300,
-        pairs=[("DC1", "DC8"), ("DC2", "DC7")], seed=seed,
+        workload="websearch", load=0.4, num_flows=num_flows,
+        pairs=list(pairs), seed=seed,
     )
     demands = TrafficGenerator(topology, paths, traffic).generate()
-    network = RuntimeNetwork(topology, paths, make_router_factory(router), config)
+    if router == "lcmp":
+        router_factory = lcmp_router_factory(topology, paths)
+    else:
+        router_factory = make_router_factory(router)
+    network = RuntimeNetwork(topology, paths, router_factory, config)
     if cc_mix is not None:
         factory = make_mixed_cc_factory(cc_mix, seed=seed)
     else:
@@ -48,81 +73,60 @@ def run_with(backend: str, cc="dcqcn", router="ecmp", cc_mix=None, seed=7):
     return result
 
 
-class TestFusedBitIdentity:
+#: topologies every case runs on: uniform hop counts (the kernels'
+#: fast path) and :data:`RAGGED_PAIRS` on bso13 (the masked-walk fallback)
+TOPOLOGIES = ["testbed8", "bso13-ragged"]
+
+
+def run_pair(topology, **kwargs):
+    """Scalar and array runs of one case on ``topology``.
+
+    On ``"bso13-ragged"`` this also checks that the array run's
+    path-signal walk really saw segments of unequal length, i.e. that the
+    fallback tier ran.
+    """
+    if topology == "testbed8":
+        return run_with(False, **kwargs), run_with(True, **kwargs)
+    scalar = run_with(False, topology="bso13", pairs=RAGGED_PAIRS, **kwargs)
+    shared = get_backend("numpy")
+    original = shared.path_signals
+    ragged_steps = []
+
+    def recording(idx, starts, lengths, *args):
+        ragged_steps.append(len(np.unique(lengths)) > 1)
+        return original(idx, starts, lengths, *args)
+
+    shared.path_signals = recording
+    try:
+        array = run_with(True, topology="bso13", pairs=RAGGED_PAIRS, **kwargs)
+    finally:
+        del shared.path_signals
+    assert any(ragged_steps), "no step mixed path lengths"
+    return scalar, array
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+class TestArrayBitIdentity:
     @pytest.mark.parametrize("cc", CCS)
-    def test_fused_identical_per_cc(self, cc):
-        reference = run_with("numpy", cc=cc)
-        fused = run_with("numpy_fused", cc=cc)
-        assert_results_identical(reference, fused, label=f"numpy vs fused [{cc}]")
+    def test_array_identical_per_cc(self, topology, cc):
+        scalar, array = run_pair(topology, cc=cc)
+        assert_results_identical(scalar, array, label=f"{topology} [{cc}]")
 
     @pytest.mark.parametrize("router", ROUTERS)
-    def test_fused_identical_per_router(self, router):
-        reference = run_with("numpy", router=router)
-        fused = run_with("numpy_fused", router=router)
-        assert_results_identical(
-            reference, fused, label=f"numpy vs fused [{router}]"
-        )
+    def test_array_identical_per_router(self, topology, router):
+        scalar, array = run_pair(topology, router=router)
+        assert_results_identical(scalar, array, label=f"{topology} [{router}]")
 
-    def test_fused_identical_lcmp(self):
-        from repro.core import lcmp_router_factory
+    def test_array_identical_lcmp(self, topology):
+        scalar, array = run_pair(topology, router="lcmp", seed=3, num_flows=200)
+        assert_results_identical(scalar, array, label=f"{topology} [lcmp]")
 
-        def run(backend):
-            topology = build_testbed8(capacity_scale=0.1)
-            paths = _testbed8_pathset(topology)
-            config = SimulationConfig(seed=3, backend=backend)
-            traffic = TrafficConfig(
-                workload="websearch", load=0.4, num_flows=200,
-                pairs=[("DC1", "DC8")], seed=3,
-            )
-            demands = TrafficGenerator(topology, paths, traffic).generate()
-            factory = lcmp_router_factory(topology, paths)
-            network = RuntimeNetwork(topology, paths, factory, config)
-            sim = FluidSimulation(network, demands, make_cc_factory("dcqcn"), config)
-            return sim.run()
-
-        assert_results_identical(
-            run("numpy"), run("numpy_fused"), label="numpy vs fused [lcmp]"
-        )
-
-    def test_fused_identical_mixed_cc_fleet(self):
+    def test_array_identical_mixed_cc_fleet(self, topology):
+        """A heterogeneous fleet (grouped in-place kernels on the array
+        core) matches the scalar spec bit for bit."""
         mix = (("dcqcn", 0.5), ("hpcc", 0.3), ("dctcp", 0.2))
-        reference = run_with("numpy", cc_mix=mix)
-        fused = run_with("numpy_fused", cc_mix=mix)
-        assert_results_identical(reference, fused, label="numpy vs fused [mix]")
-
-    def test_fused_identical_to_scalar_core(self):
-        topology = build_testbed8(capacity_scale=0.1)
-        paths = _testbed8_pathset(topology)
-        traffic = TrafficConfig(
-            workload="websearch", load=0.4, num_flows=120,
-            pairs=[("DC1", "DC8")], seed=11,
-        )
-        demands = TrafficGenerator(topology, paths, traffic).generate()
-
-        def run(config):
-            network = RuntimeNetwork(
-                topology, paths, make_router_factory("ecmp"), config
-            )
-            sim = FluidSimulation(
-                network, list(demands), make_cc_factory("dcqcn"), config
-            )
-            return sim.run()
-
-        scalar = run(SimulationConfig(seed=11, vectorized=False))
-        fused = run(SimulationConfig(seed=11, backend="numpy_fused"))
-        assert_results_identical(scalar, fused, label="scalar vs fused")
-
-
-class TestTorchTolerance:
-    def test_torch_within_tolerance(self):
-        pytest.importorskip("torch")
-        reference = run_with("numpy")
-        torch_run = run_with("torch")
-        assert_results_close(reference, torch_run, label="numpy vs torch")
-
-    @pytest.mark.parametrize("cc", ["hpcc", "dctcp"])
-    def test_torch_within_tolerance_per_cc(self, cc):
-        pytest.importorskip("torch")
-        reference = run_with("numpy", cc=cc)
-        torch_run = run_with("torch", cc=cc)
-        assert_results_close(reference, torch_run, label=f"numpy vs torch [{cc}]")
+        factory = make_mixed_cc_factory(mix, seed=7)
+        assigned = {factory.labels[factory.assign(i)] for i in range(300)}
+        assert len(assigned) > 1  # the run genuinely mixes classes
+        scalar, array = run_pair(topology, cc_mix=mix)
+        assert_results_identical(scalar, array, label=f"{topology} [mix]")

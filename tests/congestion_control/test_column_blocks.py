@@ -234,7 +234,7 @@ class TestKernelSubsetDispatch:
 
 def test_base_subclass_without_spec_keeps_object_dispatch():
     """A CC class with no cc_columns still works through the base
-    slot-batch fallback (gather objects, loop the scalar methods)."""
+    slot-batch hooks (loop the scalar methods over the bound instances)."""
 
     class Plain(CongestionControl):
         name = "plain-test"

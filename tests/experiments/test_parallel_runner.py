@@ -67,12 +67,18 @@ class TestRunManyParallel:
                 == p_run.result.scenario_metrics.total_disrupted
             )
 
-    def test_unpicklable_spec_falls_back_to_serial(self):
+    @pytest.mark.parametrize(
+        "error", [pickle.PicklingError, AttributeError, TypeError]
+    )
+    def test_unpicklable_spec_falls_back_to_serial(self, error):
+        """``pickle`` reports an unpicklable object as PicklingError,
+        AttributeError (e.g. a local class) or TypeError (e.g. a lock):
+        each degrades the sweep to serial."""
         from repro.scenarios.events import Scenario
 
         class Unpicklable(Scenario):
             def __reduce__(self):
-                raise pickle.PicklingError("not today")
+                raise error("not today")
 
         specs = [
             ExperimentSpec(name="plain", num_flows=40, seed=3),
@@ -86,6 +92,24 @@ class TestRunManyParallel:
         runs = ExperimentRunner().run_many(specs, parallel=True, max_workers=2)
         assert [run.spec.name for run in runs] == ["plain", "odd"]
         assert all(run.result.records for run in runs)
+
+    def test_probe_propagates_unrelated_errors(self):
+        """Only pickling failures select the serial fallback; a bug raised
+        while pickling a spec surfaces instead of being swallowed."""
+        from repro.scenarios.events import Scenario
+
+        class Broken(Scenario):
+            def __reduce__(self):
+                raise ZeroDivisionError("bug in __reduce__")
+
+        specs = [
+            ExperimentSpec(name="plain", num_flows=40, seed=3),
+            ExperimentSpec(
+                name="odd", num_flows=40, seed=3, scenario=Broken(name="noop")
+            ),
+        ]
+        with pytest.raises(ZeroDivisionError, match="bug in __reduce__"):
+            ExperimentRunner().run_many(specs, parallel=True, max_workers=2)
 
     def test_single_spec_runs_inline(self):
         runner = ExperimentRunner()

@@ -2,11 +2,11 @@
 
 The harness is the glue between generated cases and the reusable
 invariant checkers: ``run_case`` builds and runs one simulation for one
-core flavour, ``check_all_invariants`` runs the full cross-core sweep —
-scalar (reference, with the live dead-link monitor attached), legacy
-vectorized, SoA, cc_blocks, cc_blocks on the fused array backend (and on
-the torch backend where torch is installed), and cc_blocks with
-instrumentation — and asserts all four invariant families on the results.
+core, ``check_all_invariants`` runs the full cross-core sweep — scalar
+(reference), array, array with instrumentation, and array on an eagerly
+built path set (the lazy-vs-eager lane), the live dead-link monitor
+attached wherever the run is not instrumented — and asserts all four
+invariant families on the results: four runs per case.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.scenarios.fuzz import FuzzCase, build_fuzz_pathset, build_fuzz_topolo
 from repro.scenarios.invariants import (
     CORE_CONFIGS,
     DeadLinkMonitor,
-    assert_results_close,
     assert_results_identical,
     check_demand_conservation,
     check_no_dead_link_traffic,
@@ -45,7 +44,7 @@ def make_config(case: FuzzCase, core: str, instrumentation: bool = False) -> Sim
 
 def run_case(
     case: FuzzCase,
-    core: str = "cc_blocks",
+    core: str = "array",
     instrumentation: bool = False,
     with_monitor: bool = False,
     lazy: bool = True,
@@ -71,7 +70,7 @@ def run_case(
     return sim.run(), monitor
 
 
-def run_baseline(case: FuzzCase, core: str = "cc_blocks"):
+def run_baseline(case: FuzzCase, core: str = "array"):
     """Run a case's demands with NO scenario attached (pre-event baseline)."""
     topology = build_fuzz_topology(case.topology_name)
     paths = build_fuzz_pathset(topology)
@@ -106,26 +105,16 @@ def check_all_invariants(case: FuzzCase, require_drained: bool = True) -> Dict[s
     )
 
     results: Dict[str, object] = {"scalar": reference}
-    for core in ("vectorized", "soa", "cc_blocks", "numpy_fused"):
-        other, other_monitor = run_case(case, core=core, with_monitor=True)
-        check_demand_conservation(other, len(case.demands))
-        check_no_dead_link_traffic(other, case.scenario, topology, other_monitor)
-        assert_results_identical(reference, other, label=f"scalar vs {core}")
-        results[core] = other
-    if "torch" in CORE_CONFIGS:
-        # device backend: duplicate-accumulation order is unspecified on
-        # GPUs, so this core is held to the documented tolerance instead
-        # of bitwise identity (DESIGN.md, "Array backends & kernels")
-        other, other_monitor = run_case(case, core="torch", with_monitor=True)
-        check_demand_conservation(other, len(case.demands))
-        check_no_dead_link_traffic(other, case.scenario, topology, other_monitor)
-        assert_results_close(reference, other, label="scalar vs torch")
-        results["torch"] = other
-    instrumented, _ = run_case(case, core="cc_blocks", instrumentation=True)
+    array, array_monitor = run_case(case, core="array", with_monitor=True)
+    check_demand_conservation(array, len(case.demands))
+    check_no_dead_link_traffic(array, case.scenario, topology, array_monitor)
+    assert_results_identical(reference, array, label="scalar vs array")
+    results["array"] = array
+    instrumented, _ = run_case(case, core="array", instrumentation=True)
     assert_results_identical(reference, instrumented, label="scalar vs instrumented")
     results["instrumented"] = instrumented
     # lazy vs eager path sets must be indistinguishable at run level
-    eager, eager_monitor = run_case(case, core="cc_blocks", with_monitor=True, lazy=False)
+    eager, eager_monitor = run_case(case, core="array", with_monitor=True, lazy=False)
     check_demand_conservation(eager, len(case.demands))
     check_no_dead_link_traffic(eager, case.scenario, topology, eager_monitor)
     assert_results_identical(reference, eager, label="lazy vs eager pathset")

@@ -102,7 +102,7 @@ class TestSimLevelDrain:
         )
         assert "diamond" in FUZZ_TOPOLOGIES
         cancelled = {}
-        for core in ("scalar", "vectorized", "soa", "cc_blocks"):
+        for core in ("scalar", "array"):
             result, _ = run_case(case, core=core)
             check_demand_conservation(result, len(demands))
             cancelled[core] = result.scenario_metrics.total_cancelled

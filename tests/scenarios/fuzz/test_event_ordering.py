@@ -27,7 +27,7 @@ from repro.simulator.flow import FlowDemand
 
 from .harness import run_baseline, run_case
 
-CORES = ("scalar", "vectorized", "soa", "cc_blocks")
+CORES = ("scalar", "array")
 TIE_AT = 0.02
 
 

@@ -67,7 +67,7 @@ class TestFuzzInvariants:
             cc="dcqcn",
             seed=data.draw(st.integers(min_value=1, max_value=2**16), label="seed"),
         )
-        for core in ("scalar", "cc_blocks"):
+        for core in ("scalar", "array"):
             result, _ = run_case(case, core=core)
             check_demand_conservation(result, len(case.demands))
 

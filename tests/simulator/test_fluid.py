@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.congestion_control import make_cc_factory
-from repro.routing import make_router_factory
+from repro.routing import ECMPRouter, make_router_factory
+from repro.scenarios.events import LinkDown, LinkUp, Scenario
 from repro.simulator import (
     FlowDemand,
     FluidSimulation,
+    RoutingLoopError,
     RuntimeNetwork,
 )
 
@@ -126,3 +128,74 @@ class TestBookkeeping:
         result = run_sim(tiny_topology, tiny_pathset, demands, quick_sim_config)
         for stats in result.link_stats:
             assert 0.0 <= stats.utilization <= 1.0
+
+
+class TestRerouteErrors:
+    """A fast-failover reroute only tolerates "no route": any other error
+    raised while re-resolving a disrupted flow's path propagates."""
+
+    CUT_AT_S = 0.005
+
+    @staticmethod
+    def cut_off_sim(topology, pathset, config, error):
+        """One long A->B flow; both egress ports of A die at ``CUT_AT_S``
+        (so the flow is disrupted whichever path it took and the reroute
+        reaches the router) and recover at 20 ms.  From the cut on, the
+        router's per-flow ``select`` raises ``error``."""
+        cut_at_s = TestRerouteErrors.CUT_AT_S
+
+        class RaisingRouter(ECMPRouter):
+            def select(self, dst_dc, candidates, demand, now):
+                if now >= cut_at_s:
+                    raise error
+                return super().select(dst_dc, candidates, demand, now)
+
+        network = RuntimeNetwork(
+            topology, pathset, lambda dc: RaisingRouter(), config
+        )
+        scenario = Scenario(
+            name="cut-all-of-A",
+            events=(
+                LinkDown(cut_at_s, "A", "B"),
+                LinkDown(cut_at_s, "A", "C"),
+                LinkUp(0.02, "A", "B"),
+                LinkUp(0.02, "A", "C"),
+            ),
+        )
+        # 500 MB at 100 Gbps: still in flight when the cut lands
+        demands = [FlowDemand(0, "A", "B", 0, 0, 500_000_000, 0.0)]
+        return FluidSimulation(
+            network, demands, make_cc_factory("fixed"), config, scenario=scenario
+        )
+
+    @pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "array"])
+    def test_router_bug_during_reroute_propagates(
+        self, tiny_topology, tiny_pathset, quick_sim_config, vectorized
+    ):
+        sim = self.cut_off_sim(
+            tiny_topology,
+            tiny_pathset,
+            quick_sim_config.with_overrides(vectorized=vectorized),
+            ZeroDivisionError("router bug during reroute"),
+        )
+        with pytest.raises(ZeroDivisionError, match="router bug"):
+            sim.run()
+
+    @pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "array"])
+    def test_no_route_during_reroute_pins_the_flow(
+        self, tiny_topology, tiny_pathset, quick_sim_config, vectorized
+    ):
+        """"No route" is the one tolerated reroute error: the flow stays
+        pinned on its dead path and resumes when the path recovers."""
+        sim = self.cut_off_sim(
+            tiny_topology,
+            tiny_pathset,
+            quick_sim_config.with_overrides(vectorized=vectorized),
+            RoutingLoopError("no route while A is cut off"),
+        )
+        result = sim.run()
+        assert [r.flow_id for r in result.records] == [0]
+        assert not result.failed_flows
+        metrics = result.scenario_metrics
+        assert metrics.total_disrupted == 1
+        assert metrics.total_rerouted == 0

@@ -176,5 +176,5 @@ class TestBitIdentity:
         _, result = run_sim(instrumentation=True, vectorized=False)
         phases = result.stats["phases"]
         assert phases["step.update"]["count"] > 0
-        # SoA sub-phases belong to the vectorized core
+        # the update sub-phases belong to the array core
         assert phases["update.signals"]["count"] == 0

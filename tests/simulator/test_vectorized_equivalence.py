@@ -1,11 +1,9 @@
-"""Scalar-vs-vectorized equivalence: the core guarantee of the numpy paths.
+"""Scalar-vs-array equivalence: the core guarantee of the numpy paths.
 
-Both vectorized cores — the structure-of-arrays FlowTable core
-(``SimulationConfig(vectorized=True)``, the default) and the object-resident
-legacy core (``soa=False``, the PR-2 layout kept as the benchmark baseline)
-— must produce *bit-for-bit* identical results to the pure-Python scalar
-update loop on the same seed: every FCT record field, every link statistic,
-every scenario recovery metric.  These tests run the paths on identical
+The array core (``SimulationConfig(vectorized=True)``, the default) must
+produce *bit-for-bit* identical results to the pure-Python scalar update
+loop on the same seed: every FCT record field, every link statistic,
+every scenario recovery metric.  These tests run both cores on identical
 inputs — static runs, scenario runs exercising mid-run reroutes, capacity
 changes, refcounted link-down windows, surges and stranded-flow failures,
 and a high-concurrency (≥1500 flows) run with mid-run reroutes that forces
@@ -35,15 +33,12 @@ def run_sim(
     cc="dcqcn",
     num_flows=160,
     trace_links=False,
-    soa=True,
-    batched=True,
-    cc_blocks=True,
+    instrumentation=False,
 ):
     topology = build_testbed8(capacity_scale=0.1)
     paths = _testbed8_pathset(topology)
     config = SimulationConfig(
-        seed=7, vectorized=vectorized, soa=soa, batched_control=batched,
-        cc_blocks=cc_blocks,
+        seed=7, vectorized=vectorized, instrumentation=instrumentation
     )
     traffic = TrafficConfig(
         workload="websearch",
@@ -129,42 +124,6 @@ class TestStaticEquivalence:
         vector = run_sim(vectorized=True)
         assert_results_identical(scalar, vector)
 
-    def test_legacy_core_bitwise_identical(self):
-        """The object-resident PR-2 core (``soa=False``) stays equivalent
-        to both the scalar spec and the SoA core."""
-        scalar = run_sim(vectorized=False)
-        legacy = run_sim(vectorized=True, soa=False)
-        soa = run_sim(vectorized=True, soa=True)
-        assert_results_identical(scalar, legacy)
-        assert_results_identical(legacy, soa)
-
-    @pytest.mark.parametrize("cc", ["dcqcn", "hpcc", "timely", "dctcp", "ideal"])
-    def test_every_congestion_control(self, cc):
-        scalar = run_sim(vectorized=False, cc=cc, num_flows=80)
-        vector = run_sim(vectorized=True, cc=cc, num_flows=80)
-        assert_results_identical(scalar, vector)
-
-    def test_mixed_fleet_all_cores(self):
-        """A heterogeneous fleet (grouped in-place kernels on the SoA
-        core) matches the scalar spec and the legacy core bit for bit."""
-        factory = make_mixed_cc_factory(MIX, seed=7)
-        assigned = {factory.labels[factory.assign(i)] for i in range(160)}
-        assert len(assigned) > 1  # the run genuinely mixes classes
-        scalar = run_sim(vectorized=False, cc=MIX)
-        soa = run_sim(vectorized=True, cc=MIX)
-        legacy = run_sim(vectorized=True, soa=False, cc=MIX)
-        assert_results_identical(scalar, soa)
-        assert_results_identical(scalar, legacy)
-
-    def test_object_gather_dispatch_bitwise_identical(self):
-        """The retained object-gather CC dispatch (``cc_blocks=False``,
-        the CC benchmark baseline) matches the block kernels, on a
-        uniform non-DCQCN fleet and on a mixed fleet."""
-        for cc in ("hpcc", MIX):
-            blocks = run_sim(vectorized=True, cc=cc, num_flows=80)
-            gathered = run_sim(vectorized=True, cc=cc, num_flows=80, cc_blocks=False)
-            assert_results_identical(blocks, gathered)
-
     def test_link_trace_identical(self):
         scalar = run_sim(vectorized=False, num_flows=60, trace_links=True)
         vector = run_sim(vectorized=True, num_flows=60, trace_links=True)
@@ -175,48 +134,35 @@ class TestStaticEquivalence:
             for pa, pb in zip(sa, sb):
                 assert dataclasses.asdict(pa) == dataclasses.asdict(pb)
 
-    def test_pr3_control_plane_bitwise_identical(self):
-        """The per-flow control plane (``batched_control=False``, the PR-3
-        benchmark baseline) stays equivalent to the batched default."""
-        batched = run_sim(vectorized=True)
-        legacy_cp = run_sim(vectorized=True, batched=False)
-        assert_results_identical(batched, legacy_cp)
-
 
 class TestScenarioEquivalence:
     """Mid-run reroutes, capacity events and refcounted link-down windows
     must stay bit-for-bit compatible (the ISSUE's hard requirement)."""
 
     @pytest.mark.parametrize(
-        "name", ["single-link-cut", "cascading-failure", "diurnal-surge", "rolling-maintenance"]
+        "instrumentation", [False, True], ids=["plain", "instrumented"]
     )
-    def test_canned_scenarios(self, name):
+    @pytest.mark.parametrize("name", sorted(EARLY_EVENTS))
+    def test_canned_scenarios(self, name, instrumentation):
+        """The array core under every canned scenario matches the scalar
+        spec bit for bit.  Instrumented, it must still match (observing a
+        run must not change it) and its reroute counter must agree with the
+        scenario metrics."""
         scalar = run_sim(vectorized=False, scenario=early_scenario(name))
-        vector = run_sim(vectorized=True, scenario=early_scenario(name))
+        array = run_sim(
+            vectorized=True, scenario=early_scenario(name),
+            instrumentation=instrumentation,
+        )
         assert any(
             o.applied_s is not None for o in scalar.scenario_metrics.outcomes
         ), f"{name}: no event fired; the equivalence case is vacuous"
-        assert_results_identical(scalar, vector)
-        assert_scenario_metrics_identical(scalar, vector)
-
-    @pytest.mark.parametrize("name", ["single-link-cut", "diurnal-surge"])
-    def test_canned_scenarios_legacy_core(self, name):
-        legacy = run_sim(vectorized=True, soa=False, scenario=early_scenario(name))
-        soa = run_sim(vectorized=True, soa=True, scenario=early_scenario(name))
-        assert_results_identical(legacy, soa)
-        assert_scenario_metrics_identical(legacy, soa)
-
-    @pytest.mark.parametrize(
-        "name", ["single-link-cut", "cascading-failure", "diurnal-surge", "rolling-maintenance"]
-    )
-    def test_canned_scenarios_pr3_control_plane(self, name):
-        """Batched arrivals + telemetry columns under every canned scenario
-        (surges, drains, maintenance windows, exact arrival/event time
-        ties) match the per-flow PR-3 control plane bit for bit."""
-        batched = run_sim(vectorized=True, scenario=early_scenario(name))
-        legacy_cp = run_sim(vectorized=True, batched=False, scenario=early_scenario(name))
-        assert_results_identical(batched, legacy_cp)
-        assert_scenario_metrics_identical(batched, legacy_cp)
+        assert_results_identical(scalar, array)
+        assert_scenario_metrics_identical(scalar, array)
+        assert scalar.stats is None
+        if instrumentation:
+            counters = array.stats["counters"]
+            assert counters["slow_path.reroutes"] == array.scenario_metrics.total_rerouted
+            assert counters["engine.events_fired"] > 0
 
     @pytest.mark.parametrize("cc", ["hpcc", "timely", "dctcp", "ideal"])
     def test_single_link_cut_per_cc(self, cc):
@@ -226,12 +172,12 @@ class TestScenarioEquivalence:
             vectorized=False, cc=cc, num_flows=100,
             scenario=early_scenario("single-link-cut"),
         )
-        soa = run_sim(
+        array = run_sim(
             vectorized=True, cc=cc, num_flows=100,
             scenario=early_scenario("single-link-cut"),
         )
-        assert_results_identical(scalar, soa)
-        assert_scenario_metrics_identical(scalar, soa)
+        assert_results_identical(scalar, array)
+        assert_scenario_metrics_identical(scalar, array)
 
     def test_single_link_cut_mixed_fleet(self):
         """Scenario disruption on a heterogeneous fleet (grouped kernels)."""
@@ -239,12 +185,12 @@ class TestScenarioEquivalence:
             vectorized=False, cc=MIX, num_flows=100,
             scenario=early_scenario("single-link-cut"),
         )
-        soa = run_sim(
+        array = run_sim(
             vectorized=True, cc=MIX, num_flows=100,
             scenario=early_scenario("single-link-cut"),
         )
-        assert_results_identical(scalar, soa)
-        assert_scenario_metrics_identical(scalar, soa)
+        assert_results_identical(scalar, array)
+        assert_scenario_metrics_identical(scalar, array)
 
     def test_overlapping_faults_and_capacity_events(self):
         # an explicit cut overlapping a brownout plus a surge: exercises
@@ -332,34 +278,33 @@ class TestRttShorteningRerouteEquivalence:
         ids=["dcqcn", "hpcc", "timely", "dctcp", "ideal", "mixed"],
     )
     def test_repeated_delivery_matches_scalar(self, cc):
-        # the SoA run carries the observability plane, which both proves
+        # the array run carries the observability plane, which both proves
         # the slow path ran (slow_path.deliver_repeated) and — compared
         # against the uninstrumented scalar run — that instrumentation
         # leaves the numerics untouched
-        soa = self.run_reroute(vectorized=True, cc=cc, instrumentation=True)
-        repeated = soa.stats["counters"].get("slow_path.deliver_repeated", 0)
+        array = self.run_reroute(vectorized=True, cc=cc, instrumentation=True)
+        repeated = array.stats["counters"].get("slow_path.deliver_repeated", 0)
         assert repeated > 0, "the repeated-delivery path never ran"
-        assert soa.scenario_metrics.total_rerouted > 0
-        assert soa.stats["counters"]["slow_path.reroutes"] > 0
-        assert len(soa.records) > 0
+        assert array.scenario_metrics.total_rerouted > 0
+        assert array.stats["counters"]["slow_path.reroutes"] > 0
+        assert len(array.records) > 0
         scalar = self.run_reroute(vectorized=False, cc=cc)
         assert scalar.stats is None
-        assert_results_identical(scalar, soa)
-        assert_scenario_metrics_identical(scalar, soa)
+        assert_results_identical(scalar, array)
+        assert_scenario_metrics_identical(scalar, array)
 
 
 class TestHighConcurrencyEquivalence:
-    """≥1500 concurrent flows with mid-run reroutes: the SoA acceptance
-    case.  Sustained concurrency at this scale plus a link-down/link-up
-    window exercises FlowTable slot churn, the slot-keyed feedback delay
-    line, the epoch guard and the flatnonzero-based re-validation sweep —
-    and the result must still be bit-for-bit identical across all three
-    update cores."""
+    """≥1500 concurrent flows with mid-run reroutes.  Sustained
+    concurrency at this scale plus a link-down/link-up window exercises
+    FlowTable slot churn, the slot-keyed feedback delay line, the epoch
+    guard and the flatnonzero-based re-validation sweep — and the result
+    must still be bit-for-bit identical across both update cores."""
 
     NUM_FLOWS = 1500
     WINDOW_S = 0.08
 
-    def run_high_concurrency(self, vectorized, soa=True):
+    def run_high_concurrency(self, vectorized):
         topology = build_testbed8(capacity_scale=0.1)
         paths = _testbed8_pathset(topology)
         hosts = topology.host_groups["DC1"].count
@@ -387,7 +332,6 @@ class TestHighConcurrencyEquivalence:
         config = SimulationConfig(
             seed=11,
             vectorized=vectorized,
-            soa=soa,
             max_sim_time_s=self.WINDOW_S,
             drain_timeout_s=self.WINDOW_S,
         )
@@ -397,29 +341,26 @@ class TestHighConcurrencyEquivalence:
         )
         return sim.run()
 
-    def test_all_three_cores_bitwise_identical(self):
+    def test_both_cores_bitwise_identical(self):
         scalar = self.run_high_concurrency(vectorized=False)
-        legacy = self.run_high_concurrency(vectorized=True, soa=False)
-        soa = self.run_high_concurrency(vectorized=True, soa=True)
+        array = self.run_high_concurrency(vectorized=True)
         # the run is cut at the window, so some flows must still be live
         # (sustained concurrency) and some must have finished (slot churn)
-        assert soa.unfinished_flows > 1000
-        assert len(soa.records) > 100
-        assert soa.scenario_metrics.total_disrupted > 0
+        assert array.unfinished_flows > 1000
+        assert len(array.records) > 100
+        assert array.scenario_metrics.total_disrupted > 0
         assert (
-            soa.scenario_metrics.total_rerouted
-            + soa.scenario_metrics.total_restored
+            array.scenario_metrics.total_rerouted
+            + array.scenario_metrics.total_restored
             > 0
         )
-        assert_results_identical(scalar, legacy)
-        assert_results_identical(scalar, soa)
-        assert_scenario_metrics_identical(scalar, soa)
-        assert_scenario_metrics_identical(legacy, soa)
+        assert_results_identical(scalar, array)
+        assert_scenario_metrics_identical(scalar, array)
 
 
 class TestCorrelatedScenarioEquivalence:
     """The correlated-failure families (SRLG conduit cuts, regional power
-    events, compiled maintenance calendars) on every core: per-link
+    events, compiled maintenance calendars) on both cores: per-link
     staggered repairs, blackout/degraded partitions and calendar-expanded
     timelines must not disturb cross-core bit-identity."""
 
@@ -432,22 +373,16 @@ class TestCorrelatedScenarioEquivalence:
         fired = [o for o in scalar.scenario_metrics.outcomes if o.applied_s is not None]
         assert fired, f"{name}: no event fired; the equivalence case is vacuous"
         assert any(o.links_affected > 0 for o in fired)
-        for kwargs in (
-            dict(vectorized=True),                  # cc_blocks (default SoA)
-            dict(vectorized=True, soa=False),       # legacy object core
-            dict(vectorized=True, cc_blocks=False), # object-gather dispatch
-            dict(vectorized=True, batched=False),   # per-flow control plane
-        ):
-            other = run_sim(scenario=scenario, **kwargs)
-            assert_results_identical(scalar, other)
-            assert_scenario_metrics_identical(scalar, other)
+        array = run_sim(vectorized=True, scenario=scenario)
+        assert_results_identical(scalar, array)
+        assert_scenario_metrics_identical(scalar, array)
 
     def test_conduit_cut_mixed_fleet(self):
         scenario = early_scenario("conduit-cut")
         scalar = run_sim(vectorized=False, cc=MIX, scenario=scenario)
-        soa = run_sim(vectorized=True, cc=MIX, scenario=scenario)
-        assert_results_identical(scalar, soa)
-        assert_scenario_metrics_identical(scalar, soa)
+        array = run_sim(vectorized=True, cc=MIX, scenario=scenario)
+        assert_results_identical(scalar, array)
+        assert_scenario_metrics_identical(scalar, array)
 
     def test_empty_timeline_matches_no_scenario(self):
         """A scenario with no events (and no recurring expansion) leaves
