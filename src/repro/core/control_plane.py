@@ -86,22 +86,17 @@ class ControlPlane:
     # installation
     # ------------------------------------------------------------------ #
     def install(self, router, src_dc: str) -> None:
-        """Install tables + path scores on one LCMP router instance.
+        """Install tables on one LCMP router instance.
 
-        With a lazy path set the up-front score walk is skipped — it
-        would materialize every (src, dst) pair at provisioning time,
-        exactly the O(N²) enumeration laziness exists to avoid.  The
-        router derives each score on demand from the same tables and
-        config (:meth:`LCMPRouter._path_quality_of` calls the identical
-        ``candidate_path_quality``), so decisions are bit-identical; the
-        lazy/eager equivalence suite pins that.
+        The up-front score walk (:meth:`compute_path_scores`) is skipped —
+        it would materialize every (src, dst) pair of the lazy path set at
+        provisioning time, exactly the O(N²) enumeration laziness exists
+        to avoid.  The router derives each score on demand from the same
+        tables and config (:meth:`LCMPRouter._path_quality_of` calls the
+        identical ``candidate_path_quality``), so decisions are
+        bit-identical; the lazy/eager equivalence suite pins that.
         """
-        tables = self.build_tables()
-        if getattr(self.pathset, "lazy", False):
-            scores: Dict[PathKey, int] = {}
-        else:
-            scores = self.compute_path_scores(src_dc)
-        router.install_tables(tables, scores)
+        router.install_tables(self.build_tables(), {})
 
     def install_all(self, network) -> int:
         """Install on every LCMP router of a runtime network.

@@ -27,7 +27,6 @@ import numpy as np
 
 from ..routing.base import Router, flow_hash, flow_hash_array, register_router
 from ..simulator.flow import FlowDemand
-from ..simulator.switch import PortSample
 from ..topology.paths import CandidatePath
 from .config import LCMPConfig
 from .congestion import CongestionEstimator
@@ -84,49 +83,26 @@ class LCMPRouter(Router):
         return self.tables is not None
 
     # ------------------------------------------------------------------ #
-    # telemetry hooks
+    # telemetry hook
     # ------------------------------------------------------------------ #
-    def on_port_sample(self, sample: PortSample, now: float) -> None:
-        """Refresh congestion state (step 1 of the decision pipeline)."""
-        self._observe_port(
-            sample.next_dc,
-            sample.up,
-            sample.queue_bytes,
-            sample.cap_bps,
-            sample.buffer_bytes,
-            now,
-        )
-
     def on_telemetry(self, view, now: float) -> None:
-        """Columnar sweep delivery: identical per-port register updates
-        straight from the telemetry columns, no sample objects built."""
+        """Refresh congestion state (step 1 of the decision pipeline)."""
         ups = view.up.tolist()
         queues = view.queue_bytes.tolist()
         caps = view.cap_bps.tolist()
         buffers = view.buffer_bytes.tolist()
         for i, port in enumerate(view.port_dcs):
-            self._observe_port(port, ups[i], queues[i], caps[i], buffers[i], now)
-
-    def _observe_port(
-        self,
-        port: str,
-        up: bool,
-        queue_bytes: float,
-        cap_bps: float,
-        buffer_bytes: float,
-        now: float,
-    ) -> None:
-        self.liveness.observe(port, up)
-        if self.estimator is None:
-            # the switch has not been provisioned yet; bootstrap minimal
-            # tables from what the monitor tells us (on-demand creation)
-            self.tables = SwitchTables.bootstrap(
-                config=self.config,
-                max_capacity_bps=max(cap_bps, 1.0),
-                buffer_bytes=max(buffer_bytes, 1.0),
-            )
-            self.estimator = CongestionEstimator(self.tables, self.config)
-        self.estimator.observe(port, queue_bytes, cap_bps, now)
+            self.liveness.observe(port, ups[i])
+            if self.estimator is None:
+                # the switch has not been provisioned yet; bootstrap minimal
+                # tables from what the monitor tells us (on-demand creation)
+                self.tables = SwitchTables.bootstrap(
+                    config=self.config,
+                    max_capacity_bps=max(caps[i], 1.0),
+                    buffer_bytes=max(buffers[i], 1.0),
+                )
+                self.estimator = CongestionEstimator(self.tables, self.config)
+            self.estimator.observe(port, queues[i], caps[i], now)
 
     def on_tick(self, now: float) -> None:
         """Periodic garbage collection of the flow cache."""

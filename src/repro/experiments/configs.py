@@ -63,9 +63,6 @@ class ExperimentSpec:
         fabric: :class:`~repro.topology.generators.FabricSpec` describing
             a generated continent-scale fabric; only consulted when
             :attr:`topology` is ``"fabric"``.
-        lazy_paths: materialize candidate paths on first request (the
-            default) or eagerly for every pair at construction time.
-            Routing decisions are bit-identical either way.
         router: routing algorithm name (``"lcmp"``, ``"ecmp"``, ``"ucmp"``,
             ``"wcmp"``, ``"redte"``).
         workload: flow-size distribution name.
@@ -86,7 +83,6 @@ class ExperimentSpec:
         seed: RNG seed shared by traffic generation and the simulator.
         update_interval_s / monitor_interval_s: simulator cadences.
         fidelity_noise: measurement-noise sigma (testbed profile of Fig. 6).
-        trace_links: record per-link time series (needed by Fig. 1b).
         vectorized: run the simulator's array core (default) or the
             pure-Python scalar reference path — both produce bit-identical
             results (see DESIGN.md, "Vectorized core").
@@ -100,7 +96,6 @@ class ExperimentSpec:
     name: str
     topology: str = "testbed8"
     fabric: Optional[FabricSpec] = None
-    lazy_paths: bool = True
     router: str = "lcmp"
     workload: str = "websearch"
     load: float = 0.3
@@ -115,7 +110,6 @@ class ExperimentSpec:
     update_interval_s: float = 1e-3
     monitor_interval_s: float = 1e-3
     fidelity_noise: float = 0.0
-    trace_links: bool = False
     vectorized: bool = True
     instrumentation: bool = False
 
@@ -145,8 +139,23 @@ class ExperimentSpec:
         """Check the spec names known components.
 
         Raises:
-            ValueError: for unknown topology names or non-positive loads.
+            ValueError: for unknown topology, router, workload or
+                congestion-control names, malformed ``pairs`` or
+                non-positive loads.
         """
+        from ..congestion_control import available_ccs
+        from ..routing import available_routers
+        from ..workloads.distributions import available_workloads
+
+        for kind, name, known in (
+            ("router", self.router, available_routers()),
+            ("workload", self.workload, available_workloads()),
+            ("congestion control", self.cc, available_ccs()),
+        ):
+            if name not in known:
+                raise ValueError(f"unknown {kind} {name!r}; available: {known}")
+        if self.pairs != "all_to_all":
+            _validate_pairs(self.pairs)
         if self.topology == "fabric":
             if self.fabric is None:
                 raise ValueError('topology "fabric" requires a FabricSpec in spec.fabric')
@@ -160,8 +169,6 @@ class ExperimentSpec:
         if self.capacity_scale <= 0:
             raise ValueError("capacity_scale must be positive")
         if self.cc_mix is not None:
-            from ..congestion_control import available_ccs
-
             # accept the same shapes make_mixed_cc_factory does: a mapping
             # {name: weight} or a sequence of (name, weight) pairs
             mix = self.cc_mix
@@ -181,6 +188,24 @@ class ExperimentSpec:
                     raise ValueError("cc_mix weights must be positive")
         if isinstance(self.scenario, str):
             self.resolve_scenario()
+
+
+def _validate_pairs(pairs) -> None:
+    """Check ``pairs`` is a non-empty sequence of (src, dst) pairs of distinct DCs."""
+    if not isinstance(pairs, (tuple, list)) or not pairs:
+        raise ValueError(
+            f'pairs must be "all_to_all" or a non-empty sequence of (src, dst) pairs, '
+            f"got {pairs!r}"
+        )
+    for pair in pairs:
+        if (
+            not isinstance(pair, (tuple, list))
+            or len(pair) != 2
+            or not all(isinstance(dc, str) for dc in pair)
+        ):
+            raise ValueError(f"traffic pair {pair!r} is not a (src, dst) pair of DC names")
+        if pair[0] == pair[1]:
+            raise ValueError(f"traffic pair {pair!r} must connect distinct DCs")
 
 
 def mixed_fleet_spec(name: str = "mixed-fleet", **overrides) -> ExperimentSpec:

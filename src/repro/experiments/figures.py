@@ -147,7 +147,6 @@ def figure1(
         num_flows=num_flows,
         pairs=TESTBED_ENDPOINT_PAIRS,
         seed=seed,
-        trace_links=True,
     )
     runs = _comparison_group(runner, base, routers=("lcmp", "ecmp", "ucmp"))
 

@@ -133,19 +133,19 @@ class ExperimentRunner:
     # ------------------------------------------------------------------ #
     def topology_for(self, spec: ExperimentSpec) -> Tuple[Topology, PathSet]:
         """Build (or fetch from cache) the topology + path set of a spec."""
-        key = (spec.topology, spec.capacity_scale, spec.fabric, spec.lazy_paths)
+        key = (spec.topology, spec.capacity_scale, spec.fabric)
         if key not in self._topology_cache:
             if spec.topology == "testbed8":
                 topo = build_testbed8(capacity_scale=spec.capacity_scale)
-                pathset = testbed8_pathset(topo, lazy=spec.lazy_paths)
+                pathset = testbed8_pathset(topo)
             elif spec.topology == "bso13":
                 topo = build_bso13(capacity_scale=spec.capacity_scale)
-                pathset = bso13_pathset(topo, lazy=spec.lazy_paths)
+                pathset = bso13_pathset(topo)
             elif spec.topology == "fabric":
                 if spec.fabric is None:
                     raise ValueError('topology "fabric" requires a FabricSpec in spec.fabric')
                 topo = build_fabric(spec.fabric, capacity_scale=spec.capacity_scale)
-                pathset = fabric_pathset(topo, lazy=spec.lazy_paths)
+                pathset = fabric_pathset(topo)
             else:
                 raise ValueError(f"unknown topology {spec.topology!r}")
             self._topology_cache[key] = (topo, pathset)
@@ -213,7 +213,6 @@ class ExperimentRunner:
             demands,
             self.cc_factory_for(spec),
             config,
-            trace_links=spec.trace_links,
             scenario=spec.resolve_scenario(),
         )
         result = simulation.run()
@@ -250,6 +249,9 @@ class ExperimentRunner:
             left in :attr:`last_sweep_stats` (see :meth:`aggregate_stats`).
         """
         specs = list(specs)
+        # reject a bad spec here, before any run or worker starts
+        for spec in specs:
+            spec.validate()
         workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
         workers = max(1, min(workers, len(specs)))
         if parallel is None:

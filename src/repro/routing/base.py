@@ -8,20 +8,16 @@ arrives.  The interface mirrors what the paper's data-plane prototype can do:
 decisions use only locally available state (precomputed path attributes plus
 the switch's own port telemetry).
 
-Two batched entry points exist alongside the per-flow ones:
+:meth:`Router.select_batch` routes many simultaneous arrivals in one call.
+The base implementation loops :meth:`Router.select` (so batch decisions are
+identical to sequential ones by construction); every shipped router
+overrides it with array operations over the candidate table —
+:func:`flow_hash_array` is the vectorized twin of :func:`flow_hash` and
+produces bit-identical hashes.
 
-* :meth:`Router.select_batch` routes many simultaneous arrivals in one call.
-  The base implementation loops :meth:`Router.select` (so batch decisions
-  are identical to sequential ones by construction); every shipped router
-  overrides it with array operations over the candidate table —
-  :func:`flow_hash_array` is the vectorized twin of :func:`flow_hash` and
-  produces bit-identical hashes.
-* :meth:`Router.on_telemetry` receives one queue-monitor sweep as a columnar
-  per-switch view (:class:`~repro.simulator.telemetry.TelemetryView`).  The
-  base implementation materialises the legacy per-port
-  :class:`~repro.simulator.switch.PortSample` objects and forwards them to
-  :meth:`Router.on_port_sample`, so routers written against the per-sample
-  hook keep working unchanged under the array-resident control plane.
+Telemetry arrives through one hook, :meth:`Router.on_telemetry`: one
+queue-monitor sweep of the attached switch's egress ports as a
+:class:`~repro.simulator.telemetry.TelemetryView`.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ import numpy as np
 
 from ..backend import get_backend
 from ..simulator.flow import FlowDemand
-from ..simulator.switch import PortSample
 from ..topology.paths import CandidatePath
 
 __all__ = [
@@ -172,37 +167,21 @@ class Router(abc.ABC):
     # ------------------------------------------------------------------ #
     # optional hooks
     # ------------------------------------------------------------------ #
-    def on_port_sample(self, sample: PortSample, now: float) -> None:
-        """Receive one queue-monitor observation of a local egress port."""
-
     def on_telemetry(self, view, now: float) -> None:
-        """Receive one queue-monitor sweep as a columnar per-switch view.
+        """Receive one queue-monitor sweep of the attached switch's ports.
 
-        ``view`` is a :class:`~repro.simulator.telemetry.TelemetryView` over
-        the attached switch's egress-port columns.  The base implementation
-        lazily materialises the compatibility :class:`PortSample` objects
-        and forwards them to :meth:`on_port_sample` — routers overriding
-        only the per-sample hook behave identically under both control
-        planes.  Telemetry-hungry routers override this to read the columns
-        directly (no per-port object construction).
+        ``view`` is a :class:`~repro.simulator.telemetry.TelemetryView`
+        (read-only columns, one row per egress port).  The base router
+        ignores telemetry.
         """
-        for sample in view.build_samples(now):
-            self.on_port_sample(sample, now)
 
     def consumes_telemetry(self) -> bool:
-        """True when this router actually reads queue-monitor telemetry.
+        """True when this router overrides :meth:`on_telemetry`.
 
-        The array-resident control plane skips per-router delivery entirely
-        for oblivious routers (ECMP/WCMP): writing the telemetry columns is
-        enough.  Detection is by override: a router that customises neither
-        :meth:`on_port_sample` nor :meth:`on_telemetry` cannot observe the
-        sweep.
+        The telemetry plane skips delivery entirely for oblivious routers
+        (ECMP/WCMP/UCMP): writing the telemetry columns is enough.
         """
-        cls = type(self)
-        return (
-            cls.on_port_sample is not Router.on_port_sample
-            or cls.on_telemetry is not Router.on_telemetry
-        )
+        return type(self).on_telemetry is not Router.on_telemetry
 
     def on_tick(self, now: float) -> None:
         """Periodic housekeeping (flow-cache GC, control loops)."""

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..simulator.flow import FlowDemand
-from ..simulator.switch import PortSample
 from ..topology.paths import CandidatePath
 from .base import Router, flow_hash, flow_hash_array, register_router
 
@@ -74,23 +73,16 @@ class RedTERouter(Router):
     # ------------------------------------------------------------------ #
     # telemetry
     # ------------------------------------------------------------------ #
-    def on_port_sample(self, sample: PortSample, now: float) -> None:
-        """Track cumulative carried bytes and capacity per egress port."""
-        self._observe_port(sample.next_dc, sample.carried_bytes, sample.cap_bps)
-
     def on_telemetry(self, view, now: float) -> None:
-        """Columnar sweep delivery: same per-port updates, no sample objects."""
+        """Track cumulative carried bytes and capacity per egress port."""
         carried = view.carried_bytes.tolist()
         caps = view.cap_bps.tolist()
         for i, port in enumerate(view.port_dcs):
-            self._observe_port(port, carried[i], caps[i])
-
-    def _observe_port(self, port: str, carried_bytes: float, cap_bps: float) -> None:
-        self._carried[port] = carried_bytes
-        self._capacity[port] = cap_bps
-        if port not in self._weights:
-            self._weights[port] = 1.0
-            self._carried_at_interval_start[port] = carried_bytes
+            self._carried[port] = carried[i]
+            self._capacity[port] = caps[i]
+            if port not in self._weights:
+                self._weights[port] = 1.0
+                self._carried_at_interval_start[port] = carried[i]
 
     def on_tick(self, now: float) -> None:
         """Run the control loop when a full control interval has elapsed."""

@@ -185,13 +185,9 @@ def build_fuzz_topology(name: str) -> Topology:
     return FUZZ_TOPOLOGIES[name].build()
 
 
-def build_fuzz_pathset(topology: Topology, lazy: bool = True) -> PathSet:
-    """The candidate path set the fuzz harness routes over.
-
-    ``lazy=False`` keeps the eager materialization reachable for the
-    lazy/eager equivalence lane in the harness.
-    """
-    return PathSet(topology, max_candidates=4, max_extra_hops=1, lazy=lazy)
+def build_fuzz_pathset(topology: Topology) -> PathSet:
+    """The candidate path set the fuzz harness routes over."""
+    return PathSet(topology, max_candidates=4, max_extra_hops=1)
 
 
 @dataclass(frozen=True)

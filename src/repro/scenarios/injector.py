@@ -9,7 +9,7 @@ and does three things:
    above the base workload) and schedules every event on the engine heap;
 2. **fire** — when a state event (link down/up, capacity change, DC
    maintenance) pops off the heap it mutates the runtime network, forces an
-   immediate port-liveness sample (the data-plane "port down" signal the
+   immediate telemetry sweep (the data-plane "port down" signal the
    paper's switches see in real time) and asks the simulation to re-evaluate
    every in-flight flow, which drives the lazy flow-cache invalidation path
    for real;
@@ -330,12 +330,14 @@ class ScenarioInjector:
     ) -> None:
         """Propagate a topology mutation into the data plane immediately.
 
-        The port-liveness sample models the real-time "port down/up" signal
+        The telemetry sweep models the real-time "port down/up" signal
         the paper's switch ASIC sees; it refreshes every router's liveness
         tracker so that the subsequent flow re-evaluation exercises the lazy
         flow-cache invalidation path rather than a control-plane rebuild.
         """
-        self.sim.network.sample_all_ports(now)
+        telemetry = self.sim.telemetry
+        telemetry.sweep(now)
+        telemetry.feed_routers(now)
         if disruptive:
             self._last_disruptive_outcome = outcome
             self._current = outcome

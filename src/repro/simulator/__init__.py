@@ -17,9 +17,9 @@ from .flow_table import ColumnBlock, FlowTable
 from .fluid import FlowFailure, FluidSimulation, LinkStats, SimulationResult
 from .incidence import FlowLinkIncidence
 from .link import RuntimeLink
-from .monitor import LinkTrace, LinkTraceSample, QueueMonitor
+from .monitor import LinkTrace, LinkTraceSample
 from .network import RoutingLoopError, RuntimeNetwork
-from .switch import DCISwitch, DecisionLog, PortSample, RoutingDecision
+from .switch import DCISwitch, DecisionLog, RoutingDecision
 from .telemetry import TelemetryPlane, TelemetryView
 
 __all__ = [
@@ -45,12 +45,10 @@ __all__ = [
     "ColumnBlock",
     "LinkTrace",
     "LinkTraceSample",
-    "QueueMonitor",
     "RoutingLoopError",
     "RuntimeNetwork",
     "DCISwitch",
     "DecisionLog",
-    "PortSample",
     "RoutingDecision",
     "TelemetryPlane",
     "TelemetryView",

@@ -44,11 +44,12 @@ class SimulationConfig:
             :class:`~repro.simulator.flow_table.FlowTable`, runs the update
             step as numpy math over the flow×link incidence arrays with the
             kernels of :mod:`repro.backend`, dispatches congestion control
-            through each class's in-place column kernels, and runs the
-            array control plane (telemetry columns, batched arrivals routed
-            through :meth:`~repro.routing.base.Router.select_batch`).  The
-            scalar core is the executable specification: per-event
-            arrivals, per-object sampling and per-flow controller calls.
+            through each class's in-place column kernels, sweeps telemetry
+            from the incidence arrays and routes batched arrivals through
+            :meth:`~repro.routing.base.Router.select_batch`.  The scalar
+            core is the executable specification: per-event arrivals,
+            telemetry swept from the link objects and per-flow controller
+            calls.
             Both produce bit-for-bit identical results (see DESIGN.md,
             "Vectorized core").
         instrumentation: enable the runtime observability plane

@@ -53,7 +53,7 @@ from .flow import FeedbackSignal, Flow, FlowDemand
 from .flow_table import FlowTable
 from .incidence import FlowLinkIncidence
 from .link import RuntimeLink
-from .monitor import LinkTrace, QueueMonitor
+from .monitor import LinkTrace
 from .network import RoutingLoopError, RuntimeNetwork
 from .telemetry import TelemetryPlane
 
@@ -313,19 +313,18 @@ class FluidSimulation:
         #: state on the objects
         self._table: Optional[FlowTable] = None
         self._incidence: Optional[FlowLinkIncidence] = None
-        #: the array core's control plane: telemetry columns fed by the
-        #: incidence arrays, and batched arrivals (the scalar core keeps
-        #: per-event arrivals and object sampling — it is the spec)
-        self.telemetry: Optional[TelemetryPlane] = None
+        #: the switches' port telemetry; the scalar core sweeps it from the
+        #: link objects, the array core from its incidence arrays
+        self.telemetry = TelemetryPlane(network)
         if self.config.vectorized:
             self._table = FlowTable()
             self._incidence = FlowLinkIncidence()
-            self.telemetry = TelemetryPlane(network)
             self.telemetry.attach_incidence(self._incidence)
+        #: queue-monitor sweeps taken by the periodic monitor step
+        self._monitor_samples = 0
         #: the factory wants each demand's flow id (per-flow CC mixes)
         self._cc_per_flow = bool(getattr(cc_factory, "per_flow", False))
 
-        self.monitor = QueueMonitor(network, trace=self._trace, plane=self.telemetry)
         #: FlowTable rows of the active flows, aligned with ``_active``
         #: (grown by doubling; ``_n_active`` is the live prefix length)
         self._rows_arr = np.empty(256, dtype=np.intp)
@@ -665,8 +664,15 @@ class FluidSimulation:
         return self._rows_arr[: self._n_active]
 
     def _monitor_step(self) -> None:
+        """Sweep every DCI port once and feed the routers' estimators."""
         with self._sp_monitor:
-            self.monitor.sample(self.engine.now)
+            now = self.engine.now
+            telemetry = self.telemetry
+            telemetry.sweep(now)
+            telemetry.feed_routers(now)
+            self._monitor_samples += 1
+            if self._trace is not None:
+                telemetry.observe_trace(self._trace, now)
 
     def _gc_step(self) -> None:
         with self._sp_gc:
@@ -1170,7 +1176,7 @@ class FluidSimulation:
             duration_s=duration,
             unfinished_flows=len(self._active),
             routing_decisions=decisions,
-            monitor_samples=self.monitor.samples_taken,
+            monitor_samples=self._monitor_samples,
             trace=self._trace,
             failed_flows=list(self._failed),
             scenario_metrics=self.injector.metrics if self.injector else None,
@@ -1196,9 +1202,8 @@ class FluidSimulation:
             obs.counter("incidence.registry_rebuilds").inc(inc.registry_rebuilds)
             obs.counter("incidence.membership_rebuilds").inc(inc.membership_rebuilds)
             obs.counter("incidence.dynamic_regathers").inc(inc.dynamic_regathers)
-        if self.telemetry is not None:
-            obs.counter("telemetry.sweeps").inc(self.telemetry.sweeps)
-        obs.counter("monitor.samples").inc(self.monitor.samples_taken)
+        obs.counter("telemetry.sweeps").inc(self.telemetry.sweeps)
+        obs.counter("monitor.samples").inc(self._monitor_samples)
         obs.counter("routing.decisions").inc(decisions)
         batch_calls = fallbacks = sequential = 0
         hits = misses = evictions = gc_evictions = 0

@@ -1,43 +1,26 @@
-"""Queue monitoring and time-series tracing.
+"""Per-link time-series tracing at the queue-monitor cadence.
 
 The paper's LCMP prototype runs a lightweight monitor routine on each DCI
-switch that samples per-port queue depth at a modest cadence and feeds the
-on-switch congestion estimator.  :class:`QueueMonitor` reproduces that.  It
-drives one of two equivalent paths per sweep:
-
-* the **array path** (the batched control plane): one
-  :meth:`~repro.simulator.telemetry.TelemetryPlane.sweep` gathers every
-  port's state into columns, telemetry-consuming routers receive a columnar
-  view, and oblivious routers cost nothing;
-* the **object path** (the scalar reference core, and standalone use): each
-  switch builds one :class:`~repro.simulator.switch.PortSample` per port
-  and feeds its router, exactly as before.
-
-Both observe identical values: the array core syncs link state back to
-the :class:`~repro.simulator.link.RuntimeLink` objects at the end of each
-update step, and the monitor fires *before* the update when both land on
-the same instant — a sample at time t therefore sees exactly the post-step
-state of t − 1 on every core, which is what keeps traces and router state
-bit-identical across the scalar and array cores.
+switch that samples per-port queue depth at a modest cadence; here the
+simulation's monitor step sweeps the
+:class:`~repro.simulator.telemetry.TelemetryPlane` and, when tracing is on,
+appends the sweep's inter-DC rows to a :class:`LinkTrace`.
 
 :class:`LinkTrace` records per-link time series (queue depth, utilisation)
 for the motivation figure (Fig. 1b) and debugging.  Samples live in
 growable numpy columns per link — long sweep-run traces no longer hold one
-dataclass per point — and the legacy :class:`LinkTraceSample` objects are
+dataclass per point — and the :class:`LinkTraceSample` objects are
 materialised freshly on access, so callers cannot mutate trace state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .link import RuntimeLink
-from .network import RuntimeNetwork
-
-__all__ = ["QueueMonitor", "LinkTrace", "LinkTraceSample"]
+__all__ = ["LinkTrace", "LinkTraceSample"]
 
 
 @dataclass(frozen=True)
@@ -88,12 +71,6 @@ class LinkTrace:
         if cols is None:
             cols = self._series[key] = _TraceColumns()
         return cols
-
-    def observe(self, link: RuntimeLink, now: float) -> None:
-        """Append one sample for ``link`` at time ``now``."""
-        self._columns_for(link.key).append(
-            now, link.queue_bytes, link.carried_bytes, link.offered_bps
-        )
 
     def observe_batch(
         self,
@@ -164,54 +141,3 @@ class LinkTrace:
         if cols is None or cols.n == 0:
             return 0.0
         return float(cols.queue_bytes[: cols.n].max())
-
-
-class QueueMonitor:
-    """Drives per-switch port sampling and optional link tracing."""
-
-    def __init__(
-        self,
-        network: RuntimeNetwork,
-        trace: Optional[LinkTrace] = None,
-        plane=None,
-    ) -> None:
-        """Create the monitor.
-
-        Args:
-            network: the runtime network to sample.
-            trace: optional per-link time-series recorder.
-            plane: optional
-                :class:`~repro.simulator.telemetry.TelemetryPlane`; when
-                given, sweeps run through the array path instead of
-                materialising per-port samples.
-        """
-        self._network = network
-        self._trace = trace
-        self._plane = plane
-        self.samples_taken = 0
-
-    def sample(self, now: float) -> None:
-        """Sample every DCI port once; called by the periodic engine event."""
-        plane = self._plane
-        if plane is not None:
-            plane.sweep(now)
-            plane.feed_routers(now)
-            self.samples_taken += 1
-            if self._trace is not None:
-                plane.observe_trace(self._trace, now)
-            return
-        self._network.sample_all_ports(now)
-        self.samples_taken += 1
-        if self._trace is not None:
-            for link in self._network.inter_dc_links:
-                self._trace.observe(link, now)
-
-    @property
-    def trace(self) -> Optional[LinkTrace]:
-        """The attached trace, if any."""
-        return self._trace
-
-    @property
-    def plane(self):
-        """The attached telemetry plane, if any."""
-        return self._plane

@@ -352,13 +352,8 @@ class RuntimeNetwork:
             return remainder
 
     # ------------------------------------------------------------------ #
-    # telemetry helpers
+    # periodic housekeeping and fault injection
     # ------------------------------------------------------------------ #
-    def sample_all_ports(self, now: float) -> None:
-        """Run the queue monitor on every DCI switch."""
-        for switch in self._switches.values():
-            switch.sample_ports(now)
-
     def tick_all(self, now: float) -> None:
         """Run the periodic tick (GC, control loops) on every switch."""
         for switch in self._switches.values():

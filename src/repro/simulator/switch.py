@@ -2,9 +2,9 @@
 
 Each datacenter has one DCI switch.  The switch owns the egress ports toward
 neighbouring datacenters (one :class:`~repro.simulator.link.RuntimeLink` per
-neighbour), hosts a routing algorithm instance (ECMP, UCMP, RedTE or LCMP)
-and exposes the queue-monitor sampling hook that feeds the router's
-congestion estimator.
+neighbour) and hosts a routing algorithm instance (ECMP, UCMP, RedTE or
+LCMP); the router's port telemetry arrives from the
+:class:`~repro.simulator.telemetry.TelemetryPlane`, not through the switch.
 
 Only the *first packet* of a flow consults the router (per-flow stickiness);
 in the fluid model that corresponds to the single routing decision taken at
@@ -35,53 +35,7 @@ from .flow import FlowDemand
 from .interning import Interner
 from .link import RuntimeLink
 
-__all__ = ["PortSample", "DCISwitch", "RoutingDecision", "DecisionLog", "build_port_sample"]
-
-
-@dataclass(frozen=True)
-class PortSample:
-    """One queue-monitor observation of a DCI egress port.
-
-    Attributes:
-        switch: name of the sampling DCI switch.
-        next_dc: neighbouring datacenter the port leads to.
-        link_key: (src, dst) of the underlying directed link.
-        queue_bytes: instantaneous egress-queue occupancy.
-        carried_bytes: cumulative bytes carried by the port.
-        cap_bps: provisioned capacity of the port.
-        buffer_bytes: egress buffer size.
-        up: port liveness.
-        time_s: sampling time.
-    """
-
-    switch: str
-    next_dc: str
-    link_key: tuple
-    queue_bytes: float
-    carried_bytes: float
-    cap_bps: float
-    buffer_bytes: int
-    up: bool
-    time_s: float
-
-
-def build_port_sample(switch: str, next_dc: str, link: RuntimeLink, now: float) -> PortSample:
-    """Construct the compatibility :class:`PortSample` for one egress port.
-
-    Shared by the object-path sampler (:meth:`DCISwitch.sample_ports`) and
-    the telemetry plane's lazy shim so both produce identical samples.
-    """
-    return PortSample(
-        switch=switch,
-        next_dc=next_dc,
-        link_key=link.key,
-        queue_bytes=link.queue_bytes,
-        carried_bytes=link.carried_bytes,
-        cap_bps=link.cap_bps,
-        buffer_bytes=link.buffer_bytes,
-        up=link.up,
-        time_s=now,
-    )
+__all__ = ["DCISwitch", "RoutingDecision", "DecisionLog"]
 
 
 @dataclass(frozen=True)
@@ -383,25 +337,6 @@ class DCISwitch:
         return chosen_idx, usable
 
     # ------------------------------------------------------------------ #
-    # telemetry
-    # ------------------------------------------------------------------ #
-    def sample_ports(self, now: float) -> List[PortSample]:
-        """Sample every egress port and feed the router's estimator.
-
-        This is the object-path sampler (the scalar reference core and the
-        scenario injector's immediate liveness refresh); the array-resident
-        control plane sweeps the same values into
-        :class:`~repro.simulator.telemetry.TelemetryPlane` columns instead
-        and only builds :class:`PortSample` shims for routers that consume
-        them.
-        """
-        samples = []
-        for next_dc, link in self._ports.items():
-            sample = build_port_sample(self.dc, next_dc, link, now)
-            samples.append(sample)
-            self.router.on_port_sample(sample, now)
-        return samples
-
     def tick(self, now: float) -> None:
         """Periodic housekeeping (router GC, control loops)."""
         self.router.on_tick(now)

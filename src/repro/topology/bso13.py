@@ -99,16 +99,13 @@ def build_bso13(
     return topo
 
 
-def bso13_pathset(topology: Topology | None = None, lazy: bool = True) -> PathSet:
+def bso13_pathset(topology: Topology | None = None) -> PathSet:
     """Candidate paths for the 13-DC topology.
 
     A detour bound of one extra hop keeps the graph in the sparse-multipath
     regime the paper describes (only a minority of pairs see more than one
     candidate) while still exposing several candidate routes between DC1 and
     DC13.
-
-    ``lazy=False`` enumerates every pair up front (identical candidates
-    and ids; kept for the lazy/eager equivalence suite).
     """
     topo = topology or build_bso13()
-    return PathSet(topo, max_candidates=8, max_extra_hops=1, lazy=lazy)
+    return PathSet(topo, max_candidates=8, max_extra_hops=1)

@@ -9,7 +9,7 @@ per-tier capacities — stitched into a WAN backbone (a core-level ring
 across regions plus seeded chord links).  :func:`build_fabric` turns a
 spec into a validated :class:`~repro.topology.graph.Topology` with
 region/tier/power :class:`~repro.topology.graph.DCAttrs` on every DC,
-and :func:`fabric_pathset` wraps it in a (lazy by default)
+and :func:`fabric_pathset` wraps it in a lazy
 :class:`~repro.topology.paths.PathSet`.
 
 Generation is fully deterministic for a given spec: every random draw
@@ -239,7 +239,6 @@ def build_fabric(spec: FabricSpec, capacity_scale: float = 1.0) -> Topology:
 
 def fabric_pathset(
     topology: Topology,
-    lazy: bool = True,
     max_candidates: int = 4,
     max_extra_hops: int = 1,
     cache_pairs: Optional[int] = None,
@@ -255,6 +254,5 @@ def fabric_pathset(
         topology,
         max_candidates=max_candidates,
         max_extra_hops=max_extra_hops,
-        lazy=lazy,
         cache_pairs=cache_pairs,
     )

@@ -20,14 +20,14 @@ Scale design (ROADMAP item 2, "continent-scale topologies"):
   every simple path and truncating.  The output is *identical* to the
   historical exhaustive-DFS-then-sort enumeration (same set, same order,
   bit-identical delays) — a property the lazy/eager parity suite pins.
-* :class:`PathSet` is **lazy by default**: a pair's candidates are
-  materialized on first request, cached in an LRU keyed by the pair (cap
-  configurable for huge fabrics), and stored **columnar** — a CSR
-  path→link-row array plus delay/bottleneck/hop columns — with
-  :class:`PathView` as a lazily built per-path view (the FlowRecord
-  pattern).  Global integer path ids are deterministic functions of
-  ``(src, dst, rank)``, so lazy and eager construction, and any
-  materialization order, assign identical ids.
+* :class:`PathSet` is **lazy**: a pair's candidates are materialized on
+  first request, cached in an LRU keyed by the pair (cap configurable for
+  huge fabrics), and stored **columnar** — a CSR path→link-row array plus
+  delay/bottleneck/hop columns — with :class:`PathView` as a lazily built
+  per-path view (the FlowRecord pattern).  Global integer path ids are
+  deterministic functions of ``(src, dst, rank)``, so
+  :meth:`PathSet.prewarm` and any materialization order assign identical
+  ids.
 """
 
 from __future__ import annotations
@@ -226,17 +226,16 @@ class PathSet:
     plane derives per-path quality scores from it, and routers query it at
     flow-arrival time for the candidate list of a destination.
 
-    By default candidates are **lazy**: a pair is enumerated the first time
-    it is queried and cached (LRU, ``cache_pairs`` cap; ``None`` =
-    unbounded).  ``lazy=False`` enumerates everything up front — identical
-    candidates and ids, kept reachable for the equivalence suite.  Path
-    geometry is stored columnar; :meth:`candidates` returns
+    Candidates are **lazy**: a pair is enumerated the first time it is
+    queried and cached (LRU, ``cache_pairs`` cap; ``None`` = unbounded).
+    :meth:`prewarm` enumerates every pair up front — identical candidates
+    and ids.  Path geometry is stored columnar; :meth:`candidates` returns
     :class:`PathView` objects built over the columns.
 
     Global path ids are deterministic:
     ``((src_id * num_dcs) + dst_id) * max_candidates + rank`` — sparse but
-    stable across lazy/eager construction and materialization order, so
-    columnar decision logs and batched routing can key on them safely.
+    stable across materialization order, so columnar decision logs and
+    batched routing can key on them safely.
     """
 
     def __init__(
@@ -244,10 +243,9 @@ class PathSet:
         topology: Topology,
         max_candidates: int = 8,
         max_extra_hops: int = 2,
-        lazy: bool = True,
         cache_pairs: Optional[int] = None,
     ) -> None:
-        """Prepare (and for ``lazy=False`` fully enumerate) the path set.
+        """Prepare the path set; pairs are enumerated on first request.
 
         Args:
             topology: the inter-DC topology.
@@ -255,8 +253,6 @@ class PathSet:
             max_extra_hops: keep only paths whose hop count is within this
                 many hops of the minimum hop count for the pair (prevents
                 absurdly long detours on dense graphs).
-            lazy: materialize per-pair candidates on first request instead
-                of enumerating every ordered pair up front.
             cache_pairs: LRU cap on cached materialized pairs (``None`` =
                 unbounded).  Evicted pairs re-enumerate on next access;
                 ids and geometry stay stable.
@@ -266,7 +262,6 @@ class PathSet:
         self.topology = topology
         self.max_candidates = max_candidates
         self.max_extra_hops = max_extra_hops
-        self.lazy = lazy
         self.cache_pairs = cache_pairs
         self._index: TopologyIndex = topology.inter_dc_index()
         n = self._index.num_dcs
@@ -292,9 +287,6 @@ class PathSet:
         self.searches_run = 0
         #: number of LRU evictions (benchmark/test observability)
         self.cache_evictions = 0
-
-        if not lazy:
-            self.prewarm()
 
     # ------------------------------------------------------------------ #
     # materialization
@@ -404,8 +396,7 @@ class PathSet:
     def num_paths(self) -> int:
         """Number of distinct candidate paths materialized so far.
 
-        Eager path sets (``lazy=False``) have everything materialized at
-        construction, matching the historical meaning.
+        After :meth:`prewarm` that is every candidate of every pair.
         """
         return len(self._pid_row)
 

@@ -129,16 +129,13 @@ def build_testbed8(
     return topo
 
 
-def testbed8_pathset(topology: Topology | None = None, lazy: bool = True) -> PathSet:
+def testbed8_pathset(topology: Topology | None = None) -> PathSet:
     """Candidate paths for the testbed with the paper's multipath structure.
 
     With a detour bound of one extra hop the enumeration yields exactly the
     structure the paper reports: 6 candidates between DC1 and DC8, 2
     candidates between any two relay DCs, and a single path between DC1/DC8
     and each relay (16 of 28 unordered pairs are multipath, i.e. 57.1 %).
-
-    ``lazy=False`` enumerates every pair up front (identical candidates
-    and ids; kept for the lazy/eager equivalence suite).
     """
     topo = topology or build_testbed8()
-    return PathSet(topo, max_candidates=8, max_extra_hops=1, lazy=lazy)
+    return PathSet(topo, max_candidates=8, max_extra_hops=1)

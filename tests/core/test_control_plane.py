@@ -47,6 +47,18 @@ class TestPathScores:
         assert via["DC3"] < via["DC2"]
         assert via["DC7"] < via["DC6"]
 
+    def test_router_derives_the_precomputed_scores(self, testbed_topology, testbed_paths):
+        """install() leaves scores to the router; each one it derives on
+        demand must equal the control plane's up-front walk."""
+        cp = ControlPlane(testbed_topology, testbed_paths)
+        router = LCMPRouter()
+        cp.install(router, "DC1")
+        scores = cp.compute_path_scores("DC1")
+        for (dst, dcs), score in scores.items():
+            candidate = next(c for c in testbed_paths.candidates("DC1", dst) if c.dcs == dcs)
+            assert router._path_quality_of(candidate) == score
+        assert len(scores) > len(testbed_topology.dcs)
+
 
 class TestInstallation:
     def test_install_single_router(self, testbed_topology, testbed_paths):

@@ -9,26 +9,13 @@ the double-failure corner where every candidate port is dead at once.
 import pytest
 
 from repro.core import ControlPlane, LCMPConfig, LCMPRouter
-from repro.simulator import FlowDemand, PortSample
-from repro.topology import GBPS
+from repro.simulator import FlowDemand
+
+from tests.helpers import port_view
 
 
 def make_demand(flow_id, dst="DC8"):
     return FlowDemand(flow_id, "DC1", dst, 0, 0, 1_000_000, 0.0)
-
-
-def make_sample(next_dc, up, t=0.0, queue_bytes=0.0):
-    return PortSample(
-        switch="DC1",
-        next_dc=next_dc,
-        link_key=("DC1", next_dc),
-        queue_bytes=queue_bytes,
-        carried_bytes=0.0,
-        cap_bps=100 * GBPS,
-        buffer_bytes=512 * 1024 * 1024,
-        up=up,
-        time_s=t,
-    )
 
 
 @pytest.fixture
@@ -47,9 +34,9 @@ def candidates(testbed_paths):
 class TestLivenessFlaps:
     def test_flap_updates_tracker_each_observation(self, router):
         for i in range(5):
-            router.on_port_sample(make_sample("DC7", up=False, t=float(i)), float(i))
+            router.on_telemetry(port_view("DC7", up=False), float(i))
             assert not router.liveness.is_up("DC7")
-            router.on_port_sample(make_sample("DC7", up=True, t=i + 0.5), i + 0.5)
+            router.on_telemetry(port_view("DC7", up=True), i + 0.5)
             assert router.liveness.is_up("DC7")
         assert router.liveness.down_ports == set()
 
@@ -59,14 +46,14 @@ class TestLivenessFlaps:
         chosen = router.select("DC8", candidates, demand, now=0.0)
         port = chosen.first_hop
 
-        router.on_port_sample(make_sample(port, up=False, t=0.1), 0.1)
+        router.on_telemetry(port_view(port, up=False), 0.1)
         live = [c for c in candidates if c.first_hop != port]
         router.select("DC8", live, demand, now=0.2)
         assert router.liveness.lazy_invalidations == 1
 
         # port comes back; the flow re-hashed elsewhere, so further selects
         # hit the (healthy) new cache entry and invalidate nothing
-        router.on_port_sample(make_sample(port, up=True, t=0.3), 0.3)
+        router.on_telemetry(port_view(port, up=True), 0.3)
         router.select("DC8", candidates, demand, now=0.4)
         assert router.liveness.lazy_invalidations == 1
         assert router.sticky_hits >= 1
@@ -84,7 +71,7 @@ class TestLazyInvalidationCounts:
         victims = [fid for fid, port in placements.items() if port == victim_port]
         assert victims, "the hash must place at least one flow per popular port"
 
-        router.on_port_sample(make_sample(victim_port, up=False, t=1.0), 1.0)
+        router.on_telemetry(port_view(victim_port, up=False), 1.0)
         live = [c for c in candidates if c.first_hop != victim_port]
         before = router.liveness.lazy_invalidations
         for flow_id in range(40):
@@ -95,7 +82,7 @@ class TestLazyInvalidationCounts:
     def test_rehashed_flows_avoid_dead_port_and_stay_sticky(self, router, candidates):
         demand = make_demand(7)
         first = router.select("DC8", candidates, demand, now=0.0)
-        router.on_port_sample(make_sample(first.first_hop, up=False, t=0.1), 0.1)
+        router.on_telemetry(port_view(first.first_hop, up=False), 0.1)
         live = [c for c in candidates if c.first_hop != first.first_hop]
         second = router.select("DC8", live, demand, now=0.2)
         assert second.first_hop != first.first_hop
@@ -112,7 +99,7 @@ class TestDoubleFailure:
         demand = make_demand(3)
         router.select("DC8", candidates, demand, now=0.0)
         for candidate in candidates:
-            router.on_port_sample(make_sample(candidate.first_hop, up=False, t=0.1), 0.1)
+            router.on_telemetry(port_view(candidate.first_hop, up=False), 0.1)
         assert router.liveness.down_ports == {c.first_hop for c in candidates}
 
         chosen = router.select("DC8", candidates, demand, now=0.2)
@@ -123,10 +110,10 @@ class TestDoubleFailure:
     def test_recovery_after_double_failure_restores_stickiness(self, router, candidates):
         demand = make_demand(9)
         for candidate in candidates:
-            router.on_port_sample(make_sample(candidate.first_hop, up=False, t=0.1), 0.1)
+            router.on_telemetry(port_view(candidate.first_hop, up=False), 0.1)
         chosen_down = router.select("DC8", candidates, demand, now=0.2)
         for candidate in candidates:
-            router.on_port_sample(make_sample(candidate.first_hop, up=True, t=0.3), 0.3)
+            router.on_telemetry(port_view(candidate.first_hop, up=True), 0.3)
         chosen_up = router.select("DC8", candidates, demand, now=0.4)
         # the entry cached during the outage points at a now-live port, so
         # per-flow path consistency holds across the recovery

@@ -3,26 +3,14 @@
 import pytest
 
 from repro.core import ControlPlane, LCMPConfig, LCMPRouter
-from repro.simulator import FlowDemand, PortSample
+from repro.simulator import FlowDemand
 from repro.topology import GBPS
+
+from tests.helpers import port_view
 
 
 def make_demand(flow_id=1, dst="DC8"):
     return FlowDemand(flow_id, "DC1", dst, 0, 0, 1_000_000, 0.0)
-
-
-def make_sample(next_dc, queue_bytes, cap_bps=100 * GBPS, buffer_bytes=512 * 1024 * 1024, up=True, t=0.0):
-    return PortSample(
-        switch="DC1",
-        next_dc=next_dc,
-        link_key=("DC1", next_dc),
-        queue_bytes=queue_bytes,
-        carried_bytes=0.0,
-        cap_bps=cap_bps,
-        buffer_bytes=buffer_bytes,
-        up=up,
-        time_s=t,
-    )
 
 
 @pytest.fixture
@@ -55,7 +43,7 @@ class TestProvisioning:
         """A router that has only seen monitor samples (no control-plane
         install) builds minimal tables on demand and stops falling back."""
         router = LCMPRouter()
-        router.on_port_sample(make_sample("DC2", 0), now=0.0)
+        router.on_telemetry(port_view("DC2"), now=0.0)
         assert router.installed
         chosen = router.select("DC8", dc1_candidates, make_demand(2), now=0.0)
         assert chosen in dc1_candidates
@@ -78,14 +66,14 @@ class TestDecision:
         buffer_bytes = provisioned_router.tables.buffer_bytes
         # DC7 (the 40G, 5 ms relay) becomes persistently congested
         for i in range(30):
-            provisioned_router.on_port_sample(
-                make_sample("DC7", buffer_bytes * 0.9, cap_bps=40 * GBPS, t=i * 1e-3), now=i * 1e-3
+            provisioned_router.on_telemetry(
+                port_view("DC7", queue_bytes=buffer_bytes * 0.9, cap_bps=40 * GBPS), now=i * 1e-3
             )
-            provisioned_router.on_port_sample(
-                make_sample("DC3", 0, cap_bps=200 * GBPS, t=i * 1e-3), now=i * 1e-3
+            provisioned_router.on_telemetry(
+                port_view("DC3", cap_bps=200 * GBPS), now=i * 1e-3
             )
-            provisioned_router.on_port_sample(
-                make_sample("DC5", 0, cap_bps=100 * GBPS, t=i * 1e-3), now=i * 1e-3
+            provisioned_router.on_telemetry(
+                port_view("DC5", cap_bps=100 * GBPS), now=i * 1e-3
             )
         chosen_hops = set()
         for flow_id in range(200):
@@ -103,8 +91,8 @@ class TestDecision:
         buffer_bytes = router.tables.buffer_bytes
         for i in range(50):
             for cand in dc1_candidates:
-                router.on_port_sample(
-                    make_sample(cand.first_hop, buffer_bytes * 0.95, t=i * 1e-3), now=i * 1e-3
+                router.on_telemetry(
+                    port_view(cand.first_hop, queue_bytes=buffer_bytes * 0.95), now=i * 1e-3
                 )
         chosen = router.select("DC8", dc1_candidates, make_demand(1), now=0.1)
         assert router.herd_fallbacks == 1
@@ -131,8 +119,8 @@ class TestStickinessAndFailover:
         demand = make_demand(flow_id=43)
         first = provisioned_router.select("DC8", dc1_candidates, demand, now=0.0)
         # the chosen port dies
-        provisioned_router.on_port_sample(
-            make_sample(first.first_hop, 0, up=False, t=0.01), now=0.01
+        provisioned_router.on_telemetry(
+            port_view(first.first_hop, up=False), now=0.01
         )
         live_candidates = [c for c in dc1_candidates if c.first_hop != first.first_hop]
         rerouted = provisioned_router.select("DC8", live_candidates, demand, now=0.02)
@@ -171,8 +159,8 @@ class TestAblationBehaviour:
         ControlPlane(testbed_topology, testbed_paths, config).install(router, "DC1")
         buffer_bytes = router.tables.buffer_bytes
         for i in range(50):
-            router.on_port_sample(
-                make_sample("DC7", buffer_bytes * 0.95, cap_bps=40 * GBPS, t=i * 1e-3), now=i * 1e-3
+            router.on_telemetry(
+                port_view("DC7", queue_bytes=buffer_bytes * 0.95, cap_bps=40 * GBPS), now=i * 1e-3
             )
         chosen_hops = {
             router.select("DC8", dc1_candidates, make_demand(i + 500), now=0.1).first_hop

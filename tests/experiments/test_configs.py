@@ -43,13 +43,30 @@ class TestSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(name="x", topology="fat-tree").validate()
 
-    def test_invalid_load_and_flows(self):
-        with pytest.raises(ValueError):
-            ExperimentSpec(name="x", load=0).validate()
-        with pytest.raises(ValueError):
-            ExperimentSpec(name="x", num_flows=0).validate()
-        with pytest.raises(ValueError):
-            ExperimentSpec(name="x", capacity_scale=0).validate()
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            (dict(load=0), "load"),
+            (dict(num_flows=0), "num_flows"),
+            (dict(capacity_scale=0), "capacity_scale"),
+            (dict(router="ospf"), "unknown router 'ospf'"),
+            (dict(workload="mapreduce"), "unknown workload 'mapreduce'"),
+            (dict(cc="reno"), "unknown congestion control 'reno'"),
+            (dict(pairs="everything"), "pairs must be"),
+            (dict(pairs=()), "pairs must be"),
+            (dict(pairs=(("DC1", "DC8", "DC3"),)), "not a \\(src, dst\\) pair"),
+            (dict(pairs=("DC1", "DC8")), "not a \\(src, dst\\) pair"),
+            (dict(pairs=(("DC1", "DC1"),)), "distinct DCs"),
+        ],
+        ids=lambda v: "-".join(f"{k}={v[k]!r}" for k in v) if isinstance(v, dict) else "",
+    )
+    def test_invalid_fields(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            ExperimentSpec(name="x", **overrides).validate()
+
+    def test_valid_pairs(self):
+        ExperimentSpec(name="x", pairs="all_to_all").validate()
+        ExperimentSpec(name="x", pairs=[["DC1", "DC8"], ("DC8", "DC2")]).validate()
 
     def test_carries_lcmp_config(self):
         cfg = LCMPConfig(alpha=1, beta=3)

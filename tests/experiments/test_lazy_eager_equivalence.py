@@ -2,9 +2,10 @@
 
 Every router on every topology — the two paper topologies plus a small
 generated fabric — must produce bit-identical simulation results whether
-the candidate path set materializes pairs lazily or enumerated everything
-up front.  This is the end-to-end counterpart of the per-pair parity
-suite in ``tests/topology/test_lazy_paths.py``.
+the candidate path set materializes pairs lazily or was prewarmed (every
+pair enumerated up front with :meth:`PathSet.prewarm`).  This is the
+end-to-end counterpart of the per-pair parity suite under
+``tests/topology``.
 """
 
 import pytest
@@ -31,14 +32,26 @@ TOPOLOGY_SPECS = {
 
 @pytest.fixture(scope="module")
 def runner():
-    # one runner for the whole module: lazy/eager topologies cache
-    # separately (the cache key includes lazy_paths), routers share them
+    # one runner per mode for the whole module, so routers share each
+    # runner's cached path sets
     return ExperimentRunner()
+
+
+@pytest.fixture(scope="module")
+def eager_runner():
+    return ExperimentRunner()
+
+
+def eager_pathset(eager_runner, spec):
+    """The eager runner's cached path set for ``spec``, prewarmed."""
+    _, paths = eager_runner.topology_for(spec)
+    paths.prewarm()
+    return paths
 
 
 @pytest.mark.parametrize("topology", sorted(TOPOLOGY_SPECS))
 @pytest.mark.parametrize("router", ROUTERS)
-def test_lazy_eager_bit_identical(runner, topology, router):
+def test_lazy_eager_bit_identical(runner, eager_runner, topology, router):
     base = ExperimentSpec(
         name=f"{topology}-{router}",
         router=router,
@@ -46,20 +59,21 @@ def test_lazy_eager_bit_identical(runner, topology, router):
         seed=11,
         **TOPOLOGY_SPECS[topology],
     )
-    lazy_run = runner.run(base.with_overrides(lazy_paths=True))
-    eager_run = runner.run(base.with_overrides(lazy_paths=False))
+    eager_pathset(eager_runner, base)
+    lazy_run = runner.run(base)
+    eager_run = eager_runner.run(base)
     assert_results_identical(
         lazy_run.result, eager_run.result, label=f"{topology}/{router}"
     )
     assert lazy_run.profile.overall_p99 == eager_run.profile.overall_p99
 
 
-def test_lazy_and_eager_pathsets_share_candidates(runner):
+def test_lazy_and_eager_pathsets_share_candidates(eager_runner):
     spec = ExperimentSpec(name="probe", **TOPOLOGY_SPECS["fabric"])
-    _, lazy_paths = runner.topology_for(spec.with_overrides(lazy_paths=True))
-    _, eager_paths = runner.topology_for(spec.with_overrides(lazy_paths=False))
+    _, lazy_set = ExperimentRunner().topology_for(spec)
+    eager_paths = eager_pathset(eager_runner, spec)
     for src, dst in spec.pairs:
-        assert lazy_paths.candidate_ids(src, dst) == eager_paths.candidate_ids(src, dst)
-        assert [c.dcs for c in lazy_paths.candidates(src, dst)] == [
+        assert lazy_set.candidate_ids(src, dst) == eager_paths.candidate_ids(src, dst)
+        assert [c.dcs for c in lazy_set.candidates(src, dst)] == [
             c.dcs for c in eager_paths.candidates(src, dst)
         ]

@@ -118,6 +118,13 @@ class TestRunManyParallel:
         # the inline run populates this runner's own topology cache
         assert runner._topology_cache
 
+    def test_bad_spec_rejected_before_any_run(self):
+        runner = ExperimentRunner()
+        specs = small_specs() + [ExperimentSpec(name="bad", router="ospf")]
+        with pytest.raises(ValueError, match="unknown router 'ospf'"):
+            runner.run_many(specs, parallel=True, max_workers=2)
+        assert not runner._topology_cache
+
     def test_router_comparison_parallel_matches_serial(self):
         base = ExperimentSpec(name="base", num_flows=60, seed=9)
         serial = ExperimentRunner().run_router_comparison(

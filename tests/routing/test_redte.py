@@ -4,61 +4,48 @@ from collections import Counter
 
 
 from repro.routing import RedTERouter
-from repro.simulator import FlowDemand, PortSample
-from repro.topology import GBPS
+from repro.simulator import FlowDemand
+
+from tests.helpers import port_view
 
 
 def demand(flow_id):
     return FlowDemand(flow_id, "DC1", "DC8", 0, 0, 1_000, 0.0)
 
 
-def sample(next_dc, carried_bytes, cap_bps=100 * GBPS, t=0.0):
-    return PortSample(
-        switch="DC1",
-        next_dc=next_dc,
-        link_key=("DC1", next_dc),
-        queue_bytes=0.0,
-        carried_bytes=carried_bytes,
-        cap_bps=cap_bps,
-        buffer_bytes=1 << 30,
-        up=True,
-        time_s=t,
-    )
-
-
 class TestControlLoop:
     def test_no_update_before_control_interval(self, testbed_paths):
         router = RedTERouter(control_interval_s=0.1)
-        router.on_port_sample(sample("DC2", 0), now=0.0)
+        router.on_telemetry(port_view("DC2", carried_bytes=0), now=0.0)
         router.on_tick(now=0.05)
         assert router.control_updates == 0
 
     def test_update_after_control_interval(self, testbed_paths):
         router = RedTERouter(control_interval_s=0.1)
-        router.on_port_sample(sample("DC2", 0), now=0.0)
-        router.on_port_sample(sample("DC3", 0), now=0.0)
-        router.on_port_sample(sample("DC2", 10_000_000), now=0.1)
-        router.on_port_sample(sample("DC3", 1_000_000), now=0.1)
+        router.on_telemetry(port_view("DC2", carried_bytes=0), now=0.0)
+        router.on_telemetry(port_view("DC3", carried_bytes=0), now=0.0)
+        router.on_telemetry(port_view("DC2", carried_bytes=10_000_000), now=0.1)
+        router.on_telemetry(port_view("DC3", carried_bytes=1_000_000), now=0.1)
         router.on_tick(now=0.15)
         assert router.control_updates == 1
 
     def test_weights_shift_toward_underutilised_ports(self, testbed_paths):
         router = RedTERouter(control_interval_s=0.1, step_size=0.5)
         # DC2 carried 10x the bytes of DC3 over the interval
-        router.on_port_sample(sample("DC2", 0), now=0.0)
-        router.on_port_sample(sample("DC3", 0), now=0.0)
-        router.on_port_sample(sample("DC2", 50_000_000), now=0.1)
-        router.on_port_sample(sample("DC3", 5_000_000), now=0.1)
+        router.on_telemetry(port_view("DC2", carried_bytes=0), now=0.0)
+        router.on_telemetry(port_view("DC3", carried_bytes=0), now=0.0)
+        router.on_telemetry(port_view("DC2", carried_bytes=50_000_000), now=0.1)
+        router.on_telemetry(port_view("DC3", carried_bytes=5_000_000), now=0.1)
         router.on_tick(now=0.11)
         assert router._weights["DC3"] > router._weights["DC2"]
 
     def test_weights_never_drop_below_floor(self, testbed_paths):
         router = RedTERouter(control_interval_s=0.05, step_size=1.0, min_weight=0.05)
-        router.on_port_sample(sample("DC2", 0), now=0.0)
-        router.on_port_sample(sample("DC3", 0), now=0.0)
+        router.on_telemetry(port_view("DC2", carried_bytes=0), now=0.0)
+        router.on_telemetry(port_view("DC3", carried_bytes=0), now=0.0)
         for i in range(1, 30):
-            router.on_port_sample(sample("DC2", i * 50_000_000), now=i * 0.05)
-            router.on_port_sample(sample("DC3", 0), now=i * 0.05)
+            router.on_telemetry(port_view("DC2", carried_bytes=i * 50_000_000), now=i * 0.05)
+            router.on_telemetry(port_view("DC3", carried_bytes=0), now=i * 0.05)
             router.on_tick(now=i * 0.05 + 0.01)
         assert router._weights["DC2"] >= 0.05
 
@@ -80,12 +67,12 @@ class TestSelection:
         candidates = testbed_paths.candidates("DC1", "DC8")
         # make DC2 look persistently overloaded relative to everyone else
         for port in ("DC2", "DC3", "DC4", "DC5", "DC6", "DC7"):
-            router.on_port_sample(sample(port, 0), now=0.0)
+            router.on_telemetry(port_view(port, carried_bytes=0), now=0.0)
         for step in range(1, 6):
             now = step * 0.1
-            router.on_port_sample(sample("DC2", step * 100_000_000), now=now)
+            router.on_telemetry(port_view("DC2", carried_bytes=step * 100_000_000), now=now)
             for port in ("DC3", "DC4", "DC5", "DC6", "DC7"):
-                router.on_port_sample(sample(port, step * 1_000_000), now=now)
+                router.on_telemetry(port_view(port, carried_bytes=step * 1_000_000), now=now)
             router.on_tick(now=now + 0.01)
         counts = Counter(
             router.select("DC8", candidates, demand(i), 1.0).first_hop for i in range(3000)

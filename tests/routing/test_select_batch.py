@@ -19,9 +19,10 @@ from repro.core.lcmp_router import LCMPRouter
 from repro.routing import make_router_factory
 from repro.routing.base import flow_hash, flow_hash_array
 from repro.simulator import DCISwitch, FlowDemand, RuntimeLink
-from repro.simulator.switch import PortSample
 from repro.topology import build_testbed8
 from repro.topology import testbed8_pathset as _testbed8_pathset
+
+from tests.helpers import port_view
 
 ROUTERS = ["ecmp", "wcmp", "ucmp", "redte", "lcmp"]
 
@@ -65,17 +66,14 @@ def attach_switch(router, topology, dc="DC1"):
 def feed_samples(router, switch, queue_bytes=250_000.0, now=0.0):
     """Identical port telemetry for both router instances."""
     for next_dc, link in switch.ports.items():
-        router.on_port_sample(
-            PortSample(
-                switch=switch.dc,
-                next_dc=next_dc,
-                link_key=link.key,
+        router.on_telemetry(
+            port_view(
+                next_dc,
                 queue_bytes=queue_bytes * (1 + hash(next_dc) % 3),
                 carried_bytes=1e6,
                 cap_bps=link.cap_bps,
                 buffer_bytes=link.buffer_bytes,
-                up=True,
-                time_s=now,
+                switch=switch.dc,
             ),
             now,
         )

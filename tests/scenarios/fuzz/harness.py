@@ -47,16 +47,18 @@ def run_case(
     core: str = "array",
     instrumentation: bool = False,
     with_monitor: bool = False,
-    lazy: bool = True,
+    prewarm: bool = False,
 ):
-    """Run one fuzz case on one core.
+    """Run one fuzz case on one core (``prewarm``: enumerate every path pair first).
 
     Returns:
         ``(result, monitor)`` — the :class:`SimulationResult` and the
         attached :class:`DeadLinkMonitor` (``None`` unless requested).
     """
     topology = build_fuzz_topology(case.topology_name)
-    paths = build_fuzz_pathset(topology, lazy=lazy)
+    paths = build_fuzz_pathset(topology)
+    if prewarm:
+        paths.prewarm()
     config = make_config(case, core, instrumentation)
     network = RuntimeNetwork(topology, paths, make_router_factory("ecmp"), config)
     if isinstance(case.cc, tuple):
@@ -113,8 +115,8 @@ def check_all_invariants(case: FuzzCase, require_drained: bool = True) -> Dict[s
     instrumented, _ = run_case(case, core="array", instrumentation=True)
     assert_results_identical(reference, instrumented, label="scalar vs instrumented")
     results["instrumented"] = instrumented
-    # lazy vs eager path sets must be indistinguishable at run level
-    eager, eager_monitor = run_case(case, core="array", with_monitor=True, lazy=False)
+    # lazy vs prewarmed path sets must be indistinguishable at run level
+    eager, eager_monitor = run_case(case, core="array", with_monitor=True, prewarm=True)
     check_demand_conservation(eager, len(case.demands))
     check_no_dead_link_traffic(eager, case.scenario, topology, eager_monitor)
     assert_results_identical(reference, eager, label="lazy vs eager pathset")

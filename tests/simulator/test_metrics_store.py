@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.simulator import LinkTrace, MetricsStore, RuntimeLink
+from repro.simulator import LinkTrace, MetricsStore
 from repro.simulator.switch import DecisionLog
 from repro.topology.graph import GBPS, MS, LinkSpec
 from repro.topology.paths import CandidatePath
@@ -165,9 +165,8 @@ class TestDecisionLog:
 class TestAccessorCopies:
     def test_link_trace_series_is_a_copy(self):
         trace = LinkTrace()
-        link = RuntimeLink(LinkSpec("A", "B", 100 * GBPS, 5 * MS, 1_000_000, True))
-        link.queue_bytes = 500.0
-        trace.observe(link, now=0.0)
+        zeros = np.zeros(1)
+        trace.observe_batch([("A", "B")], 0.0, np.array([500.0]), zeros, zeros)
         series = trace.series(("A", "B"))
         series.clear()
         assert len(trace.series(("A", "B"))) == 1

@@ -1,9 +1,10 @@
-"""Tests for the queue monitor and link tracing."""
+"""Tests for link tracing at the monitor cadence."""
 
+import numpy as np
 import pytest
 
 from repro.routing import make_router_factory
-from repro.simulator import LinkTrace, QueueMonitor, RuntimeNetwork, SimulationConfig
+from repro.simulator import LinkTrace, RuntimeNetwork, SimulationConfig, TelemetryPlane
 
 
 @pytest.fixture
@@ -13,35 +14,27 @@ def network(tiny_topology, tiny_pathset):
     )
 
 
-class TestQueueMonitor:
-    def test_sample_counts(self, network):
-        monitor = QueueMonitor(network)
-        monitor.sample(now=0.001)
-        monitor.sample(now=0.002)
-        assert monitor.samples_taken == 2
-
-    def test_sample_with_trace(self, network):
+class TestSweepTrace:
+    def test_sweep_appends_trace(self, network):
         trace = LinkTrace()
-        monitor = QueueMonitor(network, trace=trace)
+        plane = TelemetryPlane(network)
         network.link("A", "B").queue_bytes = 500.0
-        monitor.sample(now=0.001)
-        monitor.sample(now=0.002)
+        for now in (0.001, 0.002):
+            plane.sweep(now)
+            plane.observe_trace(trace, now)
         series = trace.series(("A", "B"))
         assert len(series) == 2
         assert series[0].queue_bytes == 500.0
-        assert monitor.trace is trace
+        assert [s.time_s for s in series] == [0.001, 0.002]
+        assert trace.keys() == [link.key for link in network.inter_dc_links]
 
 
 class TestLinkTrace:
-    def test_peak_queue(self, network):
+    def test_peak_queue(self):
         trace = LinkTrace()
-        link = network.link("A", "C")
-        link.queue_bytes = 100
-        trace.observe(link, now=0.0)
-        link.queue_bytes = 900
-        trace.observe(link, now=0.1)
-        link.queue_bytes = 300
-        trace.observe(link, now=0.2)
+        zeros = np.zeros(1)
+        for now, queue in ((0.0, 100.0), (0.1, 900.0), (0.2, 300.0)):
+            trace.observe_batch([("A", "C")], now, np.array([queue]), zeros, zeros)
         assert trace.peak_queue(("A", "C")) == 900
         assert trace.peak_queue(("C", "A")) == 0.0
 

@@ -88,8 +88,7 @@ class TestPathResolution:
         assert len(path) == 2
         assert not any(l.spec.inter_dc for l in path)
 
-    def test_sample_and_tick_all(self, tiny_network):
-        tiny_network.sample_all_ports(now=0.5)
+    def test_tick_all(self, tiny_network):
         tiny_network.tick_all(now=0.5)
 
 

@@ -77,17 +77,7 @@ class TestRouting:
         assert switch.decisions[-1].fallback
 
 
-class TestTelemetry:
-    def test_sample_ports_feeds_router(self, switch_and_candidates):
-        switch, _, link_b, _ = switch_and_candidates
-        link_b.queue_bytes = 12_345
-        samples = switch.sample_ports(now=1.0)
-        assert len(samples) == 2
-        by_dc = {s.next_dc: s for s in samples}
-        assert by_dc["B"].queue_bytes == 12_345
-        assert by_dc["B"].switch == "A"
-        assert by_dc["B"].time_s == 1.0
-
+class TestTick:
     def test_tick_delegates_to_router(self, switch_and_candidates):
         switch, _, _, _ = switch_and_candidates
         switch.tick(now=2.0)  # ECMP's on_tick is a no-op; must not raise

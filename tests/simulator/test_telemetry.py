@@ -1,37 +1,68 @@
-"""Tests for the array-resident telemetry plane.
+"""Tests for the telemetry plane.
 
-The plane's contract: its columns hold exactly the values the object-path
-sampler reads, its :class:`PortSample` shims are field-for-field identical
-to :meth:`DCISwitch.sample_ports` output, oblivious routers are skipped,
-and telemetry-hungry routers end up in the same state whether fed per
-sample or per columnar sweep.
+The plane's contract: a plane that sweeps the link objects (the scalar
+core) and one that sweeps the array core's incidence arrays hold identical
+columns at every instant, oblivious routers are skipped, views are
+read-only, and telemetry-consuming routers end up in bit-identical state on
+the scalar and array cores, fault injection included.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from repro.congestion_control import make_cc_factory
 from repro.core import lcmp_router_factory
 from repro.routing import make_router_factory
 from repro.routing.ecmp import ECMPRouter
 from repro.routing.redte import RedTERouter
+from repro.scenarios import single_link_cut
 from repro.simulator import (
     FluidSimulation,
     RuntimeNetwork,
     SimulationConfig,
     TelemetryPlane,
 )
-from repro.simulator.flow import FlowDemand
 from repro.topology import build_testbed8
 from repro.topology import testbed8_pathset as _testbed8_pathset
+from repro.workloads import TrafficConfig, TrafficGenerator
+
+COLUMNS = ("queue_bytes", "carried_bytes", "offered_bps", "cap_bps", "up", "buffer_bytes")
 
 
 @pytest.fixture
 def network(tiny_topology, tiny_pathset):
     return RuntimeNetwork(
         tiny_topology, tiny_pathset, make_router_factory("ecmp"), SimulationConfig()
+    )
+
+
+def build_cut_repair_sim(router, vectorized, num_flows=80):
+    """A testbed8 run whose DC1<->DC7 cut and repair land while flows are in flight."""
+    topology = build_testbed8(capacity_scale=0.1)
+    paths = _testbed8_pathset(topology)
+    # a 5 ms tick so RedTE's control loop runs within the short run
+    config = SimulationConfig(seed=3, vectorized=vectorized, gc_interval_s=0.005)
+    traffic = TrafficConfig(
+        workload="websearch",
+        load=0.5,
+        num_flows=num_flows,
+        pairs=[("DC1", "DC8"), ("DC8", "DC1")],
+        seed=3,
+    )
+    demands = TrafficGenerator(topology, paths, traffic).generate()
+    last = max(d.arrival_s for d in demands)
+    if router == "lcmp":
+        factory = lcmp_router_factory(topology, paths)
+    else:
+        factory = make_router_factory("redte", control_interval_s=0.005)
+    network = RuntimeNetwork(topology, paths, factory, config)
+    scenario = single_link_cut(fail_at_s=0.25 * last, recover_at_s=0.75 * last)
+    return FluidSimulation(
+        network, demands, make_cc_factory("dcqcn"), config, scenario=scenario
     )
 
 
@@ -42,6 +73,7 @@ class TestRegistry:
         assert set(plane.switches) == set(network.switches)
         for dc in plane.switches:
             view = plane.view(dc)
+            assert view.switch == dc
             assert set(view.port_dcs) == set(network.switch(dc).ports)
 
     def test_oblivious_routers_not_consumers(self, network):
@@ -50,13 +82,9 @@ class TestRegistry:
         assert not ECMPRouter().consumes_telemetry()
         assert RedTERouter().consumes_telemetry()
 
-    def test_rejects_bad_alpha(self, network):
-        with pytest.raises(ValueError, match="ewma_alpha"):
-            TelemetryPlane(network, ewma_alpha=0.0)
-
 
 class TestSweep:
-    def test_columns_match_object_samples(self, network):
+    def test_columns_match_link_objects(self, network):
         link = network.link("A", "B")
         link.queue_bytes = 123_456.0
         link.carried_bytes = 42.0
@@ -64,41 +92,14 @@ class TestSweep:
         plane.sweep(now=0.001)
         for dc in plane.switches:
             view = plane.view(dc)
-            samples = network.switch(dc).sample_ports(now=0.001)
-            for i, sample in enumerate(samples):
-                assert view.queue_bytes[i] == sample.queue_bytes
-                assert view.carried_bytes[i] == sample.carried_bytes
-                assert view.cap_bps[i] == sample.cap_bps
-                assert bool(view.up[i]) == sample.up
-                assert view.buffer_bytes[i] == sample.buffer_bytes
-
-    def test_shim_samples_identical_to_object_path(self, network):
-        network.link("A", "C").queue_bytes = 77_000.0
-        plane = TelemetryPlane(network)
-        plane.sweep(now=0.002)
-        for dc in plane.switches:
-            shim = plane.view(dc).build_samples(now=0.002)
-            direct = network.switch(dc).sample_ports(now=0.002)
-            assert [dataclasses.asdict(s) for s in shim] == [
-                dataclasses.asdict(s) for s in direct
-            ]
-
-    def test_utilization_and_ewma_columns(self, network):
-        plane = TelemetryPlane(network, ewma_alpha=0.5)
-        link = network.link("A", "B")
-        plane.sweep(now=0.0)
-        assert plane.utilization.max() == 0.0  # first sweep: no interval yet
-        link.queue_bytes = 1000.0
-        link.carried_bytes = 12_500.0  # 100 kbit over 1 ms
-        plane.sweep(now=0.001)
-        view = plane.view("A")
-        i = view.port_dcs.index("B")
-        expected_util = (12_500.0 * 8.0) / (link.cap_bps * 0.001)
-        assert view.utilization[i] == pytest.approx(expected_util)
-        assert view.queue_ewma[i] == pytest.approx(0.5 * 1000.0)  # EWMA from 0
-        plane.sweep(now=0.002)
-        assert plane.view("A").queue_ewma[i] == pytest.approx(750.0)
-        assert plane.sweeps == 3
+            for i, next_dc in enumerate(view.port_dcs):
+                port = network.switch(dc).port_to(next_dc)
+                assert view.queue_bytes[i] == port.queue_bytes
+                assert view.carried_bytes[i] == port.carried_bytes
+                assert view.cap_bps[i] == port.cap_bps
+                assert bool(view.up[i]) == port.up
+                assert view.buffer_bytes[i] == port.buffer_bytes
+        assert plane.sweeps == 1
 
     def test_liveness_column_tracks_failures(self, network):
         plane = TelemetryPlane(network)
@@ -117,63 +118,85 @@ class TestSweep:
         with pytest.raises(ValueError):
             view.queue_bytes[:] = 0.0
         with pytest.raises(ValueError):
-            view.queue_ewma[0] = 1.0
+            view.up[0] = False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            view.queue_bytes = np.zeros(len(view.port_dcs))
 
 
-class TestRouterStateEquivalence:
-    """Columnar delivery must leave routers in exactly the per-sample state."""
+class TestObjectVsIncidenceSweep:
+    def test_planes_agree_at_every_step(self):
+        """On the array core, a plane gathering from the incidence arrays
+        reads exactly what a plane reading the synced link objects reads,
+        through the cut and the repair."""
+        sim = build_cut_repair_sim("lcmp", vectorized=True)
+        objects = TelemetryPlane(sim.network)
+        arrays = TelemetryPlane(sim.network)
+        arrays.attach_incidence(sim._incidence)
+        steps_with_dead_port = []
 
-    @pytest.mark.parametrize("router", ["redte", "lcmp"])
-    def test_sweep_vs_samples(self, router, tiny_topology, tiny_pathset):
-        def build(use_plane):
-            if router == "lcmp":
-                factory = lcmp_router_factory(tiny_topology, tiny_pathset)
+        def compare(sim, now):
+            objects.sweep(now)
+            arrays.sweep(now)
+            for name in COLUMNS:
+                a, b = getattr(objects, name), getattr(arrays, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (name, now)
+            if not objects.up.all():
+                steps_with_dead_port.append(now)
+
+        sim.add_step_observer(compare)
+        sim.run()
+        assert objects.sweeps > 20
+        assert steps_with_dead_port
+
+
+class TestRouterStateAcrossCores:
+    """Both cores must leave every telemetry consumer in identical state
+    after every update step of a cut/repair run."""
+
+    @staticmethod
+    def snapshot(sim):
+        state = {}
+        for dc, switch in sim.network.switches.items():
+            router = switch.router
+            if router.name == "lcmp":
+                registers = {
+                    port: dataclasses.asdict(router.estimator.port_state(port))
+                    for port in router.estimator.ports()
+                }
+                state[dc] = (registers, dataclasses.asdict(router.liveness))
             else:
-                factory = make_router_factory(router)
-            network = RuntimeNetwork(
-                tiny_topology, tiny_pathset, factory, SimulationConfig()
-            )
-            network.link("A", "B").queue_bytes = 300_000.0
-            network.link("A", "C").queue_bytes = 10_000.0
-            if use_plane:
-                plane = TelemetryPlane(network)
-                for step in range(5):
-                    network.link("A", "B").queue_bytes += 50_000.0
-                    plane.sweep(now=0.001 * (step + 1))
-                    plane.feed_routers(now=0.001 * (step + 1))
-            else:
-                for step in range(5):
-                    network.link("A", "B").queue_bytes += 50_000.0
-                    network.sample_all_ports(now=0.001 * (step + 1))
-            return network.switch("A").router
+                state[dc] = (dict(router._weights), dict(router._carried))
+        return state
 
-        plane_router = build(use_plane=True)
-        sample_router = build(use_plane=False)
-        candidates = tiny_pathset.candidates("A", "B")
-        for flow_id in range(40):
-            demand = FlowDemand(flow_id, "A", "B", 0, 1, 50_000, 0.01)
-            a = plane_router.select("B", candidates, demand, 0.01)
-            b = sample_router.select("B", candidates, demand, 0.01)
-            assert a.dcs == b.dcs
-        if router == "redte":
-            assert plane_router._weights == sample_router._weights
-            assert plane_router._carried == sample_router._carried
+    def run(self, router, vectorized):
+        sim = build_cut_repair_sim(router, vectorized)
+        states = []
+        sim.add_step_observer(lambda sim, now: states.append(self.snapshot(sim)))
+        sim.run()
+        return sim, states
+
+    @pytest.mark.parametrize("router", ["lcmp", "redte"])
+    def test_identical_router_state(self, router):
+        scalar_sim, scalar = self.run(router, vectorized=False)
+        array_sim, array = self.run(router, vectorized=True)
+        assert len(scalar) == len(array) > 0
+        for step, (a, b) in enumerate(zip(scalar, array)):
+            assert a == b, f"router state diverged after update step {step}"
+        if router == "lcmp":
+            assert any("DC7" in s["DC1"][1]["_down"] for s in scalar)
         else:
-            for port in sample_router.estimator.ports():
-                a_state = plane_router.estimator.port_state(port)
-                b_state = sample_router.estimator.port_state(port)
-                assert dataclasses.asdict(a_state) == dataclasses.asdict(b_state)
+            assert any(r.control_updates > 0 for r in _routers(array_sim))
+        assert scalar_sim.telemetry.sweeps == array_sim.telemetry.sweeps
+
+
+def _routers(sim):
+    return [switch.router for switch in sim.network.switches.values()]
 
 
 class TestEndToEndTraceEquivalence:
-    """Telemetry traces must stay bit-identical across both control planes
-    (the monitored half of the equivalence criterion; the cross-core
-    scenario equivalence lives in test_vectorized_equivalence.py)."""
+    """Link traces must stay bit-identical across both cores."""
 
     def run(self, vectorized):
-        from repro.congestion_control import make_cc_factory
-        from repro.workloads import TrafficConfig, TrafficGenerator
-
         topology = build_testbed8(capacity_scale=0.1)
         paths = _testbed8_pathset(topology)
         config = SimulationConfig(seed=3, vectorized=vectorized)
@@ -193,7 +216,7 @@ class TestEndToEndTraceEquivalence:
         )
         return sim.run()
 
-    def test_trace_identical_across_control_planes(self):
+    def test_trace_identical_across_cores(self):
         batched = self.run(vectorized=True)
         scalar = self.run(vectorized=False)
         assert batched.trace.keys() == scalar.trace.keys()

@@ -130,9 +130,10 @@ class TestLazyEagerEquivalence:
     @pytest.mark.parametrize("label,topo,k,extra", _topologies(),
                              ids=lambda v: v if isinstance(v, str) else "")
     def test_same_candidates_and_ids(self, label, topo, k, extra):
-        lazy = PathSet(topo, max_candidates=k, max_extra_hops=extra, lazy=True)
-        eager = PathSet(topo, max_candidates=k, max_extra_hops=extra, lazy=False)
-        assert lazy.lazy and not eager.lazy
+        lazy = PathSet(topo, max_candidates=k, max_extra_hops=extra)
+        eager = PathSet(topo, max_candidates=k, max_extra_hops=extra)
+        eager.prewarm()
+        assert lazy.searches_run == 0
         for src, dst in lazy.all_pairs():
             lc, ec = lazy.candidates(src, dst), eager.candidates(src, dst)
             assert [_as_tuple(c) for c in lc] == [_as_tuple(c) for c in ec]
@@ -170,7 +171,8 @@ class TestLaziness:
         assert paths.searches_run == 1
 
     def test_eager_materializes_everything(self):
-        paths = PathSet(build_testbed8(), lazy=False)
+        paths = PathSet(build_testbed8())
+        paths.prewarm()
         assert paths.searches_run == len(paths.all_pairs())
 
     def test_prewarm_selected_pairs(self):
