@@ -117,19 +117,12 @@ class SlowdownProfile:
             name: label (typically the routing algorithm).
             result: a :class:`~repro.simulator.fluid.SimulationResult`; its
                 :class:`~repro.simulator.fct.MetricsStore` columns are used
-                when present (no record materialisation), falling back to
-                the records view otherwise.
+                directly (no record materialisation).
             mask: optional boolean row mask (e.g. a DC-pair restriction).
             size_bins: increasing bin edges in bytes.
         """
-        store = getattr(result, "store", None)
-        if store is not None and not result.records_overridden:
-            sizes = store.sizes().astype(float)
-            slowdowns = store.slowdowns()
-        else:
-            records = result.records
-            sizes = np.array([r.size_bytes for r in records], dtype=float)
-            slowdowns = np.array([r.slowdown for r in records], dtype=float)
+        sizes = result.store.sizes().astype(float)
+        slowdowns = result.store.slowdowns()
         if mask is not None:
             sizes = sizes[mask]
             slowdowns = slowdowns[mask]

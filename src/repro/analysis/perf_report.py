@@ -5,7 +5,7 @@ sweep-merged snapshot from
 :meth:`~repro.experiments.runner.ExperimentRunner.aggregate_stats`) into:
 
 * :func:`phase_breakdown` — per-phase rows (count, total/mean/max duration,
-  share of the accounted time), sorted by total time;
+  share of the top-level ``step.*`` time), sorted by total time;
 * :func:`top_counters` — the top-N counters by value;
 * :func:`perf_report` — a human-readable text report of both;
 * :func:`phase_breakdown_json` — the structured per-phase payload the bench
@@ -30,13 +30,17 @@ def phase_breakdown(snapshot: dict, top: Optional[int] = None) -> List[dict]:
     """Per-phase timing rows, sorted by total time (descending).
 
     Each row carries ``name``, ``count``, ``total_ms``, ``mean_us``,
-    ``max_us`` and ``share`` — the phase's fraction of the sum of all
-    phase totals.  Nested phases (``update.*`` inside ``step.update``)
-    are reported as-is, so shares can sum past 1.0 across nesting levels;
-    compare within one level.
+    ``max_us`` and ``share`` — the phase's total as a fraction of the
+    summed totals of the top-level ``step.*`` phases.  The top-level
+    shares therefore sum to 1, and a nested phase (``update.*`` inside
+    ``step.update``, ``arrivals.route`` inside ``step.arrivals``) reports
+    its cut of the same whole, never more than its parent's share.
     """
     phases = snapshot.get("phases", {})
-    grand_total = sum(p["total_ns"] for p in phases.values()) or 1
+    step_total = (
+        sum(p["total_ns"] for name, p in phases.items() if name.startswith("step."))
+        or 1
+    )
     rows = [
         {
             "name": name,
@@ -44,7 +48,7 @@ def phase_breakdown(snapshot: dict, top: Optional[int] = None) -> List[dict]:
             "total_ms": p["total_ns"] / 1e6,
             "mean_us": (p["total_ns"] / p["count"] / 1e3) if p["count"] else 0.0,
             "max_us": p["max_ns"] / 1e3,
-            "share": p["total_ns"] / grand_total,
+            "share": p["total_ns"] / step_total,
         }
         for name, p in phases.items()
     ]

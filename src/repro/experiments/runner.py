@@ -49,7 +49,6 @@ from ..core import LCMPConfig, lcmp_router_factory
 from ..obs import merge_snapshots
 from ..routing import make_router_factory
 from ..simulator import FluidSimulation, RuntimeNetwork, SimulationConfig, SimulationResult
-from ..simulator.fct import FlowRecord
 from ..topology import (
     PathSet,
     Topology,
@@ -90,19 +89,10 @@ class ExperimentRun:
         """Slowdown profile restricted to one DC pair (the Fig. 8 view).
 
         Served straight from the metrics-store columns (one boolean mask,
-        no record materialisation) when the run carries a store.
+        no record materialisation).
         """
-        store = self.result.store
-        if store is not None and not self.result.records_overridden:
-            mask = store.pair_mask(src_dc, dst_dc, bidirectional=bidirectional)
-            return SlowdownProfile.from_result(self.profile.name, self.result, mask=mask)
-        records: List[FlowRecord] = [
-            r
-            for r in self.result.records
-            if (r.src_dc == src_dc and r.dst_dc == dst_dc)
-            or (bidirectional and r.src_dc == dst_dc and r.dst_dc == src_dc)
-        ]
-        return SlowdownProfile.from_records(self.profile.name, records)
+        mask = self.result.store.pair_mask(src_dc, dst_dc, bidirectional=bidirectional)
+        return SlowdownProfile.from_result(self.profile.name, self.result, mask=mask)
 
 
 class ExperimentRunner:
@@ -118,9 +108,8 @@ class ExperimentRunner:
     def aggregate_stats(runs: Sequence[ExperimentRun]) -> Optional[dict]:
         """Merge the runs' observability snapshots into one profile.
 
-        Counters and phase aggregates sum across runs, histogram samples
-        concatenate, gauges keep their maxima
-        (:func:`repro.obs.merge_snapshots`); uninstrumented runs are
+        Counters and phase aggregates sum across runs, gauges keep their
+        maxima (:func:`repro.obs.merge_snapshots`); uninstrumented runs are
         skipped, and the merge is ``None`` when no run carried stats.  The
         merged snapshot is deterministic in everything except wall-clock
         phase timings, so a parallel sweep aggregates to the same counters

@@ -1,21 +1,15 @@
-"""Exporters for observability snapshots: Chrome trace, Prometheus, merge.
-
-Three output formats, one source of truth (the
-:meth:`~repro.obs.spans.Instrumentation.snapshot` dict):
+"""Exporters for observability data: Chrome trace, snapshot merge.
 
 * :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
   trace-event JSON format (``{"traceEvents": [...]}`` with ``"ph": "X"``
   complete events, timestamps in microseconds).  Load the file at
   https://ui.perfetto.dev or ``chrome://tracing`` to see the per-step
   phase timeline.
-* :func:`prometheus_text` — the Prometheus text exposition format (one
-  ``# TYPE`` header + sample line per metric; dots become underscores).
-  Meant for scraping long-lived twin-service runs, and as a stable
-  greppable dump for CI logs.
-* :func:`merge_snapshots` — cross-worker aggregation: sums counters and
-  phase aggregates, takes maxima of gauges, and concatenates retained
-  histogram samples, so a ProcessPool sweep's per-run snapshots collapse
-  into one fleet-wide profile with the same schema as a single run.
+* :func:`merge_snapshots` — cross-worker aggregation of
+  ``SimulationResult.stats`` dicts: sums counters and phase aggregates and
+  takes maxima of gauges, so a ProcessPool sweep's per-run snapshots
+  collapse into one fleet-wide profile with the same schema as a single
+  run.
 """
 
 from __future__ import annotations
@@ -26,7 +20,6 @@ from typing import Dict, List, Optional
 __all__ = [
     "chrome_trace",
     "write_chrome_trace",
-    "prometheus_text",
     "merge_snapshots",
 ]
 
@@ -47,58 +40,19 @@ def write_chrome_trace(instrumentation, path) -> None:
         json.dump(chrome_trace(instrumentation), fh)
 
 
-def _prom_name(name: str) -> str:
-    return name.replace(".", "_").replace("-", "_")
-
-
-def prometheus_text(snapshot: dict) -> str:
-    """Render a snapshot dict in the Prometheus text exposition format.
-
-    Counters become ``counter`` samples, gauges become two ``gauge``
-    samples (``<name>`` and ``<name>_max``), histograms become
-    ``_count``/``_sum``/``_max`` summary samples, and phase timers become
-    ``<name>_seconds_count`` / ``<name>_seconds_total`` pairs.
-    """
-    lines: List[str] = []
-    for name, value in snapshot.get("counters", {}).items():
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} counter")
-        lines.append(f"{prom} {value}")
-    for name, g in snapshot.get("gauges", {}).items():
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} gauge")
-        lines.append(f"{prom} {g['last']}")
-        lines.append(f"{prom}_max {g['max']}")
-    for name, h in snapshot.get("histograms", {}).items():
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} summary")
-        lines.append(f"{prom}_count {h['count']}")
-        lines.append(f"{prom}_sum {h['sum']}")
-        lines.append(f"{prom}_max {h['max']}")
-    for name, p in snapshot.get("phases", {}).items():
-        prom = _prom_name(name) + "_seconds"
-        lines.append(f"# TYPE {prom} summary")
-        lines.append(f"{prom}_count {p['count']}")
-        lines.append(f"{prom}_total {p['total_ns'] / 1e9}")
-    return "\n".join(lines) + "\n"
-
-
 def merge_snapshots(snapshots: List[Optional[dict]]) -> Optional[dict]:
     """Merge per-run snapshot dicts into one aggregate with the same schema.
 
     ``None`` entries (uninstrumented runs) are skipped; if every entry is
-    ``None`` the merge is ``None`` too.  Counters, histogram
-    ``count``/``sum``, and phase ``count``/``total_ns`` sum across runs;
-    gauge/histogram/phase maxima take the max; histogram ``samples``
-    concatenate (so merged percentiles are computed over the union of
-    retained samples); gauge ``last`` keeps the last run's value.
+    ``None`` the merge is ``None`` too.  Counters and phase
+    ``count``/``total_ns`` sum across runs; gauge and phase maxima take the
+    max; gauge ``last`` keeps the last run's value.
     """
     live = [s for s in snapshots if s is not None]
     if not live:
         return None
     counters: Dict[str, int] = {}
     gauges: Dict[str, dict] = {}
-    histograms: Dict[str, dict] = {}
     phases: Dict[str, dict] = {}
     for snap in live:
         for name, value in snap.get("counters", {}).items():
@@ -107,14 +61,6 @@ def merge_snapshots(snapshots: List[Optional[dict]]) -> Optional[dict]:
             agg = gauges.setdefault(name, {"last": 0.0, "max": 0.0})
             agg["last"] = g["last"]
             agg["max"] = max(agg["max"], g["max"])
-        for name, h in snap.get("histograms", {}).items():
-            agg = histograms.setdefault(
-                name, {"count": 0, "sum": 0.0, "max": 0.0, "samples": []}
-            )
-            agg["count"] += h["count"]
-            agg["sum"] += h["sum"]
-            agg["max"] = max(agg["max"], h["max"])
-            agg["samples"] = agg["samples"] + list(h.get("samples", []))
         for name, p in snap.get("phases", {}).items():
             agg = phases.setdefault(name, {"count": 0, "total_ns": 0, "max_ns": 0})
             agg["count"] += p["count"]
@@ -123,6 +69,5 @@ def merge_snapshots(snapshots: List[Optional[dict]]) -> Optional[dict]:
     return {
         "counters": {k: counters[k] for k in sorted(counters)},
         "gauges": {k: gauges[k] for k in sorted(gauges)},
-        "histograms": {k: histograms[k] for k in sorted(histograms)},
         "phases": {k: phases[k] for k in sorted(phases)},
     }

@@ -1,14 +1,13 @@
 """Phase timers and the ``Instrumentation`` facade.
 
 An :class:`Instrumentation` object is the single handle a simulator run
-carries for observability: it owns a
-:class:`~repro.obs.metrics.MetricsRegistry` and a set of phase timers.
-When ``SimulationConfig.instrumentation`` is off the simulator holds the
-module-level :data:`NOOP` singleton instead, whose ``span()`` returns a
-shared do-nothing context manager and whose metric accessors return inert
-objects — the hot loops then execute one attribute load plus an empty
-``with`` block per instrumented site, and ``snapshot()`` is ``None`` so
-``SimulationResult.stats`` stays empty.
+carries for wall-clock observability: a set of phase timers and their
+trace buffer.  When ``SimulationConfig.instrumentation`` is off the
+simulator holds the module-level :data:`NOOP` singleton instead, whose
+``span()`` returns a shared do-nothing context manager — the hot loops
+then execute one attribute load plus an empty ``with`` block per
+instrumented site.  Event counts are not kept here: simulator components
+count in plain ints, harvested once when the run's result is built.
 
 Span usage — bind the handle once at setup, enter it per occurrence::
 
@@ -32,9 +31,7 @@ runs; aggregates keep counting past it.
 from __future__ import annotations
 
 from time import perf_counter_ns
-from typing import Dict, List, Optional
-
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from typing import Dict, List
 
 __all__ = ["Instrumentation", "NullInstrumentation", "NOOP"]
 
@@ -82,7 +79,6 @@ class Instrumentation:
     enabled = True
 
     def __init__(self, max_trace_events: int = 200_000) -> None:
-        self.registry = MetricsRegistry()
         self.max_trace_events = max_trace_events
         self._phases: Dict[str, _Phase] = {}
         self._spans: Dict[str, _SpanHandle] = {}
@@ -113,19 +109,6 @@ class Instrumentation:
             self._ev_start.append(start_ns - self._origin_ns)
             self._ev_dur.append(dur_ns)
 
-    # -- metrics passthrough -------------------------------------------- #
-    def counter(self, name: str) -> Counter:
-        """Get or create a counter in the run's registry."""
-        return self.registry.counter(name)
-
-    def gauge(self, name: str) -> Gauge:
-        """Get or create a gauge in the run's registry."""
-        return self.registry.gauge(name)
-
-    def histogram(self, name: str, capacity: int = 4096) -> Histogram:
-        """Get or create a histogram in the run's registry."""
-        return self.registry.histogram(name, capacity)
-
     # -- export --------------------------------------------------------- #
     def trace_events(self) -> List[dict]:
         """Completed spans as Chrome trace-event dicts (``"ph": "X"``)."""
@@ -142,21 +125,12 @@ class Instrumentation:
             for i in range(len(self._ev_name))
         ]
 
-    def snapshot(self) -> dict:
-        """Counters, gauges, histograms, and phase aggregates as one dict.
+    def phases(self) -> Dict[str, dict]:
+        """Per-phase aggregates, the ``phases`` section of ``SimulationResult.stats``::
 
-        The schema attached to ``SimulationResult.stats``::
-
-            {
-              "counters":   {name: int},
-              "gauges":     {name: {"last", "max"}},
-              "histograms": {name: {"count", "sum", "max", "samples"}},
-              "phases":     {name: {"count": int, "total_ns": int,
-                                    "max_ns": int}},
-            }
+            {name: {"count": int, "total_ns": int, "max_ns": int}}
         """
-        snap = self.registry.snapshot()
-        snap["phases"] = {
+        return {
             name: {
                 "count": phase.count,
                 "total_ns": phase.total_ns,
@@ -164,7 +138,6 @@ class Instrumentation:
             }
             for name, phase in sorted(self._phases.items())
         }
-        return snap
 
 
 class _NullSpan:
@@ -179,71 +152,24 @@ class _NullSpan:
         return None
 
 
-class _NullCounter:
-    """Shared do-nothing counter for the disabled path."""
-
-    __slots__ = ()
-
-    def inc(self, n: int = 1) -> None:
-        return None
-
-
-class _NullGauge:
-    """Shared do-nothing gauge for the disabled path."""
-
-    __slots__ = ()
-
-    def set(self, v: float) -> None:
-        return None
-
-
-class _NullHistogram:
-    """Shared do-nothing histogram for the disabled path."""
-
-    __slots__ = ()
-
-    def observe(self, v: float) -> None:
-        return None
-
-
 class NullInstrumentation:
-    """The ``instrumentation=False`` implementation: every call is inert.
+    """The ``instrumentation=False`` implementation: every span is inert.
 
-    All accessors return shared singletons, so a disabled run allocates
-    nothing and records nothing; ``snapshot()`` is ``None`` so no ``stats``
-    payload is attached to results.
+    ``span()`` returns one shared singleton, so a disabled run allocates
+    nothing and records nothing.
     """
 
     enabled = False
 
     _span = _NullSpan()
-    _counter = _NullCounter()
-    _gauge = _NullGauge()
-    _histogram = _NullHistogram()
 
     def span(self, name: str) -> _NullSpan:
         """A shared no-op context manager."""
         return self._span
 
-    def counter(self, name: str) -> _NullCounter:
-        """A shared no-op counter."""
-        return self._counter
-
-    def gauge(self, name: str) -> _NullGauge:
-        """A shared no-op gauge."""
-        return self._gauge
-
-    def histogram(self, name: str, capacity: int = 4096) -> _NullHistogram:
-        """A shared no-op histogram."""
-        return self._histogram
-
     def trace_events(self) -> List[dict]:
         """Always empty."""
         return []
-
-    def snapshot(self) -> Optional[dict]:
-        """Always ``None`` — disabled runs attach no stats."""
-        return None
 
 
 NOOP = NullInstrumentation()

@@ -237,8 +237,6 @@ def check_no_dead_link_traffic(
         return
     known = {spec.key for spec in topology.inter_dc_links()}
     store = result.store
-    if store is None:
-        return
     n = len(store)
     flow_ids = store.column("flow_id")
     arrivals = store.column("arrival_s")

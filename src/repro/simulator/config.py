@@ -24,8 +24,6 @@ class SimulationConfig:
         monitor_interval_s: cadence of the DCI-switch queue monitor that
             feeds the LCMP congestion estimator (and RedTE's telemetry).
         gc_interval_s: cadence of the flow-cache garbage-collection tick.
-        flow_idle_timeout_s: idle timeout after which a flow-cache entry is
-            evicted.
         ecn_kmin_fraction / ecn_kmax_fraction / ecn_pmax: RED/ECN marking
             profile of egress queues, expressed as fractions of the port
             buffer (DCQCN-style marking).
@@ -54,18 +52,18 @@ class SimulationConfig:
             "Vectorized core").
         instrumentation: enable the runtime observability plane
             (:mod:`repro.obs`): phase timers around every step sub-phase,
-            slow-path counters, and an engine/routing/cache metrics harvest
-            attached to ``SimulationResult.stats`` (see DESIGN.md,
-            "Observability plane").  Off by default; when off, every
-            instrumentation site is a shared no-op object and ``stats`` is
-            ``None``.  Instrumentation never touches simulation numerics or
-            RNG streams, so results are bit-for-bit identical either way.
+            plus a one-time harvest of the always-on plain-int counters
+            (engine, routing, flow caches, path set, slow paths), attached
+            to ``SimulationResult.stats`` (see DESIGN.md, "Observability
+            plane").  Off by default; when off, every span is a shared
+            no-op object and ``stats`` is ``None``.  Instrumentation never
+            touches simulation numerics or RNG streams, so results are
+            bit-for-bit identical either way.
     """
 
     update_interval_s: float = 1e-3
     monitor_interval_s: float = 1e-3
     gc_interval_s: float = 0.25
-    flow_idle_timeout_s: float = 1.0
     ecn_kmin_fraction: float = 0.05
     ecn_kmax_fraction: float = 0.5
     ecn_pmax: float = 0.2

@@ -14,10 +14,10 @@ routes).  Completions append scalars to columns — no per-flow record object
 is built on the hot path — and analysis code
 (:mod:`repro.analysis.fct_analysis`, the experiment runner, the figure
 drivers) consumes the columns directly.  The legacy :class:`FlowRecord`
-dataclass survives as a *view*: :meth:`MetricsStore.records` (and the
-collector/result accessors built on it) materialise fresh record objects on
-demand, so existing callers keep working and none of them can mutate
-collector state through a returned list.
+dataclass survives as a *view*: :meth:`MetricsStore.records` (and
+``SimulationResult.records``, built on it) materialise fresh record objects
+on demand, so none of their callers can mutate collector state through a
+returned list.
 """
 
 from __future__ import annotations
@@ -370,23 +370,3 @@ class FCTCollector:
             slowdown=slowdown,
             path_index=route_id,
         )
-
-    def record(self, flow: Flow) -> FlowRecord:
-        """Record a completed flow and return its :class:`FlowRecord` view."""
-        return self.store.record(self.collect(flow))
-
-    @property
-    def records(self) -> List[FlowRecord]:
-        """All records collected so far (freshly materialised copies)."""
-        return self.store.records()
-
-    def __len__(self) -> int:
-        return len(self.store)
-
-    def filter_pair(self, src_dc: str, dst_dc: str) -> List[FlowRecord]:
-        """Records for flows between a specific ordered DC pair."""
-        return self.store.records(self.store.pair_mask(src_dc, dst_dc))
-
-    def slowdowns(self) -> List[float]:
-        """All slowdown values."""
-        return self.store.slowdowns().tolist()

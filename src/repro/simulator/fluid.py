@@ -137,16 +137,15 @@ class SimulationResult:
     """Everything a simulation run produces.
 
     Completed-flow metrics live in a columnar
-    :class:`~repro.simulator.fct.MetricsStore` (:attr:`store`); the legacy
-    :attr:`records` list is a *view* materialised freshly on every access,
-    so callers cannot mutate the run's metrics through it.  Analysis code
-    should prefer the store's column accessors.
+    :class:`~repro.simulator.fct.MetricsStore` (:attr:`store`); the
+    :attr:`records` list is a read-only *view* materialised freshly on every
+    access, so callers cannot mutate the run's metrics through it.
+    Analysis code should prefer the store's column accessors.
 
     Attributes:
-        records: one :class:`FlowRecord` per completed flow (lazy view over
-            :attr:`store`; assignable for synthetic results in tests).
-        store: the columnar metrics (``None`` only when a records list was
-            supplied explicitly).
+        records: one :class:`FlowRecord` per completed flow (a view over
+            :attr:`store`).
+        store: the columnar metrics (an empty store by default).
         link_stats: per inter-DC link summary.
         duration_s: simulated time elapsed (from time 0 to the stop time).
         unfinished_flows: flows still active when the simulation stopped
@@ -159,14 +158,13 @@ class SimulationResult:
         scenario_metrics: per-event recovery metrics
             (:class:`~repro.scenarios.injector.ScenarioMetrics`) when the
             run carried a scenario, else ``None``.
-        stats: observability snapshot (counters / gauges / histograms /
+        stats: observability snapshot (harvested counters and gauges plus
             phase timers, see DESIGN.md "Observability plane") when the run
             had ``SimulationConfig.instrumentation`` on, else ``None``.
     """
 
     def __init__(
         self,
-        records: Optional[List[FlowRecord]] = None,
         link_stats: Optional[List[LinkStats]] = None,
         duration_s: float = 0.0,
         unfinished_flows: int = 0,
@@ -178,10 +176,7 @@ class SimulationResult:
         store: Optional[MetricsStore] = None,
         stats: Optional[dict] = None,
     ) -> None:
-        self._records_override: Optional[List[FlowRecord]] = (
-            list(records) if records is not None else None
-        )
-        self.store = store
+        self.store = store if store is not None else MetricsStore()
         self.link_stats = list(link_stats) if link_stats is not None else []
         self.duration_s = duration_s
         self.unfinished_flows = unfinished_flows
@@ -195,39 +190,19 @@ class SimulationResult:
     @property
     def records(self) -> List[FlowRecord]:
         """Completed-flow records (a fresh list of views per access)."""
-        if self._records_override is not None:
-            return list(self._records_override)
-        if self.store is None:
-            return []
         return self.store.records()
-
-    @records.setter
-    def records(self, value: Optional[List[FlowRecord]]) -> None:
-        self._records_override = list(value) if value is not None else None
-
-    @property
-    def records_overridden(self) -> bool:
-        """True when a records list was assigned, shadowing :attr:`store`."""
-        return self._records_override is not None
 
     def arrival_slowdown_columns(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(arrival_s, slowdown)`` columns of the completed flows.
 
-        Served straight from the metrics store when available, so analysis
-        helpers can window/bucket without materialising record objects.
+        Served straight from the metrics store, so analysis helpers can
+        window/bucket without materialising record objects.
         """
-        if self._records_override is None and self.store is not None:
-            return self.store.arrivals(), self.store.slowdowns()
-        recs = self.records
-        arrivals = np.fromiter((r.arrival_s for r in recs), dtype=np.float64, count=len(recs))
-        slowdowns = np.fromiter((r.slowdown for r in recs), dtype=np.float64, count=len(recs))
-        return arrivals, slowdowns
+        return self.store.arrivals(), self.store.slowdowns()
 
     def slowdowns(self) -> List[float]:
         """All flow slowdowns."""
-        if self._records_override is None and self.store is not None:
-            return self.store.slowdowns().tolist()
-        return [r.slowdown for r in self.records]
+        return self.store.slowdowns().tolist()
 
     def utilization_by_link(self) -> Dict[Tuple[str, str], float]:
         """Mapping of directed link key to average utilisation."""
@@ -267,12 +242,12 @@ class FluidSimulation:
         self.cc_factory = cc_factory
         self.demands = sorted(demands, key=lambda d: (d.arrival_s, d.flow_id))
 
-        #: observability plane — the NOOP singleton when instrumentation is
-        #: off, so every site below is an inert attribute access.  Span
-        #: handles and counters are bound once here (reusable,
-        #: non-re-entrant) so the hot loops pay only the enter/exit cost.
-        #: Instrumentation never touches simulation numerics or RNG
-        #: streams: results stay bit-for-bit identical either way.
+        #: phase timers — the NOOP singleton when instrumentation is off,
+        #: so every span below is an inert attribute access.  Span handles
+        #: are bound once here (reusable, non-re-entrant) so the hot loops
+        #: pay only the enter/exit cost.  Instrumentation never touches
+        #: simulation numerics or RNG streams: results stay bit-for-bit
+        #: identical either way.
         self.obs = Instrumentation() if self.config.instrumentation else NOOP
         obs = self.obs
         self._sp_update = obs.span("step.update")
@@ -286,13 +261,13 @@ class FluidSimulation:
         self._sp_gc = obs.span("step.gc")
         self._sp_arrivals = obs.span("step.arrivals")
         self._sp_arrival_route = obs.span("arrivals.route")
-        self._ctr_repeated = obs.counter("slow_path.deliver_repeated")
-        self._ctr_seq_routing = obs.counter("slow_path.sequential_routing")
-        self._ctr_reroutes = obs.counter("slow_path.reroutes")
-        self._ctr_cc_kernels = obs.counter("cc.kernel_dispatches")
-        self._ctr_batches = obs.counter("arrivals.batches")
-        self._ctr_admitted = obs.counter("arrivals.flows_admitted")
-        self._hist_batch_size = obs.histogram("arrivals.batch_size")
+        #: always-on plain-int counters, harvested by _harvest_metrics
+        self._deliver_repeated_calls = 0
+        self._sequential_arrivals = 0
+        self._reroutes = 0
+        self._cc_kernel_dispatches = 0
+        self._arrival_batches = 0
+        self._flows_admitted = 0
 
         self.engine = SimulationEngine()
         self._rng = np.random.default_rng(self.config.seed)
@@ -533,7 +508,7 @@ class FluidSimulation:
         def arrive() -> None:
             self._arrival_events.pop(demand.flow_id, None)
             self._pending_arrivals -= 1
-            self._ctr_seq_routing.inc()
+            self._sequential_arrivals += 1
             now = self.engine.now
             path = self.network.resolve_path(demand, now)
             base_rtt = 2.0 * sum(link.delay_s for link in path)
@@ -608,9 +583,8 @@ class FluidSimulation:
 
     def _admit_arrivals(self, batch: List[FlowDemand]) -> None:
         """Route and activate one drained arrival batch (arrival order)."""
-        self._ctr_batches.inc()
-        self._ctr_admitted.inc(len(batch))
-        self._hist_batch_size.observe(len(batch))
+        self._arrival_batches += 1
+        self._flows_admitted += len(batch)
         times = np.fromiter(
             (d.arrival_s for d in batch), dtype=np.float64, count=len(batch)
         )
@@ -776,7 +750,7 @@ class FluidSimulation:
         single_cls = next(iter(counts)) if len(counts) == 1 else None
         for gen, rows, lanes in batches:
             if single_cls is not None:
-                self._ctr_cc_kernels.inc()
+                self._cc_kernel_dispatches += 1
                 single_cls.feedback_batch_slots(
                     table,
                     rows,
@@ -795,7 +769,7 @@ class FluidSimulation:
             cids = table.cc_class_id[rows]
             for cid in np.unique(cids).tolist():
                 sel = np.flatnonzero(cids == cid)
-                self._ctr_cc_kernels.inc()
+                self._cc_kernel_dispatches += 1
                 table.cc_class_at(cid).feedback_batch_slots(
                     table,
                     rows[sel],
@@ -809,7 +783,7 @@ class FluidSimulation:
 
     def _deliver_repeated(self, batches, now: float) -> None:
         """Slow path: some flow has several signals due in one step."""
-        self._ctr_repeated.inc()
+        self._deliver_repeated_calls += 1
         by_flow: Dict[int, list] = {}
         for gen, rows, lanes in batches:
             idxs = lanes.tolist()
@@ -1048,14 +1022,14 @@ class FluidSimulation:
             counts = table.class_counts
             if len(counts) == 1:
                 (cc_cls,) = counts
-                self._ctr_cc_kernels.inc()
+                self._cc_kernel_dispatches += 1
                 cc_cls.advance_batch_slots(table, rows, dt, now)
             else:
                 # mixed fleet: each class advances its cached row registry
                 # in place — controllers are per-flow and independent, so
                 # grouped advancement matches the scalar per-flow order
                 for cc_cls, cls_rows in table.rows_by_class():
-                    self._ctr_cc_kernels.inc()
+                    self._cc_kernel_dispatches += 1
                     cc_cls.advance_batch_slots(table, cls_rows, dt, now)
 
         with self._sp_completions:
@@ -1097,7 +1071,7 @@ class FluidSimulation:
             return False
         if any(not link.up for link in new_path):
             return False
-        self._ctr_reroutes.inc()
+        self._reroutes += 1
         flow.path = tuple(new_path)
         flow.base_rtt_s = 2.0 * sum(link.delay_s for link in new_path)
         flow.route_id = self.collector.route_index_for(flow.demand.src_dc, flow.path)
@@ -1153,9 +1127,9 @@ class FluidSimulation:
             # to the RuntimeLink objects before reading stats off them
             self._incidence.sync_all()
         duration = self.engine.now
-        stats = []
+        link_stats = []
         for link in self.network.inter_dc_links:
-            stats.append(
+            link_stats.append(
                 LinkStats(
                     key=link.key,
                     cap_bps=link.cap_bps,
@@ -1168,11 +1142,13 @@ class FluidSimulation:
         decisions = sum(
             switch.decision_count for switch in self.network.switches.values()
         )
+        stats = None
         if self.obs.enabled:
-            self._harvest_metrics(decisions)
+            stats = self._harvest_metrics(decisions)
+            stats["phases"] = self.obs.phases()
         return SimulationResult(
             store=self.collector.store,
-            link_stats=stats,
+            link_stats=link_stats,
             duration_s=duration,
             unfinished_flows=len(self._active),
             routing_decisions=decisions,
@@ -1180,31 +1156,39 @@ class FluidSimulation:
             trace=self._trace,
             failed_flows=list(self._failed),
             scenario_metrics=self.injector.metrics if self.injector else None,
-            stats=self.obs.snapshot(),
+            stats=stats,
         )
 
-    def _harvest_metrics(self, decisions: int) -> None:
-        """Pull component-held plain-int counters into the obs registry.
+    def _harvest_metrics(self, decisions: int) -> dict:
+        """The ``counters`` and ``gauges`` sections of ``SimulationResult.stats``.
 
-        Hot components (engine queue, incidence, switches, routers, flow
-        caches) maintain cheap always-on integer counters; rather than
-        routing every increment through the registry, the run harvests
-        their final values here, once, at result-build time.
+        The simulation and its hot components (engine queue, incidence,
+        telemetry, switches, routers, flow caches, path set) keep cheap
+        always-on integer counters; the run copies their final values here,
+        once, at result-build time.  A gauge is read once too, so its
+        ``last`` and ``max`` are the same value.
         """
-        obs = self.obs
         engine = self.engine
-        obs.counter("engine.events_scheduled").inc(engine.events_scheduled)
-        obs.counter("engine.events_fired").inc(engine.events_fired)
-        obs.counter("engine.events_cancelled").inc(engine.events_cancelled)
-        obs.gauge("engine.peak_pending_events").set(engine.peak_pending_events)
+        counters = {
+            "engine.events_scheduled": engine.events_scheduled,
+            "engine.events_fired": engine.events_fired,
+            "engine.events_cancelled": engine.events_cancelled,
+            "telemetry.sweeps": self.telemetry.sweeps,
+            "monitor.samples": self._monitor_samples,
+            "routing.decisions": decisions,
+            "slow_path.deliver_repeated": self._deliver_repeated_calls,
+            "slow_path.sequential_routing": self._sequential_arrivals,
+            "slow_path.reroutes": self._reroutes,
+            "cc.kernel_dispatches": self._cc_kernel_dispatches,
+            "arrivals.batches": self._arrival_batches,
+            "arrivals.flows_admitted": self._flows_admitted,
+        }
+        gauges = {"engine.peak_pending_events": engine.peak_pending_events}
         inc = self._incidence
         if inc is not None:
-            obs.counter("incidence.registry_rebuilds").inc(inc.registry_rebuilds)
-            obs.counter("incidence.membership_rebuilds").inc(inc.membership_rebuilds)
-            obs.counter("incidence.dynamic_regathers").inc(inc.dynamic_regathers)
-        obs.counter("telemetry.sweeps").inc(self.telemetry.sweeps)
-        obs.counter("monitor.samples").inc(self._monitor_samples)
-        obs.counter("routing.decisions").inc(decisions)
+            counters["incidence.registry_rebuilds"] = inc.registry_rebuilds
+            counters["incidence.membership_rebuilds"] = inc.membership_rebuilds
+            counters["incidence.dynamic_regathers"] = inc.dynamic_regathers
         batch_calls = fallbacks = sequential = 0
         hits = misses = evictions = gc_evictions = 0
         for switch in self.network.switches.values():
@@ -1219,24 +1203,30 @@ class FluidSimulation:
                 misses += cache.misses
                 evictions += cache.evictions
                 gc_evictions += cache.gc_evictions
-        obs.counter("routing.batch_calls").inc(batch_calls)
-        obs.counter("routing.fallback_decisions").inc(fallbacks)
-        obs.counter("slow_path.sequential_batch_decisions").inc(sequential)
-        obs.counter("flow_cache.hits").inc(hits)
-        obs.counter("flow_cache.misses").inc(misses)
-        obs.counter("flow_cache.evictions").inc(evictions)
-        obs.counter("flow_cache.gc_evictions").inc(gc_evictions)
+        counters["routing.batch_calls"] = batch_calls
+        counters["routing.fallback_decisions"] = fallbacks
+        counters["slow_path.sequential_batch_decisions"] = sequential
+        counters["flow_cache.hits"] = hits
+        counters["flow_cache.misses"] = misses
+        counters["flow_cache.evictions"] = evictions
+        counters["flow_cache.gc_evictions"] = gc_evictions
         pathset = getattr(self.network, "pathset", None)
         if pathset is not None and hasattr(pathset, "memory_bytes"):
-            obs.gauge("topology.pathset_bytes").set(float(pathset.memory_bytes()))
-            obs.gauge("topology.pathset_paths").set(float(pathset.num_paths))
-            obs.counter("topology.pathset_searches").inc(pathset.searches_run)
-            obs.counter("topology.pathset_evictions").inc(pathset.cache_evictions)
+            gauges["topology.pathset_bytes"] = float(pathset.memory_bytes())
+            gauges["topology.pathset_paths"] = float(pathset.num_paths)
+            counters["topology.pathset_searches"] = pathset.searches_run
+            counters["topology.pathset_evictions"] = pathset.cache_evictions
         if self.injector is not None:
-            applied = sum(
+            counters["scenario.events_applied"] = sum(
                 1
                 for outcome in self.injector.metrics.outcomes
                 if outcome.applied_s is not None
             )
-            obs.counter("scenario.events_applied").inc(applied)
-            obs.counter("scenario.flows_failed").inc(len(self._failed))
+            counters["scenario.flows_failed"] = len(self._failed)
+        return {
+            "counters": dict(sorted(counters.items())),
+            "gauges": {
+                name: {"last": value, "max": value}
+                for name, value in sorted(gauges.items())
+            },
+        }

@@ -83,8 +83,8 @@ class FlowLinkIncidence:
         self.active_slots = np.empty(0, dtype=np.intp)
         self._membership_dirty = True
         self._registry_dirty = True
-        # lifetime rebuild counters (plain ints; harvested into the
-        # observability registry at result-build time when enabled)
+        # lifetime rebuild counters (plain ints; harvested into
+        # ``SimulationResult.stats`` at result-build time when enabled)
         self.registry_rebuilds = 0
         self.membership_rebuilds = 0
         self.dynamic_regathers = 0

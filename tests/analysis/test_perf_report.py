@@ -2,24 +2,41 @@
 
 import json
 
+import pytest
+
 from repro.analysis import perf_report, phase_breakdown, phase_breakdown_json, top_counters
 from repro.obs import Instrumentation
 
 
 def make_snapshot():
-    instr = Instrumentation()
-    instr.counter("slow_path.deliver_repeated").inc(4)
-    instr.counter("engine.events_fired").inc(100)
-    instr.gauge("engine.peak_pending_events").set(7.0)
-    snap = instr.snapshot()
-    # deterministic timings, injected directly into the schema
-    snap["phases"] = {
-        "step.update": {"count": 10, "total_ns": 8_000_000, "max_ns": 1_000_000},
-        "update.signals": {"count": 10, "total_ns": 6_000_000, "max_ns": 700_000},
-        "step.gc": {"count": 2, "total_ns": 2_000_000, "max_ns": 1_500_000},
-        "never.ran": {"count": 0, "total_ns": 0, "max_ns": 0},
+    """A ``SimulationResult.stats``-shaped dict with deterministic timings."""
+    return {
+        "counters": {"slow_path.deliver_repeated": 4, "engine.events_fired": 100},
+        "gauges": {"engine.peak_pending_events": {"last": 7.0, "max": 7.0}},
+        "phases": {
+            "step.update": {"count": 10, "total_ns": 8_000_000, "max_ns": 1_000_000},
+            "update.signals": {"count": 10, "total_ns": 6_000_000, "max_ns": 700_000},
+            "step.gc": {"count": 2, "total_ns": 2_000_000, "max_ns": 1_500_000},
+            "never.ran": {"count": 0, "total_ns": 0, "max_ns": 0},
+        },
     }
-    return snap
+
+
+def span_snapshot():
+    """A stats dict whose phases come from real nested spans, as a run nests them."""
+    instr = Instrumentation()
+    update, signals = instr.span("step.update"), instr.span("update.signals")
+    arrivals, route = instr.span("step.arrivals"), instr.span("arrivals.route")
+    for _ in range(20):
+        with update:
+            with signals:
+                sum(range(200))
+        with arrivals:
+            with route:
+                sum(range(100))
+    with instr.span("step.gc"):
+        pass
+    return {"counters": {}, "gauges": {}, "phases": instr.phases()}
 
 
 class TestPhaseBreakdown:
@@ -38,14 +55,40 @@ class TestPhaseBreakdown:
         assert row["total_ms"] == 8.0
         assert row["mean_us"] == 800.0
         assert row["max_us"] == 1000.0
-        assert row["share"] == 8 / 16
+        assert row["share"] == 8 / 10
 
     def test_zero_count_phase_has_zero_mean(self):
         rows = {r["name"]: r for r in phase_breakdown(make_snapshot())}
         assert rows["never.ran"]["mean_us"] == 0.0
 
+    def test_nested_share_is_its_cut_of_the_step_time(self):
+        rows = {r["name"]: r for r in phase_breakdown(make_snapshot())}
+        assert rows["update.signals"]["share"] == 6 / 10
+        assert rows["step.gc"]["share"] == 2 / 10
+
+    def test_empty_snapshot_has_no_rows(self):
+        assert phase_breakdown({}) == []
+        assert phase_breakdown({"counters": {}, "gauges": {}, "phases": {}}) == []
+
     def test_top_limits_rows(self):
         assert len(phase_breakdown(make_snapshot(), top=2)) == 2
+
+    @pytest.mark.parametrize(
+        "snapshot", [make_snapshot(), span_snapshot()], ids=["fixed", "spans"]
+    )
+    def test_shares_are_cuts_of_the_step_time(self, snapshot):
+        """Top-level ``step.*`` shares sum to 1; a nested phase
+        (``update.signals`` inside ``step.update``) never outweighs its parent."""
+        shares = {r["name"]: r["share"] for r in phase_breakdown(snapshot)}
+        top_level = [share for name, share in shares.items() if name.startswith("step.")]
+        assert sum(top_level) == pytest.approx(1.0, abs=1e-9)
+        nested = 0
+        for name, share in shares.items():
+            parent = "step." + name.split(".")[0]
+            if parent != name and parent in shares:
+                nested += 1
+                assert share <= shares[parent], f"{name} outweighs {parent}"
+        assert nested, "the snapshot has no nested phase"
 
 
 class TestTopCounters:

@@ -6,6 +6,7 @@ from repro.analysis import event_impacts, recovery_report, slowdown_timeline
 from repro.scenarios.injector import EventOutcome, ScenarioMetrics
 from repro.simulator import SimulationResult
 from repro.simulator.fct import FlowRecord
+from tests.helpers import store_of
 
 
 def record(flow_id, arrival_s, slowdown):
@@ -47,7 +48,7 @@ def synthetic_result():
         ],
     )
     return SimulationResult(
-        records=records,
+        store=store_of(records),
         link_stats=[],
         duration_s=3.0,
         unfinished_flows=0,
@@ -106,7 +107,7 @@ class TestSlowdownTimeline:
 
     def test_empty_result(self):
         result = synthetic_result()
-        result.records = []
+        result.store = store_of([])
         assert slowdown_timeline(result) == []
 
     def test_requires_positive_bucket(self):

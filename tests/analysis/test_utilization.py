@@ -25,7 +25,7 @@ def make_result(utils):
                   peak_queue_bytes=0, utilization=0.9)
     )
     return SimulationResult(
-        records=[], link_stats=stats, duration_s=1.0, unfinished_flows=0,
+        link_stats=stats, duration_s=1.0, unfinished_flows=0,
         routing_decisions=0, monitor_samples=0,
     )
 

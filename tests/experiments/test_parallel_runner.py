@@ -170,17 +170,9 @@ class TestSweepStatsAggregation:
     def deterministic_view(stats):
         return {
             "counters": stats["counters"],
+            "gauges": stats["gauges"],
             "phase_counts": {
                 name: p["count"] for name, p in stats["phases"].items()
-            },
-            "histograms": {
-                name: {
-                    "count": h["count"],
-                    "sum": h["sum"],
-                    "max": h["max"],
-                    "samples": sorted(h["samples"]),
-                }
-                for name, h in stats["histograms"].items()
             },
         }
 

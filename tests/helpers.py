@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.simulator import TelemetryView
+from repro.simulator.fct import MetricsStore
 from repro.topology import GBPS
 
 
@@ -34,3 +35,21 @@ def port_view(
         buffer_bytes=_column(buffer_bytes),
         up=_column(up, bool),
     )
+
+
+def store_of(records) -> MetricsStore:
+    """A :class:`MetricsStore` holding ``records`` as completed flows, in order."""
+    store = MetricsStore()
+    for r in records:
+        store.append(
+            flow_id=r.flow_id,
+            src_dc=r.src_dc,
+            dst_dc=r.dst_dc,
+            size_bytes=r.size_bytes,
+            arrival_s=r.arrival_s,
+            fct_s=r.fct_s,
+            ideal_fct_s=r.ideal_fct_s,
+            slowdown=r.slowdown,
+            path_index=store.intern_route(r.path_dcs),
+        )
+    return store

@@ -1,4 +1,4 @@
-"""Unit tests for the exporters: Chrome trace, Prometheus text, merge."""
+"""Unit tests for the exporters: Chrome trace and snapshot merge."""
 
 import json
 
@@ -7,23 +7,21 @@ from repro.obs import (
     NOOP,
     chrome_trace,
     merge_snapshots,
-    prometheus_text,
     write_chrome_trace,
 )
 
 
-def make_snapshot(counter=3, gauge=(2.0, 5.0), hist=(1.0, 4.0)):
+def make_snapshot(counter=3, gauge=(2.0, 5.0)):
+    """A ``SimulationResult.stats``-shaped dict: harvested values plus real spans."""
     instr = Instrumentation()
-    instr.counter("slow_path.deliver_repeated").inc(counter)
-    g = instr.gauge("engine.peak_pending_events")
-    g.set(gauge[1])
-    g.set(gauge[0])
-    h = instr.histogram("arrivals.batch_size")
-    for v in hist:
-        h.observe(v)
     with instr.span("step.update"):
         pass
-    return instr.snapshot()
+    last, high = gauge
+    return {
+        "counters": {"slow_path.deliver_repeated": counter},
+        "gauges": {"engine.peak_pending_events": {"last": last, "max": high}},
+        "phases": instr.phases(),
+    }
 
 
 class TestChromeTrace:
@@ -50,22 +48,13 @@ class TestChromeTrace:
         write_chrome_trace(NOOP, path)
         assert json.loads(path.read_text())["traceEvents"] == []
 
-
-class TestPrometheusText:
-    def test_renders_every_section(self):
-        text = prometheus_text(make_snapshot())
-        assert "# TYPE slow_path_deliver_repeated counter" in text
-        assert "slow_path_deliver_repeated 3" in text
-        assert "engine_peak_pending_events 2.0" in text
-        assert "engine_peak_pending_events_max 5.0" in text
-        assert "arrivals_batch_size_count 2" in text
-        assert "arrivals_batch_size_sum 5.0" in text
-        assert "step_update_seconds_count 1" in text
-
-    def test_dots_and_dashes_become_underscores(self):
-        instr = Instrumentation()
-        instr.counter("a.b-c").inc()
-        assert "a_b_c 1" in prometheus_text(instr.snapshot())
+    def test_trace_holds_at_most_the_event_cap(self):
+        instr = Instrumentation(max_trace_events=3)
+        span = instr.span("hot")
+        for _ in range(10):
+            with span:
+                pass
+        assert len(chrome_trace(instr)["traceEvents"]) == 3
 
 
 class TestMergeSnapshots:
@@ -91,14 +80,37 @@ class TestMergeSnapshots:
         assert g["max"] == 9.0  # fleet-wide high watermark
         assert g["last"] == 4.0  # last run's final value
 
-    def test_histogram_samples_concatenate(self):
-        a = make_snapshot(hist=(1.0, 2.0))
-        b = make_snapshot(hist=(3.0,))
-        h = merge_snapshots([a, b])["histograms"]["arrivals.batch_size"]
-        assert h["count"] == 3
-        assert h["sum"] == 6.0
-        assert h["max"] == 3.0
-        assert sorted(h["samples"]) == [1.0, 2.0, 3.0]
+    def test_phase_max_takes_the_maximum(self):
+        a, b = make_snapshot(), make_snapshot()
+        a["phases"]["step.update"]["max_ns"] = 900
+        b["phases"]["step.update"]["max_ns"] = 400
+        b["phases"]["step.update"]["total_ns"] = 700
+        merged = merge_snapshots([a, b])["phases"]["step.update"]
+        assert merged["max_ns"] == 900
+        assert merged["total_ns"] == a["phases"]["step.update"]["total_ns"] + 700
+
+    def test_names_from_any_run_are_kept(self):
+        a = make_snapshot()
+        b = make_snapshot()
+        b["counters"] = {"slow_path.reroutes": 4}
+        b["gauges"] = {"topology.pathset_bytes": {"last": 10.0, "max": 10.0}}
+        merged = merge_snapshots([a, b])
+        assert merged["counters"] == {
+            "slow_path.deliver_repeated": 3,
+            "slow_path.reroutes": 4,
+        }
+        assert set(merged["gauges"]) == {
+            "engine.peak_pending_events",
+            "topology.pathset_bytes",
+        }
+
+    def test_sections_sorted_and_inputs_untouched(self):
+        a = make_snapshot()
+        a["counters"] = {"z.last": 1, "a.first": 2}
+        before = json.dumps(a, sort_keys=True)
+        merged = merge_snapshots([a, a])
+        assert list(merged["counters"]) == ["a.first", "z.last"]
+        assert json.dumps(a, sort_keys=True) == before
 
     def test_merged_schema_matches_single_run(self):
         snap = make_snapshot()

@@ -1,5 +1,9 @@
 """Unit tests for phase timers and the Instrumentation / NOOP facades."""
 
+import time
+
+import pytest
+
 from repro.obs import NOOP, Instrumentation, NullInstrumentation
 
 
@@ -15,7 +19,7 @@ class TestInstrumentationSpans:
         for _ in range(3):
             with span:
                 pass
-        phases = instr.snapshot()["phases"]
+        phases = instr.phases()
         assert phases["work"]["count"] == 3
         assert phases["work"]["total_ns"] >= 0
         assert phases["work"]["max_ns"] <= phases["work"]["total_ns"]
@@ -26,7 +30,7 @@ class TestInstrumentationSpans:
         with outer:
             with inner:
                 pass
-        phases = instr.snapshot()["phases"]
+        phases = instr.phases()
         assert phases["outer"]["count"] == 1
         assert phases["inner"]["count"] == 1
         assert phases["inner"]["total_ns"] <= phases["outer"]["total_ns"]
@@ -34,7 +38,7 @@ class TestInstrumentationSpans:
     def test_unentered_span_appears_with_zero_count(self):
         instr = Instrumentation()
         instr.span("never")
-        assert instr.snapshot()["phases"]["never"] == {
+        assert instr.phases()["never"] == {
             "count": 0,
             "total_ns": 0,
             "max_ns": 0,
@@ -61,17 +65,55 @@ class TestInstrumentationSpans:
             with span:
                 pass
         assert len(instr.trace_events()) == 2
-        assert instr.snapshot()["phases"]["hot"]["count"] == 5
+        assert instr.phases()["hot"]["count"] == 5
 
-    def test_metric_passthrough_shares_registry(self):
+    def test_phases_sorted_by_name(self):
         instr = Instrumentation()
-        instr.counter("c").inc()
-        instr.gauge("g").set(1.0)
-        instr.histogram("h").observe(2.0)
-        assert instr.registry.counter("c").value == 1
-        snap = instr.snapshot()
-        assert snap["counters"] == {"c": 1}
-        assert set(snap) == {"counters", "gauges", "histograms", "phases"}
+        for name in ("step.update", "arrivals.route", "step.gc"):
+            with instr.span(name):
+                pass
+        assert list(instr.phases()) == ["arrivals.route", "step.gc", "step.update"]
+
+    def test_max_tracks_the_longest_occurrence(self):
+        instr = Instrumentation()
+        span = instr.span("work")
+        with span:
+            pass
+        with span:
+            time.sleep(0.002)
+        with span:
+            pass
+        phase = instr.phases()["work"]
+        assert phase["max_ns"] >= 2_000_000
+        assert phase["max_ns"] <= phase["total_ns"]
+
+    def test_trace_durations_add_up_to_phase_total(self):
+        instr = Instrumentation()
+        span = instr.span("work")
+        for _ in range(4):
+            with span:
+                sum(range(100))
+        events = instr.trace_events()
+        starts = [e["ts"] for e in events]
+        assert starts == sorted(starts)
+        total_us = instr.phases()["work"]["total_ns"] / 1000.0
+        assert sum(e["dur"] for e in events) == pytest.approx(total_us)
+
+    def test_span_records_when_the_body_raises(self):
+        instr = Instrumentation()
+        with pytest.raises(RuntimeError):
+            with instr.span("failing"):
+                raise RuntimeError("boom")
+        assert instr.phases()["failing"]["count"] == 1
+        assert [e["name"] for e in instr.trace_events()] == ["failing"]
+
+    def test_instances_keep_separate_state(self):
+        a, b = Instrumentation(), Instrumentation()
+        with a.span("only.a"):
+            pass
+        assert a.span("x") is not b.span("x")
+        assert "only.a" not in b.phases()
+        assert b.trace_events() == []
 
 
 class TestNullInstrumentation:
@@ -79,16 +121,15 @@ class TestNullInstrumentation:
         assert isinstance(NOOP, NullInstrumentation)
         assert NOOP.enabled is False
         assert Instrumentation.enabled is True
-        # every accessor returns a shared singleton, allocating nothing
+        # every span is one shared singleton, allocating nothing
         assert NOOP.span("a") is NOOP.span("b")
-        assert NOOP.counter("a") is NOOP.counter("b")
-        assert NOOP.gauge("a") is NOOP.gauge("b")
-        assert NOOP.histogram("a") is NOOP.histogram("b")
 
     def test_noop_operations_do_nothing(self):
         with NOOP.span("x"):
-            NOOP.counter("c").inc(5)
-            NOOP.gauge("g").set(9.0)
-            NOOP.histogram("h").observe(1.0)
+            pass
         assert NOOP.trace_events() == []
-        assert NOOP.snapshot() is None
+
+    def test_noop_span_propagates_exceptions(self):
+        with pytest.raises(ValueError):
+            with NOOP.span("x"):
+                raise ValueError("not swallowed")

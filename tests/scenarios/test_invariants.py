@@ -30,6 +30,7 @@ from repro.scenarios.invariants import (
 )
 from repro.simulator import SimulationResult
 from repro.simulator.fct import FlowRecord
+from tests.helpers import store_of
 
 
 def record(flow_id, arrival_s=0.0, fct_s=0.01):
@@ -48,7 +49,7 @@ def record(flow_id, arrival_s=0.0, fct_s=0.01):
 
 def result_of(num_records, unfinished=0, metrics=None):
     return SimulationResult(
-        records=[record(i) for i in range(num_records)],
+        store=store_of(record(i) for i in range(num_records)),
         link_stats=[],
         duration_s=1.0,
         unfinished_flows=unfinished,
@@ -94,8 +95,7 @@ class TestDemandConservation:
 
     def test_duplicate_completion_fires(self):
         result = result_of(2)
-        # records is a view; replace the whole list to build the bad run
-        result.records = [record(0), record(0)]
+        result.store = store_of([record(0), record(0)])
         with pytest.raises(InvariantViolation, match="duplicate"):
             check_demand_conservation(result, num_demands=2)
 
@@ -221,7 +221,7 @@ class TestBitIdentity:
 
     def test_differing_record_fires(self):
         a, b = result_of(3), result_of(3)
-        b.records = [record(0), record(1, fct_s=0.011), record(2)]
+        b.store = store_of([record(0), record(1, fct_s=0.011), record(2)])
         with pytest.raises(InvariantViolation, match="record mismatch"):
             assert_results_identical(a, b)
 

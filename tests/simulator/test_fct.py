@@ -62,36 +62,42 @@ class TestCollector:
         flow.mark_finished(now=demand.arrival_s + 0.01)
         return flow
 
+    @staticmethod
+    def _collect(collector, flow):
+        """Collect ``flow`` and return its stored :class:`FlowRecord` view."""
+        return collector.store.record(collector.collect(flow))
+
     def test_record_computes_slowdown(self, ideal_model):
         collector = FCTCollector(ideal_model)
         demand = FlowDemand(7, "A", "B", 0, 0, size_bytes=10_000, arrival_s=1.0)
-        record = collector.record(self._finished_flow(demand))
+        record = self._collect(collector, self._finished_flow(demand))
         assert record.flow_id == 7
         assert record.fct_s > 0
         assert record.slowdown == pytest.approx(record.fct_s / record.ideal_fct_s)
-        assert len(collector) == 1
+        assert len(collector.store) == 1
 
-    def test_filter_pair(self, ideal_model):
+    def test_pair_mask(self, ideal_model):
         collector = FCTCollector(ideal_model)
         for i, (src, dst) in enumerate([("A", "B"), ("A", "C"), ("A", "B")]):
             demand = FlowDemand(i, src, dst, 0, 0, size_bytes=1_000, arrival_s=0.0)
-            collector.record(self._finished_flow(demand))
-        assert len(collector.filter_pair("A", "B")) == 2
-        assert len(collector.filter_pair("B", "A")) == 0
-        assert len(collector.slowdowns()) == 3
+            collector.collect(self._finished_flow(demand))
+        store = collector.store
+        assert store.pair_mask("A", "B").sum() == 2
+        assert store.pair_mask("B", "A").sum() == 0
+        assert len(store.slowdowns()) == 3
 
     def test_fidelity_noise_perturbs_fct(self, ideal_model):
         rng = np.random.default_rng(3)
         noisy = FCTCollector(ideal_model, fidelity_noise=0.2, rng=rng)
         clean = FCTCollector(ideal_model)
         demand = FlowDemand(1, "A", "B", 0, 0, size_bytes=50_000, arrival_s=0.0)
-        noisy_rec = noisy.record(self._finished_flow(demand))
-        clean_rec = clean.record(self._finished_flow(demand))
+        noisy_rec = self._collect(noisy, self._finished_flow(demand))
+        clean_rec = self._collect(clean, self._finished_flow(demand))
         assert noisy_rec.fct_s != pytest.approx(clean_rec.fct_s)
 
     def test_path_dcs_recorded(self, ideal_model):
         collector = FCTCollector(ideal_model)
         demand = FlowDemand(1, "A", "B", 0, 0, size_bytes=1_000, arrival_s=0.0)
-        record = collector.record(self._finished_flow(demand))
+        record = self._collect(collector, self._finished_flow(demand))
         assert record.path_dcs[0] == "A"
         assert record.path_dcs[-1] == "B"

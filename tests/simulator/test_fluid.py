@@ -6,12 +6,16 @@ import pytest
 from repro.congestion_control import make_cc_factory
 from repro.routing import ECMPRouter, make_router_factory
 from repro.scenarios.events import LinkDown, LinkUp, Scenario
+from repro.core.config import LCMPConfig
 from repro.simulator import (
     FlowDemand,
     FluidSimulation,
     RoutingLoopError,
     RuntimeNetwork,
+    SimulationConfig,
+    SimulationResult,
 )
+from tests.helpers import store_of
 
 
 def make_network(topology, pathset, config, router="ecmp"):
@@ -128,6 +132,34 @@ class TestBookkeeping:
         result = run_sim(tiny_topology, tiny_pathset, demands, quick_sim_config)
         for stats in result.link_stats:
             assert 0.0 <= stats.utilization <= 1.0
+
+
+class TestResultRepresentation:
+    def test_default_result_has_an_empty_store(self):
+        result = SimulationResult()
+        assert len(result.store) == 0
+        assert result.records == []
+        assert result.slowdowns() == []
+        arrivals, slowdowns = result.arrival_slowdown_columns()
+        assert arrivals.size == 0 and slowdowns.size == 0
+        assert result.stats is None
+
+    def test_records_are_a_read_only_view(self, tiny_topology, tiny_pathset, quick_sim_config):
+        demands = [FlowDemand(i, "A", "B", 0, 0, 1_000_000, 0.0) for i in range(3)]
+        result = run_sim(tiny_topology, tiny_pathset, demands, quick_sim_config)
+        with pytest.raises(AttributeError):
+            result.records = []
+        view = result.records
+        view.clear()
+        assert len(result.records) == 3
+        # the view round-trips through a store built from it
+        rebuilt = SimulationResult(store=store_of(result.records))
+        assert rebuilt.slowdowns() == result.slowdowns()
+
+    def test_flow_idle_timeout_belongs_to_the_router_config(self):
+        with pytest.raises(TypeError):
+            SimulationConfig(flow_idle_timeout_s=2.0)
+        assert LCMPConfig(flow_idle_timeout_s=2.0).flow_idle_timeout_s == 2.0
 
 
 class TestRerouteErrors:
