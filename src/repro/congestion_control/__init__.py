@@ -2,12 +2,26 @@
 
 LCMP is orthogonal to end-host congestion control; these rate-based models
 let the evaluation exercise every CC the paper tests underneath every
-routing algorithm.  Use :func:`make_cc_factory` to obtain the per-flow
-factory the simulator expects, or :func:`make_mixed_cc_factory` for a
-heterogeneous fleet (per-flow algorithm assignment, deterministic in the
-seed).  Every model keeps its state in declarative FlowTable column blocks
-(:attr:`CongestionControl.cc_columns`) with in-place slot kernels — see
-DESIGN.md, "Congestion control (arrays)".
+routing algorithm.  Every factory has one signature,
+``factory(line_rate_bps, base_rtt_s, flow_id)``: :func:`make_cc_factory`
+gives every flow the same class, :func:`make_mixed_cc_factory` picks a
+class per flow, deterministically in the seed, for a heterogeneous fleet::
+
+    from repro.congestion_control import make_cc_factory, make_mixed_cc_factory
+
+    dcqcn = make_cc_factory("dcqcn")
+    cc = dcqcn(100e9, 0.05, 7)           # line rate, base RTT, flow id
+    cc.rate_bps                          # 100e9: starts at line rate
+
+    fleet = make_mixed_cc_factory({"dcqcn": 0.8, "hpcc": 0.2}, seed=1)
+    fleet(100e9, 0.05, 7).name           # the same class for flow 7, always
+
+The scalar simulator core calls each controller's ``on_feedback`` /
+``on_interval``.  The array core copies the controller's state into
+declarative FlowTable column blocks (:attr:`CongestionControl.cc_columns`)
+when the flow is admitted, runs the class's in-place slot kernels over
+them, and copies the state back when the flow leaves — see DESIGN.md,
+"Congestion control (arrays)".
 """
 
 from .base import (

@@ -8,30 +8,24 @@ reacts to the delayed :class:`~repro.simulator.flow.FeedbackSignal` the fluid
 simulation delivers one path-RTT after congestion occurred, and performs its
 periodic rate-recovery behaviour in :meth:`CongestionControl.on_interval`.
 
-Array residency (the array simulator core): a congestion-control class
+The scalar simulator core calls those two methods on each flow's
+controller object.  The array core never does: a congestion-control class
 declares its per-flow state and its static parameters as a **declarative
 column-block spec** (:attr:`CongestionControl.cc_columns`, built from
-:func:`cc_state` / :func:`cc_param` entries).  From that spec the base class
-derives everything the simulation's
-:class:`~repro.simulator.flow_table.FlowTable` needs:
-
-* the block layout (``table_block_spec``: column name -> numpy dtype),
-* bound-view properties — while an instance is bound to a table row, each
-  spec'd state attribute reads and writes its block column, so scalar
-  methods called on bound instances (the repeated-feedback slow path,
-  tests) observe exactly the table-resident state,
-* :meth:`CongestionControl._push_state` / ``_pull_state`` — state moves
-  into the columns at bind time and back into the instance at release.
-
-Each class then supplies in-place :meth:`advance_batch_slots` /
-:meth:`feedback_batch_slots` kernels operating on its block columns; the
-fluid simulation dispatches the whole fleet through them, grouped per class,
-so no per-flow Python loop survives on the hot step.  Kernels must stay
-bit-for-bit identical to the scalar :meth:`on_interval` / :meth:`on_feedback`
-per row (the equivalence-suite contract; see DESIGN.md, "Congestion control
-(arrays)").  A class that declares no block (a third-party controller) still
-runs on the array core: the base slot hooks loop its :meth:`on_interval` /
-:meth:`on_feedback` over the bound instances.
+:func:`cc_state` / :func:`cc_param` entries) and supplies two in-place
+class kernels, :meth:`~CongestionControl.advance_batch_slots` and
+:meth:`~CongestionControl.feedback_batch_slots`, over the rows of the
+simulation's :class:`~repro.simulator.flow_table.FlowTable`.  From the spec
+the base class derives the block layout (:attr:`table_block_spec`, column
+name -> numpy dtype).  The table copies a controller's sending rate,
+feedback count, state and parameters into its row when the flow is
+admitted and copies the state back when the flow leaves; in between the
+row is authoritative and the object is neither read nor called.  Kernels
+must stay bit-for-bit identical to the scalar :meth:`on_interval` /
+:meth:`on_feedback` per row (the equivalence-suite contract; see
+DESIGN.md, "Congestion control (arrays)").  A class without kernels runs
+on the scalar core only; the array core rejects it when its first flow is
+admitted.
 """
 
 from __future__ import annotations
@@ -61,11 +55,12 @@ class CCColumn:
     Attributes:
         attr: instance attribute the column mirrors.
         dtype: numpy dtype string of the column.
-        kind: ``"state"`` (mutable per-flow algorithm state, moved back into
-            the instance at release) or ``"param"`` (static per-flow
-            parameter, replicated into the row at bind so kernels never
-            gather objects; never pulled back).
-        py: Python type a bound read converts to (``float``/``int``/``bool``).
+        kind: ``"state"`` (mutable per-flow algorithm state, copied back
+            into the instance at release) or ``"param"`` (static per-flow
+            parameter, replicated into the row at admission so kernels
+            never gather objects; never copied back).
+        py: Python type the copy back at release converts to
+            (``float``/``int``/``bool``).
     """
 
     attr: str
@@ -84,42 +79,13 @@ def cc_param(attr: str, dtype: str = "f8") -> CCColumn:
     return CCColumn(attr, dtype, "param", float)
 
 
-def _install_state_property(cls: type, column: str, col: CCColumn) -> None:
-    """Give ``cls`` a bound-view property for one spec'd state attribute.
-
-    Unbound instances keep the value in a shadow attribute (plain Python
-    state, the scalar reference path); bound instances read and write the
-    row of their class's column block, converting reads back through
-    ``col.py`` so scalar arithmetic on bound state stays plain-float.
-    """
-    shadow = "_cc_" + column
-    py = col.py
-
-    def getter(self):
-        t = self._table
-        if t is None:
-            return getattr(self, shadow)
-        return py(getattr(t.cc_block(type(self)), column)[self._slot])
-
-    def setter(self, value):
-        t = self._table
-        if t is None:
-            setattr(self, shadow, value)
-        else:
-            getattr(t.cc_block(type(self)), column)[self._slot] = value
-
-    setattr(
-        cls,
-        col.attr,
-        property(getter, setter, doc=f"Spec'd CC state (block column {column!r})."),
-    )
-
-
 class CongestionControl(abc.ABC):
     """Base class for rate-based congestion-control models.
 
     Subclasses must set :attr:`name` and implement :meth:`on_feedback` and
-    :meth:`on_interval`; they adjust :attr:`rate_bps` in place.
+    :meth:`on_interval`; they adjust :attr:`rate_bps` in place.  To run on
+    the array core they also define the classmethod kernels
+    :meth:`advance_batch_slots` and :meth:`feedback_batch_slots`.
     """
 
     #: registry name, e.g. ``"dcqcn"``
@@ -127,9 +93,8 @@ class CongestionControl(abc.ABC):
 
     #: declarative block spec: column name -> :class:`CCColumn` (built with
     #: :func:`cc_state` / :func:`cc_param`).  Declaring it in a subclass
-    #: derives :attr:`table_block_spec`, the bound-view properties and the
-    #: generic push/pull; empty = the class keeps no block and the
-    #: slot-batch hooks loop the scalar methods
+    #: derives :attr:`table_block_spec`; empty = the class keeps only the
+    #: core ``cc_rate_bps`` / ``feedback_count`` columns
     cc_columns: Dict[str, CCColumn] = {}
 
     #: column name -> numpy dtype string of the per-class state this
@@ -137,15 +102,22 @@ class CongestionControl(abc.ABC):
     #: :mod:`repro.simulator.flow_table`); derived from :attr:`cc_columns`
     table_block_spec: Dict[str, str] = {}
 
+    #: ``advance_batch_slots(table, slots, dt, now)`` — :meth:`on_interval`
+    #: as an in-place classmethod kernel over FlowTable rows ``slots``
+    #: (``None`` = the class has no kernels and runs on the scalar core only)
+    advance_batch_slots = None
+
+    #: ``feedback_batch_slots(table, slots, generated_s, ecn, util, rtt, qd,
+    #: now)`` — :meth:`on_feedback` as an in-place classmethod kernel; the
+    #: signal fields arrive as float64 arrays, element ``i`` for
+    #: ``slots[i]`` (``None`` = no kernels)
+    feedback_batch_slots = None
+
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         columns = cls.__dict__.get("cc_columns")
-        if not columns:
-            return
-        cls.table_block_spec = {name: col.dtype for name, col in columns.items()}
-        for name, col in columns.items():
-            if col.kind == "state":
-                _install_state_property(cls, name, col)
+        if columns:
+            cls.table_block_spec = {name: col.dtype for name, col in columns.items()}
 
     def __init__(self, line_rate_bps: float, base_rtt_s: float, min_rate_bps: float = 1e6):
         """Create a controller.
@@ -162,98 +134,10 @@ class CongestionControl(abc.ABC):
         self.line_rate_bps = float(line_rate_bps)
         self.base_rtt_s = float(base_rtt_s)
         self.min_rate_bps = float(min_rate_bps)
-        #: owning FlowTable / row slot while bound (array core), else None/-1
-        self._table = None
-        self._slot = -1
-        self._rate_bps = float(line_rate_bps)
-        self._fb_count = 0
-
-    # ------------------------------------------------------------------ #
-    # FlowTable binding (see repro.simulator.flow_table)
-    # ------------------------------------------------------------------ #
-    @property
-    def rate_bps(self) -> float:
-        """Current sending rate; table-resident while bound to a FlowTable."""
-        t = self._table
-        if t is None:
-            return self._rate_bps
-        return t.cc_rate_bps[self._slot]
-
-    @rate_bps.setter
-    def rate_bps(self, value: float) -> None:
-        t = self._table
-        if t is None:
-            self._rate_bps = value
-        else:
-            t.cc_rate_bps[self._slot] = value
-
-    @property
-    def feedback_count(self) -> int:
-        """Count of feedback signals processed (useful in tests)."""
-        t = self._table
-        if t is None:
-            return self._fb_count
-        return int(t.feedback_count[self._slot])
-
-    @feedback_count.setter
-    def feedback_count(self, value: int) -> None:
-        t = self._table
-        if t is None:
-            self._fb_count = value
-        else:
-            t.feedback_count[self._slot] = value
-
-    def bind_table(self, table, slot: int) -> None:
-        """Move this controller's mutable state into ``table`` row ``slot``.
-
-        The base class moves the sending rate and feedback count; the
-        spec-derived :meth:`_push_state` / :meth:`_pull_state` move the
-        class's :attr:`cc_columns` block.
-        """
-        table.cc_rate_bps[slot] = self._rate_bps
-        table.feedback_count[slot] = self._fb_count
-        self._push_state(table, slot)
-        self._table = table
-        self._slot = slot
-
-    def unbind_table(self) -> None:
-        """Copy the row's final values back and detach from the table."""
-        table = self._table
-        if table is None:
-            return
-        slot = self._slot
-        self._table = None
-        self._slot = -1
-        self._rate_bps = float(table.cc_rate_bps[slot])
-        self._fb_count = int(table.feedback_count[slot])
-        self._pull_state(table, slot)
-
-    def _push_state(self, table, slot: int) -> None:
-        """Write spec'd state and parameters into the class's block columns.
-
-        Derived from :attr:`cc_columns`; runs before the instance is marked
-        bound, so state attributes still read their unbound shadow values.
-        """
-        columns = type(self).cc_columns
-        if not columns:
-            return
-        block = table.cc_block(type(self))
-        for name, col in columns.items():
-            getattr(block, name)[slot] = getattr(self, col.attr)
-
-    def _pull_state(self, table, slot: int) -> None:
-        """Read spec'd state back from the block columns (params stay).
-
-        Runs after the instance is marked unbound, so assigning the state
-        attributes lands in the shadow storage.
-        """
-        columns = type(self).cc_columns
-        if not columns:
-            return
-        block = table.cc_block(type(self))
-        for name, col in columns.items():
-            if col.kind == "state":
-                setattr(self, col.attr, col.py(getattr(block, name)[slot]))
+        #: current sending rate
+        self.rate_bps = float(line_rate_bps)
+        #: count of feedback signals processed (useful in tests)
+        self.feedback_count = 0
 
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
@@ -265,39 +149,6 @@ class CongestionControl(abc.ABC):
         """Periodic behaviour (rate recovery / increase), every update step."""
 
     # ------------------------------------------------------------------ #
-    # FlowTable slot batches (the array core's dispatch points)
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def advance_batch_slots(cls, table, slots, dt: float, now: float) -> None:
-        """Advance the controllers occupying ``slots`` of ``table``.
-
-        The base implementation calls :meth:`on_interval` on each bound
-        controller; classes that keep their state in a table block
-        override this with in-place masked column operations, which must
-        stay bit-for-bit identical to :meth:`on_interval` per row.
-        """
-        for slot in slots.tolist():
-            table.flow_at(slot).cc.on_interval(dt, now)
-
-    @classmethod
-    def feedback_batch_slots(
-        cls, table, slots, generated_s: float, ecn, util, rtt, qd, now: float
-    ) -> None:
-        """Deliver one feedback signal to each controller in ``slots``.
-
-        The signal fields arrive as parallel arrays (element ``i`` goes to
-        ``slots[i]``).  Same contract as :meth:`advance_batch_slots`: the
-        base builds one :class:`FeedbackSignal` per controller and calls
-        :meth:`on_feedback`; block-resident classes override with in-place
-        column operations.
-        """
-        ecn, util, rtt, qd = ecn.tolist(), util.tolist(), rtt.tolist(), qd.tolist()
-        for i, slot in enumerate(slots.tolist()):
-            table.flow_at(slot).cc.on_feedback(
-                FeedbackSignal(generated_s, ecn[i], util[i], rtt[i], qd[i]), now
-            )
-
-    # ------------------------------------------------------------------ #
     def _clamp(self) -> None:
         """Keep the rate within [min_rate, line_rate]."""
         self.rate_bps = min(self.line_rate_bps, max(self.min_rate_bps, self.rate_bps))
@@ -306,8 +157,9 @@ class CongestionControl(abc.ABC):
         return f"{type(self).__name__}(rate={self.rate_bps / 1e9:.2f} Gbps)"
 
 
-#: a congestion-control factory: (line_rate_bps, base_rtt_s) -> controller
-CCFactory = Callable[[float, float], CongestionControl]
+#: a congestion-control factory:
+#: ``(line_rate_bps, base_rtt_s, flow_id) -> controller``
+CCFactory = Callable[[float, float, int], CongestionControl]
 
 _REGISTRY: Dict[str, Type[CongestionControl]] = {}
 
@@ -333,6 +185,10 @@ def make_cc_factory(name: str, **params) -> CCFactory:
             ``"dctcp"``, ``"ideal"``).
         **params: extra keyword arguments forwarded to the constructor.
 
+    Returns:
+        ``factory(line_rate_bps, base_rtt_s, flow_id)``; every flow gets
+        the same class, so ``flow_id`` is ignored.
+
     Raises:
         KeyError: for unknown names.
     """
@@ -343,7 +199,7 @@ def make_cc_factory(name: str, **params) -> CCFactory:
             f"unknown congestion control {name!r}; available: {available_ccs()}"
         ) from None
 
-    def factory(line_rate_bps: float, base_rtt_s: float) -> CongestionControl:
+    def factory(line_rate_bps: float, base_rtt_s: float, flow_id: int = 0) -> CongestionControl:
         return cls(line_rate_bps, base_rtt_s, **params)
 
     return factory

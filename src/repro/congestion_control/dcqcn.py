@@ -25,15 +25,15 @@ __all__ = ["DCQCN"]
 class DCQCN(CongestionControl):
     """Rate-based DCQCN model.
 
-    All mutable algorithm state (``alpha``, the target rate, both timer
-    accumulators, the increase stage) plus the static parameters live in a
-    per-class :class:`~repro.simulator.flow_table.ColumnBlock` while the
-    instance is bound to a :class:`~repro.simulator.flow_table.FlowTable`
-    (the array simulator core); instance attributes are then views onto the
-    row, and the batched feedback/advance paths run as in-place masked
-    column operations with no per-object gather or writeback.  Unbound
-    instances (the scalar reference path, unit tests) keep plain-attribute
-    behaviour.
+    On the array simulator core, all mutable algorithm state (``alpha``,
+    the target rate, both timer accumulators, the increase stage) plus the
+    static parameters live in a per-class
+    :class:`~repro.simulator.flow_table.ColumnBlock` of the
+    :class:`~repro.simulator.flow_table.FlowTable` from the flow's
+    admission to its release, and the batched feedback/advance kernels
+    run as in-place masked column operations with no per-object gather or
+    writeback.  The scalar core calls :meth:`on_feedback` /
+    :meth:`on_interval` on the instance.
     """
 
     name = "dcqcn"
@@ -95,9 +95,6 @@ class DCQCN(CongestionControl):
         self._time_since_alpha_update = 0.0
         self._increase_stage = 0
         self._congested_recently = False
-
-    # The FlowTable views (bound-state properties, push/pull at bind and
-    # release) are derived from :attr:`cc_columns` by the base class.
 
     # ------------------------------------------------------------------ #
     def on_feedback(self, signal: FeedbackSignal, now: float) -> None:

@@ -23,8 +23,8 @@ class DCTCP(CongestionControl):
 
     Algorithm state (``alpha``, the per-RTT ECN accumulator and sample
     count, the window timer) and the static parameters are block-resident
-    while bound to a :class:`~repro.simulator.flow_table.FlowTable`; the
-    slot-batch kernels below run the exact scalar arithmetic as in-place
+    while the flow holds a :class:`~repro.simulator.flow_table.FlowTable`
+    row; the slot-batch kernels below run the exact scalar arithmetic as in-place
     masked column operations.
     """
 

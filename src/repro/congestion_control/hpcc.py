@@ -21,10 +21,10 @@ __all__ = ["HPCC"]
 class HPCC(CongestionControl):
     """Rate-based HPCC model driven by max-hop utilisation telemetry.
 
-    The reference rate and AI stage are block-resident while bound to a
-    :class:`~repro.simulator.flow_table.FlowTable`; the slot-batch feedback
-    kernel runs the exact scalar window update as in-place masked column
-    operations.  HPCC is purely ACK-clocked, so its periodic kernel is a
+    The reference rate and AI stage are block-resident while the flow
+    holds a :class:`~repro.simulator.flow_table.FlowTable` row; the
+    slot-batch feedback kernel runs the exact scalar window update as
+    in-place masked column operations.  HPCC is purely ACK-clocked, so its periodic kernel is a
     no-op like :meth:`on_interval`.
     """
 

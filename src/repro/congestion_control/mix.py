@@ -13,11 +13,11 @@ Build one from registry names and weights::
     from repro.congestion_control import make_mixed_cc_factory
 
     factory = make_mixed_cc_factory((("dcqcn", 0.8), ("hpcc", 0.2)), seed=7)
-    cc = factory(100e9, 0.05, flow_id=42)   # same class for id 42, always
+    cc = factory(100e9, 0.05, 42)   # same class for flow id 42, always
 
-The fluid simulation detects the :attr:`MixedCCFactory.per_flow` marker and
-passes each demand's ``flow_id``; plain single-class factories keep the
-two-argument calling convention unchanged.
+It has the signature every congestion-control factory has,
+``(line_rate_bps, base_rtt_s, flow_id)``: the fluid simulation passes each
+demand's ``flow_id`` to whatever factory it was given.
 """
 
 from __future__ import annotations
@@ -56,9 +56,6 @@ class MixedCCFactory:
             positive share (normalised internally).
         seed: base seed of the per-flow assignment stream.
     """
-
-    #: marks the factory as wanting the per-flow ``flow_id`` argument
-    per_flow = True
 
     def __init__(
         self, components: Sequence[Tuple[object, float]], seed: int = 0
@@ -100,7 +97,7 @@ class MixedCCFactory:
         self, line_rate_bps: float, base_rtt_s: float, flow_id: int = 0
     ) -> CongestionControl:
         """Build the controller assigned to ``flow_id``."""
-        return self._factories[self.assign(flow_id)](line_rate_bps, base_rtt_s)
+        return self._factories[self.assign(flow_id)](line_rate_bps, base_rtt_s, flow_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         shares = [b - a for a, b in zip([0.0] + self._cum[:-1], self._cum)]

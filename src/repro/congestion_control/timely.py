@@ -22,10 +22,10 @@ class Timely(CongestionControl):
     """Rate-based TIMELY model driven by delayed RTT samples.
 
     The RTT-gradient state (previous sample, difference EWMA, HAI counter)
-    is block-resident while bound to a
-    :class:`~repro.simulator.flow_table.FlowTable`; the slot-batch feedback
-    kernel runs the exact scalar gradient update as in-place masked column
-    operations.  TIMELY is ACK-clocked, so its periodic kernel is a no-op
+    is block-resident while the flow holds a
+    :class:`~repro.simulator.flow_table.FlowTable` row; the slot-batch
+    feedback kernel runs the exact scalar gradient update as in-place
+    masked column operations.  TIMELY is ACK-clocked, so its periodic kernel is a no-op
     like :meth:`on_interval`.
     """
 

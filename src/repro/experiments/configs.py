@@ -81,7 +81,6 @@ class ExperimentSpec:
             ``None`` runs the static workload exactly as before.
         capacity_scale: time-scaling factor for the fluid simulator.
         seed: RNG seed shared by traffic generation and the simulator.
-        update_interval_s / monitor_interval_s: simulator cadences.
         fidelity_noise: measurement-noise sigma (testbed profile of Fig. 6).
         vectorized: run the simulator's array core (default) or the
             pure-Python scalar reference path — both produce bit-identical
@@ -107,8 +106,6 @@ class ExperimentSpec:
     scenario: object = None
     capacity_scale: float = DEFAULT_CAPACITY_SCALE
     seed: int = 1
-    update_interval_s: float = 1e-3
-    monitor_interval_s: float = 1e-3
     fidelity_noise: float = 0.0
     vectorized: bool = True
     instrumentation: bool = False

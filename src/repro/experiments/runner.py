@@ -141,21 +141,23 @@ class ExperimentRunner:
         return self._topology_cache[key]
 
     def router_factory_for(self, spec: ExperimentSpec, topology: Topology, pathset: PathSet):
-        """Resolve the routing algorithm named by the spec."""
+        """Resolve the routing algorithm named by the spec.
+
+        LCMP's congestion-trend interval is the monitor cadence of the
+        spec's :meth:`simulation_config_for`.
+        """
         if spec.router == "lcmp":
             return lcmp_router_factory(
                 topology,
                 pathset,
                 config=spec.lcmp_config or LCMPConfig(),
-                monitor_interval_s=spec.monitor_interval_s,
+                monitor_interval_s=self.simulation_config_for(spec).monitor_interval_s,
             )
         return make_router_factory(spec.router)
 
     def simulation_config_for(self, spec: ExperimentSpec) -> SimulationConfig:
         """Simulator tunables derived from the spec."""
         return SimulationConfig(
-            update_interval_s=spec.update_interval_s,
-            monitor_interval_s=spec.monitor_interval_s,
             fidelity_noise=spec.fidelity_noise,
             seed=spec.seed,
             vectorized=spec.vectorized,

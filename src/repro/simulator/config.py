@@ -82,7 +82,8 @@ class SimulationConfig:
         """Check that the configuration is internally consistent.
 
         Raises:
-            ValueError: on non-positive intervals or inverted ECN thresholds.
+            ValueError: on non-positive intervals or stop time, a negative
+                drain timeout or noise level, or ECN settings out of range.
         """
         if self.update_interval_s <= 0:
             raise ValueError("update_interval_s must be positive")
@@ -96,5 +97,7 @@ class SimulationConfig:
             raise ValueError("ecn_pmax must be in [0, 1]")
         if self.max_sim_time_s <= 0:
             raise ValueError("max_sim_time_s must be positive")
+        if self.drain_timeout_s < 0:
+            raise ValueError("drain_timeout_s must be non-negative")
         if self.fidelity_noise < 0:
             raise ValueError("fidelity_noise must be non-negative")

@@ -77,14 +77,14 @@ class Flow:
     """Runtime state of a single RDMA flow in the fluid model.
 
     Mutable numeric state (remaining bytes, base RTT, achieved rate, the
-    disruption stamp, the route id) lives either in plain attributes (the
-    scalar reference path, standalone use in tests) or in a row of the
-    simulation's :class:`~repro.simulator.flow_table.FlowTable` when
-    :meth:`bind_table` has been called (the array core).  The
-    public surface is identical in both modes — properties dispatch to the
-    table row when bound, and unbound flows behave exactly like the
-    plain-attribute flows of earlier releases — so routers, the scenario
-    injector and existing tests never see the difference.
+    disruption stamp, the route id, and the sending rate) lives either in
+    plain attributes (the scalar reference path, standalone use in tests)
+    or in a row of the simulation's
+    :class:`~repro.simulator.flow_table.FlowTable` when :meth:`bind_table`
+    has been called (the array core).  The public surface is identical in
+    both modes — properties dispatch to the table row when bound — so
+    routers, the scenario injector and failure handling read the same
+    values on both cores.
     """
 
     def __init__(self, demand: FlowDemand, path: Sequence[RuntimeLink], cc, base_rtt_s: float):
@@ -266,8 +266,15 @@ class Flow:
 
     @property
     def sending_rate_bps(self) -> float:
-        """Rate the congestion controller currently allows."""
-        return self.cc.rate_bps
+        """Rate the congestion controller currently allows.
+
+        Table-resident while bound (the FlowTable's ``cc_rate_bps`` column:
+        the controller object holds its admission-time copy until release).
+        """
+        t = self._table
+        if t is None:
+            return self.cc.rate_bps
+        return t.cc_rate_bps[self._slot]
 
     @property
     def inter_dc_links(self) -> Tuple[RuntimeLink, ...]:

@@ -11,34 +11,36 @@ array run is in flight:
   column arrays double in capacity when the free list runs dry;
 * **core columns** hold the state every flow has (``remaining_bytes``,
   ``base_rtt_s``, ``achieved_bps``, the disruption stamp, feedback-line
-  bookkeeping, the congestion controller's sending rate);
+  bookkeeping, the congestion controller's sending rate and feedback
+  count, and the id of its congestion-control class);
 * **per-CC-class column blocks** hold algorithm state: a congestion-control
   class that declares :attr:`~repro.congestion_control.base.CongestionControl
   .cc_columns` gets its own block of columns (state plus replicated static
-  parameters), letting its batched feedback/advance run as in-place masked
+  parameters), letting its feedback/advance kernels run as in-place masked
   array operations with no per-object gather/scatter;
-* **per-class row registries** track which rows each congestion-control
-  class occupies (append on acquire, O(1) swap-remove on release) alongside
-  a per-row class-id column, so mixed-CC fleets dispatch grouped column
-  kernels with no per-step groupby or sort;
+* **one congestion-control dispatch** — :meth:`FlowTable.advance_cc` and
+  :meth:`FlowTable.deliver_feedback` make one class-kernel call per class
+  present in a row batch, grouped by the ``cc_class_id`` column; a table
+  that has only ever held one class skips the grouping;
 * **epochs guard slot reuse** — the feedback delay line stores slot indices,
   so each acquire bumps the row's epoch and delivery drops lanes whose
   epoch no longer matches (a signal headed to a finished flow must never
   reach the slot's next tenant).
 
-Ownership contract (see DESIGN.md, "Flow table"): while a
-:class:`~repro.simulator.flow.Flow` and its controller are *bound* to a row,
-the columns are authoritative and the objects are thin views — their
-properties read and write the row.  :meth:`release` copies the final column
-values back into the objects (unbinding them), so records, failure entries
-and tests keep reading correct values after the flow leaves the table.  The
-scalar reference path never binds anything and keeps its original plain-
-attribute behaviour, bit for bit.
+Ownership contract (see DESIGN.md, "Flow table"): :meth:`FlowTable.acquire`
+copies a controller's rate, feedback count, state and parameters into the
+row, and :meth:`FlowTable.release` copies the state back; no controller
+method is called while its flow holds a row.  The
+:class:`~repro.simulator.flow.Flow` itself stays a view while bound — its
+properties read and write the row, because re-validation, re-routing,
+failure handling and the scenario injector use them on both cores — and
+release copies its final values back too.  The scalar reference path never
+binds anything and keeps plain-attribute behaviour, bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -62,6 +64,9 @@ _CORE_DTYPES: Dict[str, str] = {
     "path_id": "i8",
     "cc_class_id": "i8",
 }
+
+#: fill value of never-used rows, where it is not zero
+_CORE_FILL = {"disrupted_s": np.nan, "feedback_tick": -1, "path_id": -1, "cc_class_id": -1}
 
 
 class ColumnBlock:
@@ -97,6 +102,22 @@ class ColumnBlock:
             setattr(self, name, grown)
 
 
+def _delivery_ranks(rows: np.ndarray, deliver_s: np.ndarray) -> np.ndarray:
+    """Each lane's delivery rank among the lanes addressed to its row.
+
+    Lanes of one row are ordered by deliver time, ties by lane position
+    (``np.lexsort`` is stable) — the scalar core's per-flow delivery order
+    when lanes are laid out in enqueue order.
+    """
+    order = np.lexsort((deliver_s, rows))
+    sorted_rows = rows[order]
+    first = np.flatnonzero(np.r_[True, sorted_rows[1:] != sorted_rows[:-1]])
+    group_start = np.repeat(first, np.diff(np.r_[first, len(order)]))
+    ranks = np.empty(len(order), dtype=np.intp)
+    ranks[order] = np.arange(len(order)) - group_start
+    return ranks
+
+
 class FlowTable:
     """Structure-of-arrays table of per-flow simulation state.
 
@@ -117,8 +138,6 @@ class FlowTable:
         self._free: List[int] = []
         #: next never-used slot
         self._high_water = 0
-        #: live rows, per congestion-control class (uniform-fleet dispatch)
-        self.class_counts: Dict[Type, int] = {}
 
         # --- core columns ---
         self.remaining_bytes = np.zeros(self._capacity)
@@ -135,7 +154,7 @@ class FlowTable:
         #: stamp of the last update tick that delivered feedback to the
         #: row (detects several signals due in one step)
         self.feedback_tick = np.full(self._capacity, -1, dtype=np.int64)
-        #: congestion-controller sending rate (every CC class exposes
+        #: congestion-controller sending rate (every CC class has
         #: ``rate_bps``; keeping it core makes the step-1 gather one take)
         self.cc_rate_bps = np.zeros(self._capacity)
         #: feedback signals delivered to the row's controller
@@ -147,22 +166,15 @@ class FlowTable:
         #: control plane writes routing decisions straight into this
         #: column at arrival / re-route time; -1 = unset)
         self.path_id = np.full(self._capacity, -1, dtype=np.int64)
-        #: id of the occupying flow's CC class (-1 = free); grouped CC
+        #: id of the occupying flow's CC class (-1 = free); the CC
         #: dispatch splits row batches by this column
         self.cc_class_id = np.full(self._capacity, -1, dtype=np.int64)
 
         #: per-CC-class column blocks, keyed by the CC class
         self._blocks: Dict[Type, ColumnBlock] = {}
-
         #: CC classes in first-acquire order; the index is the class id
         self._classes: List[Type] = []
         self._class_ids: Dict[Type, int] = {}
-        #: per-class live-row registries: a grown-by-doubling slot array
-        #: and its live prefix length, indexed by class id
-        self._class_rows: List[np.ndarray] = []
-        self._class_n: List[int] = []
-        #: position of each slot inside its class registry (-1 = none)
-        self._class_pos = np.full(self._capacity, -1, dtype=np.intp)
         self._check_dtypes()
 
     def _check_dtypes(self) -> None:
@@ -197,64 +209,51 @@ class FlowTable:
         """The flow occupying ``slot`` (None when the slot is free)."""
         return self._flows[slot]
 
-    # ------------------------------------------------------------------ #
-    # CC column blocks
-    # ------------------------------------------------------------------ #
     def cc_block(self, cc_cls: Type) -> ColumnBlock:
-        """The column block of ``cc_cls``, created on first request.
+        """The column block of ``cc_cls`` (created when its first flow arrived).
 
         The block's columns come from the class's ``table_block_spec``
         (mapping column name to numpy dtype string, derived from the
         declarative ``cc_columns`` spec).
         """
-        block = self._blocks.get(cc_cls)
-        if block is None:
-            block = ColumnBlock(cc_cls.table_block_spec, self._capacity)
-            self._blocks[cc_cls] = block
-        return block
+        return self._blocks[cc_cls]
 
-    # ------------------------------------------------------------------ #
-    # per-class row registries (grouped CC dispatch)
-    # ------------------------------------------------------------------ #
-    def cc_class_at(self, class_id: int) -> Type:
-        """The CC class registered under ``class_id``."""
-        return self._classes[class_id]
-
-    def class_rows(self, cc_cls: Type) -> np.ndarray:
-        """Live rows occupied by flows of ``cc_cls`` (registry order).
-
-        A view of the cached registry — maintained on acquire/release, so
-        reading it costs nothing per step.
-        """
-        cid = self._class_ids.get(cc_cls)
-        if cid is None:
-            return np.empty(0, dtype=np.intp)
-        return self._class_rows[cid][: self._class_n[cid]]
-
-    def rows_by_class(self):
-        """Yield ``(cc_cls, live rows)`` per class with occupants.
-
-        Classes come out in first-acquire order (the class-id order), which
-        is deterministic for a given demand sequence.
-        """
-        for cid, cc_cls in enumerate(self._classes):
-            n = self._class_n[cid]
-            if n:
-                yield cc_cls, self._class_rows[cid][:n]
+    def _register_class(self, cc_cls: Type) -> int:
+        """Give a newly seen CC class its id and column block."""
+        if cc_cls.advance_batch_slots is None or cc_cls.feedback_batch_slots is None:
+            raise TypeError(
+                f"congestion control {cc_cls.__name__} has no "
+                "advance_batch_slots / feedback_batch_slots column kernels, "
+                "so the array core cannot run it; run it on the scalar core "
+                "with SimulationConfig(vectorized=False)"
+            )
+        cid = len(self._classes)
+        self._classes.append(cc_cls)
+        self._class_ids[cc_cls] = cid
+        self._blocks[cc_cls] = ColumnBlock(cc_cls.table_block_spec, self._capacity)
+        return cid
 
     # ------------------------------------------------------------------ #
     # slot lifecycle
     # ------------------------------------------------------------------ #
     def acquire(self, flow) -> int:
-        """Give ``flow`` a row slot and bind it there.
+        """Give ``flow`` a row slot and copy its state into it.
 
-        The flow and its controller (reached through ``flow.cc``) become
-        views onto the row — the columns are authoritative until
-        :meth:`release`.
+        The flow becomes a view onto the row; its controller (``flow.cc``)
+        has its rate, feedback count, state and parameters copied into the
+        row and is not read or called again until :meth:`release`.
 
         Returns:
             The row slot (stable for the flow's lifetime).
+
+        Raises:
+            TypeError: when the controller's class has no column kernels.
         """
+        cc = flow.cc
+        cc_cls = type(cc)
+        cid = self._class_ids.get(cc_cls)
+        if cid is None:
+            cid = self._register_class(cc_cls)
         if self._free:
             slot = self._free.pop()
         else:
@@ -264,98 +263,128 @@ class FlowTable:
             self._high_water += 1
 
         self._flows[slot] = flow
-        cc_cls = type(flow.cc)
-        self.class_counts[cc_cls] = self.class_counts.get(cc_cls, 0) + 1
-        self._class_add(cc_cls, slot)
+        self.cc_class_id[slot] = cid
         self.epoch[slot] += 1
         self.feedback_live[slot] = True
         self.feedback_tick[slot] = -1
         flow.bind_table(self, slot)
-        flow.cc.bind_table(self, slot)
+        self.cc_rate_bps[slot] = cc.rate_bps
+        self.feedback_count[slot] = cc.feedback_count
+        block = self._blocks[cc_cls]
+        for name, col in cc_cls.cc_columns.items():
+            getattr(block, name)[slot] = getattr(cc, col.attr)
         return slot
 
     def release(self, flow) -> None:
-        """Return the flow's slot to the free list.
+        """Copy the row back into the flow and its controller; free the slot.
 
-        Bound views are unbound first (final column values are copied back
-        into the objects), and the row's ``feedback_live`` flag is cleared
-        so in-flight feedback lanes addressed to it are dropped.
+        The row's ``feedback_live`` flag is cleared so in-flight feedback
+        lanes addressed to it are dropped.
         """
         slot = flow._slot
         if slot < 0 or self._flows[slot] is not flow:
             raise ValueError(f"flow {flow!r} does not occupy a table slot")
-        flow.cc.unbind_table()
+        cc = flow.cc
+        cc.rate_bps = float(self.cc_rate_bps[slot])
+        cc.feedback_count = int(self.feedback_count[slot])
+        block = self._blocks[type(cc)]
+        for name, col in type(cc).cc_columns.items():
+            if col.kind == "state":
+                setattr(cc, col.attr, col.py(getattr(block, name)[slot]))
         flow.unbind_table()
         self.feedback_live[slot] = False
+        self.cc_class_id[slot] = -1
         self._flows[slot] = None
-        cc_cls = type(flow.cc)
-        count = self.class_counts[cc_cls] - 1
-        if count:
-            self.class_counts[cc_cls] = count
-        else:
-            del self.class_counts[cc_cls]
-        self._class_remove(slot)
         self._free.append(slot)
         flow._slot = -1
 
     # ------------------------------------------------------------------ #
-    def _class_add(self, cc_cls: Type, slot: int) -> None:
-        """Register ``slot`` in its class's row registry (O(1) append)."""
-        cid = self._class_ids.get(cc_cls)
-        if cid is None:
-            cid = len(self._classes)
-            self._class_ids[cc_cls] = cid
-            self._classes.append(cc_cls)
-            self._class_rows.append(np.empty(64, dtype=np.intp))
-            self._class_n.append(0)
-        rows = self._class_rows[cid]
-        n = self._class_n[cid]
-        if n == len(rows):
-            grown = np.empty(2 * len(rows), dtype=np.intp)
-            grown[:n] = rows
-            self._class_rows[cid] = rows = grown
-        rows[n] = slot
-        self._class_pos[slot] = n
-        self._class_n[cid] = n + 1
-        self.cc_class_id[slot] = cid
+    # congestion-control dispatch
+    # ------------------------------------------------------------------ #
+    def _class_groups(self, rows: np.ndarray):
+        """``(cc_cls, sel)`` per CC class present in ``rows``, by class id.
 
-    def _class_remove(self, slot: int) -> None:
-        """Drop ``slot`` from its class registry (O(1) swap-remove)."""
-        cid = int(self.cc_class_id[slot])
-        rows = self._class_rows[cid]
-        n = self._class_n[cid] - 1
-        pos = self._class_pos[slot]
-        last = rows[n]
-        rows[pos] = last
-        self._class_pos[last] = pos
-        self._class_n[cid] = n
-        self._class_pos[slot] = -1
-        self.cc_class_id[slot] = -1
+        ``sel`` indexes ``rows``; it is None when the table has only ever
+        held one class (every row is of that class, no grouping needed).
+        """
+        classes = self._classes
+        if len(classes) == 1:
+            return ((classes[0], None),)
+        cids = self.cc_class_id[rows]
+        return [
+            (classes[cid], np.flatnonzero(cids == cid))
+            for cid in np.unique(cids).tolist()
+        ]
+
+    def advance_cc(self, rows: np.ndarray, dt: float, now: float) -> int:
+        """Run :meth:`on_interval` for the controllers of ``rows``.
+
+        Returns:
+            The number of class-kernel calls made (one per class present).
+        """
+        groups = self._class_groups(rows)
+        for cc_cls, sel in groups:
+            cc_cls.advance_batch_slots(self, rows if sel is None else rows[sel], dt, now)
+        return len(groups)
+
+    def deliver_feedback(
+        self,
+        batches: Sequence[Tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+        now: float,
+        deliver_s: Optional[Sequence[np.ndarray]] = None,
+    ) -> int:
+        """Run :meth:`on_feedback` for due feedback signals.
+
+        Args:
+            batches: ``(rows, generated_s, ecn, util, rtt, qd)`` per feedback
+                generation, in enqueue order; lane ``i`` of each array goes
+                to ``rows[i]``, and a row appears at most once per batch.
+            now: delivery time.
+            deliver_s: per-batch deliver times, needed only when a row
+                appears in several batches (``None`` = none does).  Such a
+                row's signals are then applied in deliver-time order, ties
+                in enqueue order: waves of equal per-row rank, each split
+                by batch and class.
+
+        Returns:
+            The number of class-kernel calls made.
+        """
+        if deliver_s is None:
+            return sum(self._feedback_batch(batch, None, now) for batch in batches)
+        ranks = _delivery_ranks(
+            np.concatenate([batch[0] for batch in batches]), np.concatenate(deliver_s)
+        )
+        bounds = np.cumsum([0] + [len(batch[0]) for batch in batches]).tolist()
+        calls = 0
+        for wave in range(int(ranks.max()) + 1):
+            for b, batch in enumerate(batches):
+                sel = np.flatnonzero(ranks[bounds[b] : bounds[b + 1]] == wave)
+                if sel.size:
+                    calls += self._feedback_batch(batch, sel, now)
+        return calls
+
+    def _feedback_batch(self, batch, sel: Optional[np.ndarray], now: float) -> int:
+        """Deliver the lanes ``sel`` (None = all) of one batch; rows distinct."""
+        rows, generated_s, ecn, util, rtt, qd = batch
+        if sel is not None:
+            rows, ecn, util, rtt, qd = rows[sel], ecn[sel], util[sel], rtt[sel], qd[sel]
+        groups = self._class_groups(rows)
+        for cc_cls, g in groups:
+            if g is None:
+                cc_cls.feedback_batch_slots(self, rows, generated_s, ecn, util, rtt, qd, now)
+            else:
+                cc_cls.feedback_batch_slots(
+                    self, rows[g], generated_s, ecn[g], util[g], rtt[g], qd[g], now
+                )
+        return len(groups)
 
     # ------------------------------------------------------------------ #
     def _grow(self) -> None:
         new_capacity = self._capacity * 2
-        for name in (
-            "remaining_bytes",
-            "base_rtt_s",
-            "achieved_bps",
-            "disrupted_s",
-            "feedback_live",
-            "feedback_tick",
-            "cc_rate_bps",
-            "feedback_count",
-            "epoch",
-            "path_id",
-            "cc_class_id",
-            "_class_pos",
-        ):
+        for name in _CORE_DTYPES:
             old = getattr(self, name)
-            grown = np.zeros(new_capacity, dtype=old.dtype)
+            grown = np.full(new_capacity, _CORE_FILL.get(name, 0), dtype=old.dtype)
             grown[: self._capacity] = old
-            if name == "disrupted_s":
-                grown[self._capacity:] = np.nan
-            elif name in ("feedback_tick", "path_id", "cc_class_id", "_class_pos"):
-                grown[self._capacity:] = -1
             setattr(self, name, grown)
         for block in self._blocks.values():
             block._grow(new_capacity)

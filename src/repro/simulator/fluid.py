@@ -22,9 +22,9 @@ congestion-control state resident in a :class:`~repro.simulator.flow_table
 .FlowTable`, runs every per-step operation as numpy array math over a
 CSR-style flow×link incidence structure (:mod:`repro.simulator.incidence`),
 and advances/feeds congestion control through per-class in-place column
-kernels — grouped by CC class, so heterogeneous fleets (per-flow CC mixes)
-stay on the fast path; and the original pure-Python scalar loop, kept as
-the executable specification and selected with
+kernels — one call per CC class present, so heterogeneous fleets
+(per-flow CC mixes) stay on the fast path; and the original pure-Python
+scalar loop, kept as the executable specification and selected with
 ``SimulationConfig(vectorized=False)``.  The equivalence is guarded by
 ``tests/simulator/test_vectorized_equivalence.py``.
 
@@ -64,10 +64,11 @@ class _FeedbackGeneration:
     """One update step's worth of in-flight congestion feedback (arrays).
 
     The array core never materialises per-flow
-    :class:`~repro.simulator.flow.FeedbackSignal` objects for the common
-    path; each step appends one generation holding the step's signal
-    arrays, and lanes are delivered (batched, per congestion-control
-    class) once their ``deliver_s`` passes.  ``next_due_s`` caches the
+    :class:`~repro.simulator.flow.FeedbackSignal` objects; each step
+    appends one generation holding the step's signal arrays, and lanes are
+    delivered through the CC class kernels (see
+    :meth:`~repro.simulator.flow_table.FlowTable.deliver_feedback`) once
+    their ``deliver_s`` passes.  ``next_due_s`` caches the
     earliest undelivered lane so idle generations cost one comparison per
     step.
 
@@ -216,7 +217,7 @@ class FluidSimulation:
         self,
         network: RuntimeNetwork,
         demands: Sequence[FlowDemand],
-        cc_factory: Callable[[float, float], object],
+        cc_factory: Callable[[float, float, int], object],
         config: Optional[SimulationConfig] = None,
         trace_links: bool = False,
         scenario=None,
@@ -226,11 +227,12 @@ class FluidSimulation:
         Args:
             network: runtime network (topology + routers).
             demands: flow demands, in any order (they are sorted by arrival).
-            cc_factory: ``cc_factory(line_rate_bps, base_rtt_s)`` returning a
-                fresh congestion-control instance per flow.
+            cc_factory: ``cc_factory(line_rate_bps, base_rtt_s, flow_id)``
+                returning a fresh congestion-control instance per flow
+                (see :func:`~repro.congestion_control.make_cc_factory`).
             config: simulation tunables.
-            trace_links: record per-link time series (costs memory; used by
-                the motivation figure).
+            trace_links: record per-link time series of every inter-DC
+                link at each monitor sweep (costs memory).
             scenario: optional :class:`~repro.scenarios.events.Scenario`;
                 its events (fault injection, traffic surges, capacity
                 changes) are scheduled on the engine heap and applied to the
@@ -297,8 +299,6 @@ class FluidSimulation:
             self.telemetry.attach_incidence(self._incidence)
         #: queue-monitor sweeps taken by the periodic monitor step
         self._monitor_samples = 0
-        #: the factory wants each demand's flow id (per-flow CC mixes)
-        self._cc_per_flow = bool(getattr(cc_factory, "per_flow", False))
 
         #: FlowTable rows of the active flows, aligned with ``_active``
         #: (grown by doubling; ``_n_active`` is the live prefix length)
@@ -489,19 +489,6 @@ class FluidSimulation:
         event = self.engine.schedule(demand.arrival_s, self._make_arrival(demand))
         self._arrival_events[demand.flow_id] = (event, demand)
 
-    def _make_cc(self, demand: FlowDemand, line_rate_bps: float, base_rtt_s: float):
-        """Build the demand's congestion controller.
-
-        Per-flow factories (``factory.per_flow``, e.g. a
-        :class:`~repro.congestion_control.mix.MixedCCFactory`) receive the
-        demand's flow id so mixed-CC assignment is deterministic across
-        cores and arrival batching; plain factories keep the two-argument
-        calling convention.
-        """
-        if self._cc_per_flow:
-            return self.cc_factory(line_rate_bps, base_rtt_s, flow_id=demand.flow_id)
-        return self.cc_factory(line_rate_bps, base_rtt_s)
-
     def _make_arrival(self, demand: FlowDemand) -> Callable[[], None]:
         """The scalar core's per-flow arrival event."""
 
@@ -513,7 +500,7 @@ class FluidSimulation:
             path = self.network.resolve_path(demand, now)
             base_rtt = 2.0 * sum(link.delay_s for link in path)
             line_rate = path[0].cap_bps
-            cc = self._make_cc(demand, line_rate, base_rtt)
+            cc = self.cc_factory(line_rate, base_rtt, demand.flow_id)
             flow = Flow(demand, path, cc, base_rtt)
             flow.route_id = self.collector.route_index_for(demand.src_dc, flow.path)
             self._append_active(flow)
@@ -595,7 +582,7 @@ class FluidSimulation:
         for demand, path in zip(batch, paths):
             self._pending_arrivals -= 1
             base_rtt = 2.0 * sum(link.delay_s for link in path)
-            cc = self._make_cc(demand, path[0].cap_bps, base_rtt)
+            cc = self.cc_factory(path[0].cap_bps, base_rtt, demand.flow_id)
             flow = Flow(demand, path, cc, base_rtt)
             flow.route_id = collector.route_index_for(demand.src_dc, flow.path)
             row = table.acquire(flow)
@@ -700,13 +687,14 @@ class FluidSimulation:
         Lanes are scanned generation by generation (enqueue order) and
         addressed by FlowTable row: liveness, the slot-reuse epoch guard
         and the repeated-delivery tick check are all column reductions, and
-        every fleet — uniform or mixed — is delivered through the classes'
-        in-place ``feedback_batch_slots`` kernels, grouped per class via the
-        table's class-id column.  A flow normally receives at most one
-        signal per step — one is enqueued per step with a fixed RTT offset
-        — and the rare exception (an RTT-shortening re-route makes several
-        due at once) falls back to sequential per-flow delivery sorted by
-        deliver time, which is exactly the scalar path's order.
+        every due lane is delivered through the classes' in-place
+        ``feedback_batch_slots`` kernels by
+        :meth:`~repro.simulator.flow_table.FlowTable.deliver_feedback`.  A
+        flow normally receives at most one signal per step — one is
+        enqueued per step with a fixed RTT offset.  When an RTT-shortening
+        re-route makes several due at once, the table applies them in
+        per-row deliver-time order, which is exactly the scalar path's
+        order.
         """
         tick = self._update_tick
         line = self._feedback_line
@@ -743,70 +731,25 @@ class FluidSimulation:
 
         if not batches:
             return
+        deliver_s = None
         if repeated:
-            self._deliver_repeated(batches, now)
-            return
-        counts = table.class_counts
-        single_cls = next(iter(counts)) if len(counts) == 1 else None
-        for gen, rows, lanes in batches:
-            if single_cls is not None:
-                self._cc_kernel_dispatches += 1
-                single_cls.feedback_batch_slots(
-                    table,
+            self._deliver_repeated_calls += 1
+            deliver_s = [gen.deliver_s[lanes] for gen, _, lanes in batches]
+        self._cc_kernel_dispatches += table.deliver_feedback(
+            [
+                (
                     rows,
                     gen.generated_s,
                     gen.ecn[lanes],
                     gen.util[lanes],
                     gen.rtt[lanes],
                     gen.qd[lanes],
-                    now,
                 )
-                continue
-            # mixed fleet: split the batch per CC class (one boolean mask
-            # per class present — controllers are per-flow and
-            # independent, so grouped delivery matches the scalar per-flow
-            # order bit for bit) and stay on the in-place column kernels
-            cids = table.cc_class_id[rows]
-            for cid in np.unique(cids).tolist():
-                sel = np.flatnonzero(cids == cid)
-                self._cc_kernel_dispatches += 1
-                table.cc_class_at(cid).feedback_batch_slots(
-                    table,
-                    rows[sel],
-                    gen.generated_s,
-                    gen.ecn[lanes[sel]],
-                    gen.util[lanes[sel]],
-                    gen.rtt[lanes[sel]],
-                    gen.qd[lanes[sel]],
-                    now,
-                )
-
-    def _deliver_repeated(self, batches, now: float) -> None:
-        """Slow path: some flow has several signals due in one step."""
-        self._deliver_repeated_calls += 1
-        by_flow: Dict[int, list] = {}
-        for gen, rows, lanes in batches:
-            idxs = lanes.tolist()
-            flows = [self._table.flow_at(r) for r in rows.tolist()]
-            deliver_l = gen.deliver_s[idxs].tolist()
-            ecn_l = gen.ecn[idxs].tolist()
-            util_l = gen.util[idxs].tolist()
-            rtt_l = gen.rtt[idxs].tolist()
-            qd_l = gen.qd[idxs].tolist()
-            for k, flow in enumerate(flows):
-                by_flow.setdefault(id(flow), []).append(
-                    (
-                        deliver_l[k],
-                        flow,
-                        FeedbackSignal(
-                            gen.generated_s, ecn_l[k], util_l[k], rtt_l[k], qd_l[k]
-                        ),
-                    )
-                )
-        for items in by_flow.values():
-            items.sort(key=lambda item: item[0])
-            for _, flow, signal in items:
-                flow.cc.on_feedback(signal, now)
+                for gen, rows, lanes in batches
+            ],
+            now,
+            deliver_s,
+        )
 
     def _accumulate_path_signals(self, inc, not_marked_links, delay_links):
         """Per-flow path products/sums in exact scalar accumulation order.
@@ -899,7 +842,7 @@ class FluidSimulation:
         state is read and written directly in
         :class:`~repro.simulator.flow_table.FlowTable` columns — the step
         performs no per-flow Python work at all outside the rare
-        completion / repeated-feedback paths.
+        completion path.
         """
         now = self.engine.now
         dt = self.config.update_interval_s
@@ -1019,18 +962,9 @@ class FluidSimulation:
             self._deliver_feedback_line(now)
 
         with self._sp_cc:
-            counts = table.class_counts
-            if len(counts) == 1:
-                (cc_cls,) = counts
-                self._cc_kernel_dispatches += 1
-                cc_cls.advance_batch_slots(table, rows, dt, now)
-            else:
-                # mixed fleet: each class advances its cached row registry
-                # in place — controllers are per-flow and independent, so
-                # grouped advancement matches the scalar per-flow order
-                for cc_cls, cls_rows in table.rows_by_class():
-                    self._cc_kernel_dispatches += 1
-                    cc_cls.advance_batch_slots(table, cls_rows, dt, now)
+            # controllers are per-flow and independent, so advancing them
+            # class by class matches the scalar per-flow order
+            self._cc_kernel_dispatches += table.advance_cc(rows, dt, now)
 
         with self._sp_completions:
             # 6. completions (mark_finished touches no controller state, so
@@ -1049,9 +983,6 @@ class FluidSimulation:
                     finished.append(flow)
 
             self._finish_flows(finished)
-            # the queue monitor, link traces and scenario events read
-            # inter-DC link objects between steps
-            inc.sync_inter_dc()
             self._maybe_stop()
 
     # ------------------------------------------------------------------ #

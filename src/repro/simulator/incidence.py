@@ -22,12 +22,13 @@ re-gathered only when :attr:`RuntimeLink.state_version` says some link
 mutated (scenario fault injection, capacity events) or the registry grew.
 
 Mutable per-link state (queue, carried/dropped bytes, peak queue, offered
-load) is held *in the arrays* while an array run is in flight; the
-owning :class:`~repro.simulator.fluid.FluidSimulation` syncs inter-DC slots
-back to their ``RuntimeLink`` objects every step (the queue monitor and the
-scenario injector read them) and syncs everything back via :meth:`sync_all`
-before results are built.  See DESIGN.md ("Vectorized core") for the layout
-contract and the scalar-vs-vector equivalence guarantee.
+load) is held *in the arrays* while an array run is in flight: the
+telemetry plane sweeps the monitored ports straight from them, and nothing
+reads that state off the ``RuntimeLink`` objects between steps.  The
+owning :class:`~repro.simulator.fluid.FluidSimulation` writes it back to
+the objects once, via :meth:`sync_all`, before results are built.  See
+DESIGN.md ("Vectorized core") for the layout contract and the
+scalar-vs-vector equivalence guarantee.
 """
 
 from __future__ import annotations
@@ -57,13 +58,11 @@ class FlowLinkIncidence:
         self._kmin_l: List[float] = []
         self._kmax_l: List[float] = []
         self._pmax_l: List[float] = []
-        self._interdc_l: List[bool] = []
         # frozen static arrays (rebuilt when the registry grows)
         self.buffer_bytes = np.empty(0)
         self.ecn_kmin = np.empty(0)
         self.ecn_kmax = np.empty(0)
         self.ecn_pmax = np.empty(0)
-        self._interdc_slots = np.empty(0, dtype=np.intp)
         # mutable per-link state (authoritative between syncs)
         self.queue_bytes = np.empty(0)
         self.peak_queue_bytes = np.empty(0)
@@ -112,7 +111,6 @@ class FlowLinkIncidence:
             self._kmin_l.append(link.ecn_kmin_bytes)
             self._kmax_l.append(link.ecn_kmax_bytes)
             self._pmax_l.append(link.ecn_pmax)
-            self._interdc_l.append(link.spec.inter_dc)
             self._registry_dirty = True
         return slot
 
@@ -125,7 +123,6 @@ class FlowLinkIncidence:
         self.ecn_kmin = np.array(self._kmin_l)
         self.ecn_kmax = np.array(self._kmax_l)
         self.ecn_pmax = np.array(self._pmax_l)
-        self._interdc_slots = np.flatnonzero(np.asarray(self._interdc_l, dtype=bool))
         for name in (
             "queue_bytes",
             "peak_queue_bytes",
@@ -220,12 +217,12 @@ class FlowLinkIncidence:
             self.membership_rebuilds += 1
             if len(active_rows):
                 paths = self._paths
-                per_flow = [paths[row] for row in active_rows.tolist()]
+                flow_paths = [paths[row] for row in active_rows.tolist()]
                 self.lengths = np.fromiter(
-                    (len(a) for a in per_flow), dtype=np.intp, count=len(per_flow)
+                    (len(a) for a in flow_paths), dtype=np.intp, count=len(flow_paths)
                 )
-                self.idx = np.concatenate(per_flow)
-                starts = np.zeros(len(per_flow), dtype=np.intp)
+                self.idx = np.concatenate(flow_paths)
+                starts = np.zeros(len(flow_paths), dtype=np.intp)
                 np.cumsum(self.lengths[:-1], out=starts[1:])
                 self.starts = starts
                 mask = np.zeros(len(self._links), dtype=bool)
@@ -262,39 +259,20 @@ class FlowLinkIncidence:
     # ------------------------------------------------------------------ #
     # write-back
     # ------------------------------------------------------------------ #
-    _STATE_FIELDS = (
-        "queue_bytes",
-        "peak_queue_bytes",
-        "carried_bytes",
-        "dropped_bytes",
-        "offered_bps",
-    )
-
-    def _sync_slots(self, slots: np.ndarray) -> None:
-        links = self._links
-        queues = self.queue_bytes[slots].tolist()
-        peaks = self.peak_queue_bytes[slots].tolist()
-        carried = self.carried_bytes[slots].tolist()
-        dropped = self.dropped_bytes[slots].tolist()
-        offered = self.offered_bps[slots].tolist()
-        for i, slot in enumerate(slots.tolist()):
-            link = links[slot]
-            link.queue_bytes = queues[i]
-            link.peak_queue_bytes = peaks[i]
-            link.carried_bytes = carried[i]
-            link.dropped_bytes = dropped[i]
-            link.offered_bps = offered[i]
-
-    def sync_inter_dc(self) -> None:
-        """Write inter-DC slots back to their RuntimeLink objects.
-
-        Called every update step: the queue monitor, link traces and the
-        scenario injector read inter-DC link state between steps.
-        """
-        if len(self._interdc_slots):
-            self._sync_slots(self._interdc_slots)
-
     def sync_all(self) -> None:
-        """Write every registered slot back (end of run / result build)."""
-        if len(self._links):
-            self._sync_slots(np.arange(len(self._links), dtype=np.intp))
+        """Write the state arrays back to their links (result build).
+
+        Only slots the arrays already cover are written: a link registered
+        after the last refresh — or a run that stopped before its first
+        update step — still holds its own state on the object.
+        """
+        links = self._links
+        for name in (
+            "queue_bytes",
+            "peak_queue_bytes",
+            "carried_bytes",
+            "dropped_bytes",
+            "offered_bps",
+        ):
+            for link, value in zip(links, getattr(self, name).tolist()):
+                setattr(link, name, value)

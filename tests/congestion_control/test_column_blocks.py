@@ -1,12 +1,14 @@
-"""Per-class CC column-block suite: spec derivation and kernel equivalence.
+"""Per-class CC column-block suite: spec derivation, copy-in / copy-out and
+kernel equivalence.
 
 Every congestion-control class declares its FlowTable block declaratively
-(``cc_columns``); the base class derives the block layout, the bound-view
-properties and the bind/release push/pull from it.  These tests check that
-derivation for each class, and — the load-bearing contract — that each
-class's in-place ``feedback_batch_slots`` / ``advance_batch_slots`` kernels
-are *bit-for-bit* identical to its scalar ``on_feedback`` / ``on_interval``
-under arrival/finish churn and slot reuse.
+(``cc_columns``); the base class derives the block layout from it, and the
+FlowTable copies a controller's state into its row at ``acquire`` and back
+at ``release``.  These tests check that contract for each class, and — the
+load-bearing one — that each class's in-place ``feedback_batch_slots`` /
+``advance_batch_slots`` kernels are *bit-for-bit* identical to its scalar
+``on_feedback`` / ``on_interval`` under arrival/finish churn, slot reuse and
+repeated feedback delivery.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ from repro.simulator.flow import FeedbackSignal, Flow, FlowDemand
 from repro.simulator.link import RuntimeLink
 from repro.topology.graph import LinkSpec
 
-#: every registered CC class (the ISSUE's five paper CCs + FixedRate)
+#: every registered CC class (the five paper CCs + FixedRate)
 CC_CLASSES = [DCQCN, DCTCP, HPCC, Timely, IdealCC, FixedRate]
 
 LINE_RATE = 10e9
@@ -40,15 +42,28 @@ def make_flow(flow_id: int, cc) -> Flow:
     return Flow(demand, [link], cc, base_rtt_s=BASE_RTT)
 
 
-def state_attrs(cc_cls):
-    return [col.attr for col in cc_cls.cc_columns.values() if col.kind == "state"]
+def state_columns(cc_cls):
+    return [(name, col) for name, col in cc_cls.cc_columns.items() if col.kind == "state"]
 
 
-def assert_same_state(bound, plain, cc_cls, context=""):
-    assert bound.rate_bps == plain.rate_bps, f"rate {context}"
-    assert bound.feedback_count == plain.feedback_count, f"feedback_count {context}"
-    for attr in state_attrs(cc_cls):
-        assert getattr(bound, attr) == getattr(plain, attr), f"{attr} {context}"
+def assert_same_state(released, plain, cc_cls, context=""):
+    """A controller object's state equals its scalar twin's."""
+    assert released.rate_bps == plain.rate_bps, f"rate {context}"
+    assert released.feedback_count == plain.feedback_count, f"feedback_count {context}"
+    for _, col in state_columns(cc_cls):
+        assert getattr(released, col.attr) == getattr(plain, col.attr), f"{col.attr} {context}"
+
+
+def assert_row_matches(table, slot, plain, context=""):
+    """A table row's CC state equals the scalar twin's object state."""
+    cc_cls = type(plain)
+    assert table.cc_rate_bps[slot] == plain.rate_bps, f"rate {context}"
+    assert table.feedback_count[slot] == plain.feedback_count, f"feedback_count {context}"
+    block = table.cc_block(cc_cls)
+    for name, col in state_columns(cc_cls):
+        assert col.py(getattr(block, name)[slot]) == getattr(plain, col.attr), (
+            f"{col.attr} {context}"
+        )
 
 
 def lane_signal(step: int, lane: int):
@@ -61,6 +76,11 @@ def lane_signal(step: int, lane: int):
     return ecn, util, rtt, qd
 
 
+def signal_arrays(step: int, n: int):
+    sig = [lane_signal(step, lane) for lane in range(n)]
+    return tuple(np.array([s[k] for s in sig]) for k in range(4))
+
+
 @pytest.mark.parametrize("cc_cls", CC_CLASSES, ids=lambda c: c.name)
 class TestSpecDerivation:
     def test_block_spec_derived_from_columns(self, cc_cls):
@@ -68,68 +88,59 @@ class TestSpecDerivation:
         for name, col in cc_cls.cc_columns.items():
             assert cc_cls.table_block_spec[name] == col.dtype
 
-    def test_state_properties_dispatch_to_block(self, cc_cls):
+    def test_acquire_copies_state_and_params_into_row(self, cc_cls):
         table = FlowTable(capacity=4)
         cc = cc_cls(LINE_RATE, BASE_RTT)
-        unbound_values = {attr: getattr(cc, attr) for attr in state_attrs(cc_cls)}
+        slot = table.acquire(make_flow(0, cc))
+        block = table.cc_block(cc_cls)
+        assert table.cc_rate_bps[slot] == cc.rate_bps
+        assert table.feedback_count[slot] == cc.feedback_count
+        for name, col in cc_cls.cc_columns.items():
+            # state and parameters alike are replicated into the row
+            assert float(getattr(block, name)[slot]) == float(getattr(cc, col.attr))
+        # the object is a copy, not a view: writing it leaves the row alone
+        cc.rate_bps = 1.0
+        assert table.cc_rate_bps[slot] == LINE_RATE
+
+    def test_release_copies_row_state_back(self, cc_cls):
+        table = FlowTable(capacity=4)
+        cc = cc_cls(LINE_RATE, BASE_RTT)
+        twin = cc_cls(LINE_RATE, BASE_RTT)
         flow = make_flow(0, cc)
         slot = table.acquire(flow)
-        block = table.cc_block(cc_cls) if cc_cls.cc_columns else None
-        for name, col in cc_cls.cc_columns.items():
-            if col.kind != "state":
-                continue
-            # bind pushed the unbound value into the column
-            assert col.py(getattr(block, name)[slot]) == unbound_values[col.attr]
-            # writes through the property land in the column
-            new = (not unbound_values[col.attr]) if col.py is bool else col.py(1)
-            setattr(cc, col.attr, new)
-            assert col.py(getattr(block, name)[slot]) == new
-        for name, col in cc_cls.cc_columns.items():
-            if col.kind == "param":
-                # parameters are replicated into the row at bind
-                assert float(getattr(block, name)[slot]) == float(
-                    getattr(cc, col.attr)
-                )
-        table.release(flow)
-        assert cc._table is None
-
-    def test_release_pulls_state_back(self, cc_cls):
-        table = FlowTable(capacity=4)
-        cc = cc_cls(LINE_RATE, BASE_RTT)
-        flow = make_flow(0, cc)
-        table.acquire(flow)
-        # mutate through the scalar methods while bound
+        slots = np.array([slot], dtype=np.intp)
+        # mutate the row through the kernels, the twin through the scalar
+        # methods; the object sees none of it until release
         for step in range(20):
-            ecn, util, rtt, qd = lane_signal(step, 0)
-            cc.on_feedback(FeedbackSignal(step * 1e-3, ecn, util, rtt, qd), step * 1e-3)
-            cc.on_interval(1e-3, step * 1e-3)
-        snapshot = {attr: getattr(cc, attr) for attr in state_attrs(cc_cls)}
-        rate, count = cc.rate_bps, cc.feedback_count
+            now = step * 1e-3
+            ecn, util, rtt, qd = signal_arrays(step, 1)
+            cc_cls.feedback_batch_slots(table, slots, now, ecn, util, rtt, qd, now)
+            twin.on_feedback(FeedbackSignal(now, ecn[0], util[0], rtt[0], qd[0]), now)
+            cc_cls.advance_batch_slots(table, slots, 1e-3, now)
+            twin.on_interval(1e-3, now)
+        assert cc.feedback_count == 0
         table.release(flow)
-        assert cc.rate_bps == rate
-        assert cc.feedback_count == count
-        for attr, value in snapshot.items():
-            assert getattr(cc, attr) == value
+        assert_same_state(cc, twin, cc_cls)
+        for _, col in state_columns(cc_cls):
+            assert type(getattr(cc, col.attr)) is col.py
 
 
 @pytest.mark.parametrize("cc_cls", CC_CLASSES, ids=lambda c: c.name)
-class TestBoundScalarEquivalence:
-    def test_bound_and_unbound_instances_stay_bitwise_identical(self, cc_cls):
-        """The scalar methods act identically through the block views."""
+class TestDetachedController:
+    def test_object_writes_while_in_table_are_overwritten_at_release(self, cc_cls):
+        """The row is authoritative from acquire to release: state written
+        to the object in between is discarded, not merged."""
         table = FlowTable(capacity=4)
-        bound = cc_cls(LINE_RATE, BASE_RTT)
-        plain = cc_cls(LINE_RATE, BASE_RTT)
-        flow = make_flow(0, cc=bound)
+        cc = cc_cls(LINE_RATE, BASE_RTT)
+        untouched = cc_cls(LINE_RATE, BASE_RTT)
+        flow = make_flow(0, cc)
         table.acquire(flow)
-        for step in range(120):
-            now = step * 1e-3
-            ecn, util, rtt, qd = lane_signal(step, 0)
-            signal = FeedbackSignal(now, ecn, util, rtt, qd)
-            bound.on_feedback(signal, now)
-            plain.on_feedback(signal, now)
-            bound.on_interval(1e-3, now)
-            plain.on_interval(1e-3, now)
-        assert_same_state(bound, plain, cc_cls)
+        cc.rate_bps = 1.0
+        cc.feedback_count = 99
+        for _, col in state_columns(cc_cls):
+            setattr(cc, col.attr, col.py(7))
+        table.release(flow)
+        assert_same_state(cc, untouched, cc_cls)
 
 
 @pytest.mark.parametrize("cc_cls", CC_CLASSES, ids=lambda c: c.name)
@@ -140,17 +151,21 @@ class TestKernelEquivalence:
 
     def run_lockstep(self, cc_cls, steps, churn=False):
         table = FlowTable(capacity=8)  # force growth
-        bound, plain, flows = [], [], []
+        held, plain, flows = [], [], []
         next_id = 0
-        for _ in range(self.N):
-            b = cc_cls(LINE_RATE, BASE_RTT)
-            p = cc_cls(LINE_RATE, BASE_RTT)
-            f = make_flow(next_id, b)
+
+        def admit():
+            nonlocal next_id
+            h = cc_cls(LINE_RATE, BASE_RTT)
+            f = make_flow(next_id, h)
             next_id += 1
             table.acquire(f)
-            bound.append(b)
-            plain.append(p)
+            held.append(h)
+            plain.append(cc_cls(LINE_RATE, BASE_RTT))
             flows.append(f)
+
+        for _ in range(self.N):
+            admit()
 
         rng = np.random.default_rng(7)
         for step in range(steps):
@@ -158,29 +173,16 @@ class TestKernelEquivalence:
             if churn and step and step % 40 == 0:
                 # release a few rows and hand their slots to newcomers —
                 # kernels must neither read stale state nor leak any into
-                # the next tenant
+                # the next tenant; released objects carry the row state
                 for _ in range(3):
                     victim = int(rng.integers(len(flows)))
                     table.release(flows.pop(victim))
-                    bound.pop(victim)
-                    plain.pop(victim)
+                    assert_same_state(held.pop(victim), plain.pop(victim), cc_cls)
                 for _ in range(3):
-                    b = cc_cls(LINE_RATE, BASE_RTT)
-                    p = cc_cls(LINE_RATE, BASE_RTT)
-                    f = make_flow(next_id, b)
-                    next_id += 1
-                    table.acquire(f)
-                    bound.append(b)
-                    plain.append(p)
-                    flows.append(f)
+                    admit()
 
             slots = np.array([f._slot for f in flows], dtype=np.intp)
-            n = len(slots)
-            sig = [lane_signal(step, lane) for lane in range(n)]
-            ecn = np.array([s[0] for s in sig])
-            util = np.array([s[1] for s in sig])
-            rtt = np.array([s[2] for s in sig])
-            qd = np.array([s[3] for s in sig])
+            ecn, util, rtt, qd = signal_arrays(step, len(slots))
 
             cc_cls.feedback_batch_slots(table, slots, now, ecn, util, rtt, qd, now)
             for i, p in enumerate(plain):
@@ -191,13 +193,13 @@ class TestKernelEquivalence:
             for p in plain:
                 p.on_interval(1e-3, now)
 
-            for i, (b, p) in enumerate(zip(bound, plain)):
-                assert_same_state(b, p, cc_cls, context=f"step {step} lane {i}")
+            for i, (slot, p) in enumerate(zip(slots.tolist(), plain)):
+                assert_row_matches(table, slot, p, context=f"step {step} lane {i}")
 
-        # release everything; final values must survive unbinding
-        for f, b, p in zip(flows, bound, plain):
+        # release everything; final values must survive the copy back
+        for f, h, p in zip(flows, held, plain):
             table.release(f)
-            assert_same_state(b, p, cc_cls, context="after release")
+            assert_same_state(h, p, cc_cls, context="after release")
 
     def test_kernels_match_scalar(self, cc_cls):
         self.run_lockstep(cc_cls, steps=150)
@@ -206,17 +208,72 @@ class TestKernelEquivalence:
         self.run_lockstep(cc_cls, steps=200, churn=True)
 
 
+#: the FlowTable-level repeated-delivery cases: each class alone, plus a
+#: fleet cycling through all of them
+FLEETS = [[cls] for cls in CC_CLASSES] + [CC_CLASSES]
+
+
+@pytest.mark.parametrize("fleet", FLEETS, ids=[f[0].name for f in FLEETS[:-1]] + ["mixed"])
+class TestRepeatedDelivery:
+    """Several due signals per row, through ``FlowTable.deliver_feedback``."""
+
+    N = 12
+    GENERATIONS = 5
+
+    def test_rows_apply_signals_in_deliver_time_order(self, fleet):
+        table = FlowTable(capacity=4)
+        flows, twins = [], []
+        for i in range(self.N):
+            cls = fleet[i % len(fleet)]
+            flows.append(make_flow(i, cls(LINE_RATE, BASE_RTT)))
+            twins.append(cls(LINE_RATE, BASE_RTT))
+            table.acquire(flows[-1])
+        slots = np.array([f._slot for f in flows], dtype=np.intp)
+        rng = np.random.default_rng(5)
+        now = 1.0
+
+        batches, deliver_s, pending = [], [], {i: [] for i in range(self.N)}
+        for gen in range(self.GENERATIONS):
+            lanes = np.sort(rng.choice(self.N, size=self.N - gen, replace=False))
+            # deliver times out of enqueue order across generations (an
+            # RTT-shortening reroute), with exact ties among them
+            due = now - rng.integers(0, 4, size=len(lanes)) * 1e-3
+            ecn, util, rtt, qd = signal_arrays(gen, len(lanes))
+            generated = 0.5 + gen * 1e-3
+            batches.append((slots[lanes], generated, ecn, util, rtt, qd))
+            deliver_s.append(due)
+            for k, lane in enumerate(lanes.tolist()):
+                signal = FeedbackSignal(generated, ecn[k], util[k], rtt[k], qd[k])
+                pending[lane].append((due[k], signal))
+        assert any(
+            [d for d, _ in items] != sorted(d for d, _ in items)
+            for items in pending.values()
+        ), "no row received out-of-order signals; the case is vacuous"
+
+        calls = table.deliver_feedback(batches, now, deliver_s)
+
+        for lane, twin in enumerate(twins):
+            # a stable sort keeps enqueue (generation) order among ties
+            for _, signal in sorted(pending[lane], key=lambda item: item[0]):
+                twin.on_feedback(signal, now)
+            assert twin.feedback_count == len(pending[lane])
+            assert_row_matches(table, slots[lane], twin, context=f"row {lane}")
+        waves = max(len(items) for items in pending.values())
+        assert calls >= waves
+
+
 class TestKernelSubsetDispatch:
     def test_kernels_touch_only_their_slots(self):
         """Delivering to a subset leaves the other rows' state untouched
         (the grouped mixed-fleet dispatch relies on this)."""
         table = FlowTable(capacity=8)
-        ccs = [DCQCN(LINE_RATE, BASE_RTT) for _ in range(6)]
-        flows = [make_flow(i, cc) for i, cc in enumerate(ccs)]
+        flows = [make_flow(i, DCQCN(LINE_RATE, BASE_RTT)) for i in range(6)]
         for f in flows:
             table.acquire(f)
+        block = table.cc_block(DCQCN)
         before = [
-            (cc.rate_bps, cc.alpha, cc.feedback_count) for cc in ccs
+            (table.cc_rate_bps[f._slot], block.alpha[f._slot], table.feedback_count[f._slot])
+            for f in flows
         ]
         subset = np.array([flows[1]._slot, flows[4]._slot], dtype=np.intp)
         DCQCN.feedback_batch_slots(
@@ -224,43 +281,60 @@ class TestKernelSubsetDispatch:
             np.array([0.9, 0.9]), np.array([1.5, 1.5]),
             np.array([0.03, 0.03]), np.array([0.01, 0.01]), 0.0,
         )
-        for i, cc in enumerate(ccs):
+        for i, f in enumerate(flows):
+            s = f._slot
+            after = (table.cc_rate_bps[s], block.alpha[s], table.feedback_count[s])
             if i in (1, 4):
-                assert cc.feedback_count == 1
-                assert cc.rate_bps < before[i][0]
+                assert after[2] == 1
+                assert after[0] < before[i][0]
             else:
-                assert (cc.rate_bps, cc.alpha, cc.feedback_count) == before[i]
+                assert after == before[i]
 
 
-def test_base_subclass_without_spec_keeps_object_dispatch():
-    """A CC class with no cc_columns still works through the base
-    slot-batch hooks (loop the scalar methods over the bound instances)."""
+class _NoKernels(CongestionControl):
+    """A controller with scalar methods only."""
 
-    class Plain(CongestionControl):
-        name = "plain-test"
+    name = "no-kernels-test"
 
-        def on_feedback(self, signal, now):
-            self.feedback_count += 1
-            self.rate_bps *= 0.5
-            self._clamp()
+    def on_feedback(self, signal, now):
+        self.feedback_count += 1
+        self.rate_bps *= 0.5
+        self._clamp()
 
-        def on_interval(self, dt, now):
-            self.rate_bps *= 1.01
-            self._clamp()
+    def on_interval(self, dt, now):
+        self.rate_bps *= 1.01
+        self._clamp()
 
-    table = FlowTable(capacity=4)
-    ccs = [Plain(LINE_RATE, BASE_RTT) for _ in range(3)]
-    flows = [make_flow(i, cc) for i, cc in enumerate(ccs)]
-    for f in flows:
-        table.acquire(f)
-    slots = np.array([f._slot for f in flows], dtype=np.intp)
-    Plain.feedback_batch_slots(
-        table, slots, 0.0, np.zeros(3), np.ones(3), np.full(3, 0.02), np.zeros(3), 0.0
-    )
-    Plain.advance_batch_slots(table, slots, 1e-3, 0.0)
-    twin = Plain(LINE_RATE, BASE_RTT)
-    twin.on_feedback(FeedbackSignal(0.0, 0.0, 1.0, 0.02, 0.0), 0.0)
-    twin.on_interval(1e-3, 0.0)
-    for cc in ccs:
-        assert cc.rate_bps == twin.rate_bps
-        assert cc.feedback_count == 1
+
+class TestClassWithoutKernels:
+    def test_array_core_rejects_it_at_acquire(self):
+        table = FlowTable(capacity=4)
+        with pytest.raises(TypeError, match=r"_NoKernels.*vectorized=False"):
+            table.acquire(make_flow(0, _NoKernels(LINE_RATE, BASE_RTT)))
+        # the rejected flow took no row
+        assert len(table) == 0
+
+    def test_scalar_core_runs_it(self, tiny_topology, tiny_pathset, quick_sim_config):
+        from repro.routing import make_router_factory
+        from repro.simulator import FluidSimulation, RuntimeNetwork
+
+        demands = [
+            FlowDemand(i, "A", "B", i % 4, (i + 1) % 4, 500_000, 0.002 * i)
+            for i in range(10)
+        ]
+
+        def factory(line_rate_bps, base_rtt_s, flow_id):
+            return _NoKernels(line_rate_bps, base_rtt_s)
+
+        def run(vectorized):
+            config = quick_sim_config.with_overrides(vectorized=vectorized)
+            network = RuntimeNetwork(
+                tiny_topology, tiny_pathset, make_router_factory("ecmp"), config
+            )
+            return FluidSimulation(network, demands, factory, config).run()
+
+        result = run(vectorized=False)
+        assert result.unfinished_flows == 0
+        assert len(result.records) == 10
+        with pytest.raises(TypeError, match="vectorized=False"):
+            run(vectorized=True)

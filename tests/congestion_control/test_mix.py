@@ -4,7 +4,13 @@ import pickle
 
 import pytest
 
-from repro.congestion_control import DCQCN, HPCC, MixedCCFactory, make_mixed_cc_factory
+from repro.congestion_control import (
+    DCQCN,
+    HPCC,
+    MixedCCFactory,
+    make_cc_factory,
+    make_mixed_cc_factory,
+)
 from repro.experiments import DEFAULT_CC_MIX, ExperimentSpec, mixed_fleet_spec
 
 
@@ -34,7 +40,7 @@ class TestMixedCCFactory:
     def test_accepts_mapping_and_ready_made_factories(self):
         by_mapping = make_mixed_cc_factory({"dcqcn": 1.0})
         assert type(by_mapping(10e9, 0.02, flow_id=0)) is DCQCN
-        custom = MixedCCFactory((((lambda lr, rtt: HPCC(lr, rtt)), 1.0),), seed=0)
+        custom = MixedCCFactory((((lambda lr, rtt, flow_id: HPCC(lr, rtt)), 1.0),), seed=0)
         assert type(custom(10e9, 0.02, flow_id=0)) is HPCC
 
     def test_rejects_empty_and_nonpositive(self):
@@ -45,9 +51,14 @@ class TestMixedCCFactory:
         with pytest.raises(KeyError):
             make_mixed_cc_factory((("cubic", 1.0),))
 
-    def test_marked_per_flow(self):
-        factory = make_mixed_cc_factory(DEFAULT_CC_MIX, seed=9)
-        assert factory.per_flow
+    def test_factories_share_one_signature(self):
+        """Mixed and uniform factories both take (line_rate, base_rtt, flow_id)."""
+        mixed = make_mixed_cc_factory(DEFAULT_CC_MIX, seed=9)
+        uniform = make_cc_factory("hpcc")
+        for flow_id in range(20):
+            cc = mixed(100e9, 0.05, flow_id)
+            assert cc.name == mixed.labels[mixed.assign(flow_id)]
+            assert uniform(100e9, 0.05, flow_id).name == "hpcc"
 
     def test_spec_with_mix_is_picklable(self):
         """Parallel sweeps ship specs (not factories) to workers; a mixed

@@ -1,10 +1,11 @@
 """Unit tests for the structure-of-arrays FlowTable.
 
 Covers the row-slot lifecycle (acquire / release / reuse / growth) under
-arrive–finish–fail churn, the bound-view semantics of Flow and DCQCN
-(properties read and write the table row; release copies final values
-back), and the epoch guard that keeps recycled slots from receiving a
-previous tenant's in-flight feedback.
+arrive–finish–fail churn, the ownership contract (Flow properties read and
+write the table row; a controller's state is copied in at acquire and back
+at release), the per-class congestion-control dispatch, and the epoch
+guard that keeps recycled slots from receiving a previous tenant's
+in-flight feedback.
 """
 
 import numpy as np
@@ -138,7 +139,7 @@ class TestBoundViews:
         assert flow.achieved_bps == 3e9
         assert flow.completed
 
-    def test_dcqcn_state_is_block_resident_while_bound(self):
+    def test_dcqcn_state_copied_in_at_acquire_and_back_at_release(self):
         table = FlowTable(capacity=2)
         cc = DCQCN(100e9, 0.05)
         flow = make_flow(0, cc=cc)
@@ -146,92 +147,96 @@ class TestBoundViews:
         block = table.cc_block(DCQCN)
         assert block.alpha[slot] == 1.0
         assert table.cc_rate_bps[slot] == 100e9
-        cc.alpha = 0.5
-        cc.rate_bps = 42e9
-        cc._increase_stage = 7
-        assert block.alpha[slot] == 0.5
-        assert table.cc_rate_bps[slot] == 42e9
-        assert block.stage[slot] == 7.0
+        # the kernels write the row; the object keeps its admission copy
+        block.alpha[slot] = 0.5
+        table.cc_rate_bps[slot] = 42e9
+        block.stage[slot] = 7.0
+        assert cc.alpha == 1.0
         table.release(flow)
         assert cc.alpha == 0.5
         assert cc.rate_bps == 42e9
         assert cc._increase_stage == 7
 
-    def test_bound_and_unbound_dcqcn_stay_bitwise_identical(self):
-        """The scalar methods produce identical state through the views."""
+    def test_sending_rate_reads_the_row_while_bound(self):
+        """Rerouting, failure handling and the scenario injector read a
+        flow's rate through the flow on both cores."""
         table = FlowTable(capacity=2)
-        bound_cc = DCQCN(100e9, 0.05)
-        plain_cc = DCQCN(100e9, 0.05)
-        flow = make_flow(0, cc=bound_cc)
-        table.acquire(flow)
-        from repro.simulator.flow import FeedbackSignal
+        cc = DCQCN(100e9, 0.05)
+        flow = make_flow(0, cc=cc)
+        slot = table.acquire(flow)
+        table.cc_rate_bps[slot] = 42e9
+        assert flow.sending_rate_bps == 42e9
+        table.release(flow)
+        assert flow.sending_rate_bps == cc.rate_bps == 42e9
 
-        for step in range(50):
-            signal = FeedbackSignal(step * 1e-3, 0.1 if step % 7 == 0 else 0.0, 0.5, 0.05, 0.0)
-            bound_cc.on_feedback(signal, step * 1e-3)
-            plain_cc.on_feedback(signal, step * 1e-3)
-            bound_cc.on_interval(1e-3, step * 1e-3)
-            plain_cc.on_interval(1e-3, step * 1e-3)
-        assert bound_cc.rate_bps == plain_cc.rate_bps
-        assert bound_cc.alpha == plain_cc.alpha
-        assert bound_cc.target_rate_bps == plain_cc.target_rate_bps
-        assert bound_cc._increase_stage == plain_cc._increase_stage
-
-    def test_class_counts_track_live_fleet(self):
+    def test_class_id_column_tracks_live_fleet(self):
         table = FlowTable(capacity=4)
         dcqcn_flow = make_flow(0, cc=DCQCN(100e9, 0.05))
         fixed_flow = make_flow(1)
         table.acquire(dcqcn_flow)
         table.acquire(fixed_flow)
-        assert table.class_counts == {DCQCN: 1, FixedRate: 1}
+        ids = {int(table.cc_class_id[f._slot]) for f in (dcqcn_flow, fixed_flow)}
+        assert ids == {0, 1}
+        slot = dcqcn_flow._slot
         table.release(dcqcn_flow)
-        assert table.class_counts == {FixedRate: 1}
+        assert table.cc_class_id[slot] == -1
 
 
-class TestClassRowRegistries:
-    """Cached per-class row sets + the class-id column (grouped dispatch)."""
+def _spy(monkeypatch, calls):
+    """Record every advance-kernel call as ``(class, rows)``."""
+    for cc_cls in (DCQCN, FixedRate):
+        original = cc_cls.advance_batch_slots.__func__
 
-    def test_rows_tracked_per_class(self):
+        def kernel(klass, table, slots, dt, now, _original=original):
+            calls.append((klass, slots.copy()))
+            _original(klass, table, slots, dt, now)
+
+        monkeypatch.setattr(cc_cls, "advance_batch_slots", classmethod(kernel))
+
+
+class TestClassDispatch:
+    """One kernel call per class present, grouped by the class-id column."""
+
+    def test_one_call_per_class_present(self, monkeypatch):
         table = FlowTable(capacity=4)
         dcqcn_flows = [make_flow(i, cc=DCQCN(100e9, 0.05)) for i in range(2)]
         fixed_flows = [make_flow(10 + i) for i in range(3)]
         for f in dcqcn_flows + fixed_flows:
             table.acquire(f)
-        assert sorted(table.class_rows(DCQCN).tolist()) == sorted(
-            f._slot for f in dcqcn_flows
-        )
-        assert sorted(table.class_rows(FixedRate).tolist()) == sorted(
-            f._slot for f in fixed_flows
-        )
-        for f in dcqcn_flows:
-            assert table.cc_class_at(int(table.cc_class_id[f._slot])) is DCQCN
-        by_class = dict(table.rows_by_class())
-        assert set(by_class) == {DCQCN, FixedRate}
-        assert len(by_class[FixedRate]) == 3
+        calls = []
+        _spy(monkeypatch, calls)
+        rows = np.array([f._slot for f in fixed_flows + dcqcn_flows], dtype=np.intp)
+        assert table.advance_cc(rows, 1e-3, 0.0) == 2
+        # classes in first-acquire order, each with exactly its own rows
+        assert [cls for cls, _ in calls] == [DCQCN, FixedRate]
+        assert calls[0][1].tolist() == [f._slot for f in dcqcn_flows]
+        assert calls[1][1].tolist() == [f._slot for f in fixed_flows]
+        # a batch holding only one class of a mixed table makes one call
+        calls.clear()
+        assert table.advance_cc(rows[:3], 1e-3, 0.0) == 1
+        assert [cls for cls, _ in calls] == [FixedRate]
 
-    def test_swap_remove_keeps_registry_consistent(self):
+    def test_single_class_table_skips_grouping(self, monkeypatch):
         table = FlowTable(capacity=4)
         flows = [make_flow(i, cc=DCQCN(100e9, 0.05)) for i in range(4)]
         for f in flows:
             table.acquire(f)
-        # remove from the middle: the registry swap-removes and repositions
         table.release(flows[1])
-        assert sorted(table.class_rows(DCQCN).tolist()) == sorted(
-            f._slot for f in (flows[0], flows[2], flows[3])
-        )
-        assert table.cc_class_id[1] == -1
-        # the freed slot goes to a different class; registries stay disjoint
-        newcomer = make_flow(99)
-        slot = table.acquire(newcomer)
-        assert slot == 1
-        assert table.class_rows(FixedRate).tolist() == [1]
-        assert 1 not in table.class_rows(DCQCN).tolist()
+        table.cc_class_id[:] = 99  # never read for a single-class table
+        calls = []
+        _spy(monkeypatch, calls)
+        rows = np.array([flows[3]._slot, flows[0]._slot], dtype=np.intp)
+        assert table.advance_cc(rows, 1e-3, 0.0) == 1
+        assert calls[0][0] is DCQCN
+        assert calls[0][1].tolist() == rows.tolist()
 
-    def test_registry_survives_growth_and_churn(self):
+    def test_groups_partition_rows_under_growth_and_churn(self, monkeypatch):
         table = FlowTable(capacity=2)
         rng = np.random.default_rng(3)
         live = []
         next_id = 0
+        calls = []
+        _spy(monkeypatch, calls)
         for _ in range(400):
             if live and rng.random() < 0.45:
                 victim = live.pop(int(rng.integers(len(live))))
@@ -242,16 +247,16 @@ class TestClassRowRegistries:
                 next_id += 1
                 table.acquire(flow)
                 live.append(flow)
-            # invariant: registries partition the live set exactly
+            # invariant: the kernel calls partition the live rows by class
+            calls.clear()
+            rows = np.array([f._slot for f in live], dtype=np.intp)
+            table.advance_cc(rows, 1e-3, 0.0)
             union = []
-            for cc_cls, rows in table.rows_by_class():
-                rows = rows.tolist()
-                assert len(set(rows)) == len(rows)
-                for slot in rows:
+            for cc_cls, slots in calls:
+                for slot in slots.tolist():
                     assert type(table.flow_at(slot).cc) is cc_cls
-                    assert table.cc_class_at(int(table.cc_class_id[slot])) is cc_cls
-                union.extend(rows)
-            assert sorted(union) == sorted(f._slot for f in live)
+                union.extend(slots.tolist())
+            assert sorted(union) == sorted(rows.tolist())
 
 
 class TestSimulationChurn:

@@ -162,6 +162,34 @@ class TestResultRepresentation:
         assert LCMPConfig(flow_idle_timeout_s=2.0).flow_idle_timeout_s == 2.0
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            (dict(update_interval_s=0.0), "update_interval_s"),
+            (dict(monitor_interval_s=-1e-3), "monitor_interval_s"),
+            (dict(gc_interval_s=0.0), "gc_interval_s"),
+            (dict(ecn_kmin_fraction=-0.1), "ecn_kmin_fraction"),
+            (dict(ecn_kmin_fraction=0.6, ecn_kmax_fraction=0.5), "ecn_kmin_fraction"),
+            (dict(ecn_kmax_fraction=1.5), "ecn_kmax_fraction"),
+            (dict(ecn_pmax=1.2), "ecn_pmax"),
+            (dict(ecn_pmax=-0.1), "ecn_pmax"),
+            (dict(max_sim_time_s=0.0), "max_sim_time_s"),
+            (dict(drain_timeout_s=-1.0), "drain_timeout_s"),
+            (dict(fidelity_noise=-0.01), "fidelity_noise"),
+        ],
+        ids=lambda v: "-".join(f"{k}={v[k]!r}" for k in v) if isinstance(v, dict) else "",
+    )
+    def test_validate_rejects(self, overrides, match):
+        config = SimulationConfig().with_overrides(**overrides)
+        with pytest.raises(ValueError, match=match):
+            config.validate()
+
+    def test_default_and_zero_drain_are_valid(self):
+        SimulationConfig().validate()
+        SimulationConfig(drain_timeout_s=0.0).validate()
+
+
 class TestRerouteErrors:
     """A fast-failover reroute only tolerates "no route": any other error
     raised while re-resolving a disrupted flow's path propagates."""

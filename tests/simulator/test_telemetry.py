@@ -125,28 +125,32 @@ class TestSweep:
 
 class TestObjectVsIncidenceSweep:
     def test_planes_agree_at_every_step(self):
-        """On the array core, a plane gathering from the incidence arrays
-        reads exactly what a plane reading the synced link objects reads,
-        through the cut and the repair."""
-        sim = build_cut_repair_sim("lcmp", vectorized=True)
-        objects = TelemetryPlane(sim.network)
-        arrays = TelemetryPlane(sim.network)
-        arrays.attach_incidence(sim._incidence)
-        steps_with_dead_port = []
+        """A plane sweeping the scalar core's link objects and a plane
+        gathering from the array core's incidence arrays read the same
+        columns after every update step, through the cut and the repair."""
 
-        def compare(sim, now):
-            objects.sweep(now)
-            arrays.sweep(now)
+        def sweeps(vectorized):
+            sim = build_cut_repair_sim("lcmp", vectorized=vectorized)
+            plane = TelemetryPlane(sim.network)
+            if vectorized:
+                plane.attach_incidence(sim._incidence)
+            columns = []
+
+            def sweep(sim, now):
+                plane.sweep(now)
+                columns.append({name: getattr(plane, name) for name in COLUMNS})
+
+            sim.add_step_observer(sweep)
+            sim.run()
+            return columns
+
+        objects, arrays = sweeps(vectorized=False), sweeps(vectorized=True)
+        assert len(objects) == len(arrays) > 20
+        for step, (a, b) in enumerate(zip(objects, arrays)):
             for name in COLUMNS:
-                a, b = getattr(objects, name), getattr(arrays, name)
-                assert a.dtype == b.dtype and np.array_equal(a, b), (name, now)
-            if not objects.up.all():
-                steps_with_dead_port.append(now)
-
-        sim.add_step_observer(compare)
-        sim.run()
-        assert objects.sweeps > 20
-        assert steps_with_dead_port
+                assert a[name].dtype == b[name].dtype, (name, step)
+                assert np.array_equal(a[name], b[name]), (name, step)
+        assert any(not step["up"].all() for step in objects)
 
 
 class TestRouterStateAcrossCores:

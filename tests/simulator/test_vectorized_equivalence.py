@@ -16,12 +16,18 @@ import dataclasses
 
 import pytest
 
-from repro.congestion_control import make_cc_factory, make_mixed_cc_factory
+from repro.congestion_control import (
+    available_ccs,
+    make_cc_factory,
+    make_mixed_cc_factory,
+)
+from repro.congestion_control.base import CongestionControl
+from repro.experiments import ExperimentRunner, ExperimentSpec
 from repro.routing import make_router_factory
 from repro.scenarios import get_scenario
 from repro.scenarios.events import CapacityChange, LinkDown, LinkUp, Scenario, TrafficSurge
 from repro.simulator import FluidSimulation, RuntimeNetwork, SimulationConfig
-from repro.simulator.flow import FlowDemand
+from repro.simulator.flow import FeedbackSignal, FlowDemand
 from repro.topology import build_testbed8
 from repro.topology import testbed8_pathset as _testbed8_pathset
 from repro.workloads import TrafficConfig, TrafficGenerator
@@ -222,7 +228,7 @@ class TestScenarioEquivalence:
 
 class TestRttShorteningRerouteEquivalence:
     """Several feedback lanes coming due in one step — the repeated-delivery
-    slow path (``fluid._deliver_repeated``).
+    slow path (per-row deliver-time waves in ``FlowTable.deliver_feedback``).
 
     Flows hashed onto the 500 ms DC1–DC2 route lose it mid-run and re-route
     onto paths with RTTs shorter by far more than an update step, so the
@@ -392,3 +398,65 @@ class TestCorrelatedScenarioEquivalence:
         with_scenario = run_sim(vectorized=True, scenario=empty)
         without = run_sim(vectorized=True, scenario=None)
         assert_results_identical(with_scenario, without)
+
+
+class TestEarlyStopEquivalence:
+    """A run that stops before its first update step still builds a result."""
+
+    def test_stop_before_first_update_step(self):
+        spec = ExperimentSpec(name="early-stop")
+        runner = ExperimentRunner()
+        topology, pathset = runner.topology_for(spec)
+        demands = runner.demands_for(spec, topology, pathset)
+
+        def run(vectorized):
+            config = runner.simulation_config_for(spec).with_overrides(
+                max_sim_time_s=5e-4, vectorized=vectorized
+            )
+            network = RuntimeNetwork(
+                topology, pathset, runner.router_factory_for(spec, topology, pathset), config
+            )
+            sim = FluidSimulation(network, demands, runner.cc_factory_for(spec), config)
+            return sim.run()
+
+        scalar, array = run(vectorized=False), run(vectorized=True)
+        assert array.duration_s == 5e-4
+        assert array.unfinished_flows > 0
+        assert_results_identical(scalar, array)
+
+
+class TestArrayCoreCallsNoController:
+    """On the array core every CC call is a class kernel over table rows:
+    no controller's ``on_feedback`` / ``on_interval`` runs and no
+    ``FeedbackSignal`` is built — including the repeated-delivery reroute
+    case."""
+
+    @pytest.fixture
+    def forbid_controller_calls(self, monkeypatch):
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} object path used")
+
+        classes = [type(make_cc_factory(name)(1e9, 0.01, 0)) for name in available_ccs()]
+        for cls in classes + [CongestionControl]:
+            monkeypatch.setattr(cls, "on_feedback", forbidden)
+            monkeypatch.setattr(cls, "on_interval", forbidden)
+        monkeypatch.setattr(FeedbackSignal, "__init__", forbidden)
+
+    @pytest.mark.parametrize("cc", ["dcqcn", "hpcc", MIX], ids=["dcqcn", "hpcc", "mixed"])
+    def test_static_and_scenario_runs(self, cc, forbid_controller_calls):
+        result = run_sim(
+            vectorized=True, cc=cc, num_flows=100,
+            scenario=early_scenario("single-link-cut"),
+        )
+        assert len(result.records) > 0
+
+    def test_rtt_shortening_reroute(self, forbid_controller_calls):
+        result = TestRttShorteningRerouteEquivalence().run_reroute(
+            vectorized=True, cc=MIX, instrumentation=True
+        )
+        assert result.stats["counters"]["slow_path.deliver_repeated"] > 0
+
+    def test_scalar_core_does_call_them(self, forbid_controller_calls):
+        """The guard is live: the scalar core trips it at once."""
+        with pytest.raises(AssertionError, match="object path used"):
+            run_sim(vectorized=False, num_flows=20)
