@@ -10,6 +10,20 @@
 * :class:`~repro.core.lcmp_router.LCMPRouter` — the full data-plane pipeline
   (registered in the router registry as ``"lcmp"``).
 * :mod:`~repro.core.resource_model` — the §4 resource accounting.
+
+:func:`lcmp_router_factory` provisions one router per DCI switch from the
+control plane; plug it into a runtime network, or ask a router directly::
+
+    from repro.core import lcmp_router_factory
+    from repro.simulator import FlowDemand
+    from repro.topology import build_testbed8, testbed8_pathset
+
+    topology = build_testbed8()
+    paths = testbed8_pathset(topology)
+    router = lcmp_router_factory(topology, paths)("DC1")
+    flow = FlowDemand(1, "DC1", "DC8", 0, 0, 10**6, 0.0)
+    router.select("DC8", paths.candidates("DC1", "DC8"), flow, now=0.0).dcs
+    router.stats()["decisions"]          # 1
 """
 
 from .config import LCMPConfig

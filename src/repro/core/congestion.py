@@ -14,6 +14,9 @@ three signals:
   level stays above a high-water mark and decays otherwise.
 
 The fused score is ``C_cong = min((w_ql*Q + w_tl*T + w_dp*D) >> S_cong, 255)``.
+A port's score only changes when the port is sampled, so the estimator
+memoises it per port: the port's next :meth:`CongestionEstimator.observe`
+(or :meth:`CongestionEstimator.reset`) drops the memo.
 """
 
 from __future__ import annotations
@@ -49,6 +52,8 @@ class CongestionEstimator:
         self.tables = tables
         self.config = config or tables.config
         self._ports: Dict[str, PortCongestionState] = {}
+        #: memoised C_cong per port, dropped by the port's next observe
+        self._scores: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # sampling
@@ -60,6 +65,7 @@ class CongestionEstimator:
         (Eq. 3) and the duration counter, and records the observed sampling
         interval so trend normalisation stays correct if the cadence drifts.
         """
+        self._scores.pop(port, None)
         state = self._ports.setdefault(port, PortCongestionState(rate_bps=rate_bps))
         state.rate_bps = rate_bps
 
@@ -114,7 +120,13 @@ class CongestionEstimator:
         return min(255, state.dur_cnt >> self.config.duration_shift)
 
     def congestion_score(self, port: str) -> int:
-        """C_cong for ``port`` (Eq. 4 and Eq. 5)."""
+        """C_cong for ``port`` (Eq. 4 and Eq. 5), memoised until its next sample."""
+        score = self._scores.get(port)
+        if score is None:
+            score = self._scores[port] = self._fused_score(port)
+        return score
+
+    def _fused_score(self, port: str) -> int:
         q = self.queue_score(port)
         t = self.trend_score(port)
         d = self.duration_score(port)
@@ -136,5 +148,7 @@ class CongestionEstimator:
         """Drop state for one port, or all ports when ``port`` is None."""
         if port is None:
             self._ports.clear()
+            self._scores.clear()
         else:
             self._ports.pop(port, None)
+            self._scores.pop(port, None)

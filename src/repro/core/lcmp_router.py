@@ -21,21 +21,21 @@ When no tables are available at all the router falls back to plain ECMP
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..routing.base import Router, flow_hash, flow_hash_array, register_router
+from ..routing.base import Router, flow_hash, register_router
 from ..simulator.flow import FlowDemand
 from ..topology.paths import CandidatePath
 from .config import LCMPConfig
 from .congestion import CongestionEstimator
 from .control_plane import PathKey
-from .cost_fusion import PathCost, score_candidates
+from .cost_fusion import score_candidates
 from .failover import PortLivenessTracker
 from .flow_cache import FlowCache
 from .path_quality import candidate_path_quality
-from .selection import SelectionOutcome, filter_candidates, select_path
+from .selection import reduce_candidates
 from .switch_tables import SwitchTables
 
 __all__ = ["LCMPRouter"]
@@ -66,7 +66,8 @@ class LCMPRouter(Router):
         self.herd_fallbacks = 0
         self.sticky_hits = 0
         self.failover_rehashes = 0
-        self.last_outcome: Optional[SelectionOutcome] = None
+        #: selection plan per candidate set (see :meth:`_plan`)
+        self._plans: Dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------ #
     # control-plane installation
@@ -76,6 +77,7 @@ class LCMPRouter(Router):
         self.tables = tables
         self._path_scores = dict(path_scores)
         self.estimator = CongestionEstimator(tables, self.config)
+        self._plans.clear()
 
     @property
     def installed(self) -> bool:
@@ -102,6 +104,7 @@ class LCMPRouter(Router):
                     buffer_bytes=max(buffers[i], 1.0),
                 )
                 self.estimator = CongestionEstimator(self.tables, self.config)
+                self._plans.clear()
             self.estimator.observe(port, queues[i], caps[i], now)
 
     def on_tick(self, now: float) -> None:
@@ -142,12 +145,10 @@ class LCMPRouter(Router):
             self.flow_cache.insert(demand.flow_id, chosen.first_hop, now)
             return chosen
 
-        costs = self._cost_candidates(candidates)
-        outcome = select_path(costs, demand.flow_id, self.config)
-        self.last_outcome = outcome
-        if outcome.all_congested:
+        herd, positions = self._plan(candidates, tuple([c.dcs for c in candidates]))
+        if herd:
             self.herd_fallbacks += 1
-        chosen = outcome.chosen.candidate
+        chosen = candidates[self._pick(positions, demand.flow_id)]
         self.flow_cache.insert(demand.flow_id, chosen.first_hop, now)
         return chosen
 
@@ -162,79 +163,83 @@ class LCMPRouter(Router):
     ) -> np.ndarray:
         """Batched LCMP decision, identical per flow to :meth:`select`.
 
-        The expensive pipeline stages are flow-independent: candidate cost
-        fusion, the herd filter and the reduced-set construction run *once*
-        per batch, and only the per-flow pieces remain sequential — the
-        flow-identification cache pass and the diversity-preserving hash,
-        which is one vectorized :func:`flow_hash_array` over the reduced
-        set.  The fast path requires that the batch cannot interact with
-        the flow cache's LRU state (the simulator's arrival batches carry
-        fresh unique ids, so lookups all miss and inserts cannot evict);
-        when a batched flow is already cached, or inserting the batch
-        could evict, the cache pass and the selection would interleave
-        differently than ``select``'s per-flow order — those batches
-        take the generic sequential loop instead, which is identical by
+        The flow-independent stages (cost fusion, the herd filter and the
+        reduced set) come from the candidate set's selection plan
+        (:meth:`_plan`), so only the per-flow pieces remain: the
+        flow-identification lookup, the diversity-preserving hash and the
+        cache insert, in arrival order.  The fast path requires that the
+        batch cannot interact with the flow cache's LRU state (the
+        simulator's arrival batches carry fresh unique ids, so lookups all
+        miss and inserts cannot evict); when a batched flow is already
+        cached, or inserting the batch could evict, the batch takes the
+        generic sequential loop instead, which is identical by
         construction.
         """
         n = len(demands)
         cache = self.flow_cache
         if len(cache) + n > cache.capacity or any(d.flow_id in cache for d in demands):
             return Router.select_batch(self, dst_dc, candidates, demands, times, now)
-        times_l = (
-            [float(now)] * n if times is None else np.asarray(times, dtype=np.float64).tolist()
-        )
-        positions = {id(c): j for j, c in enumerate(candidates)}
+        times_l = [float(now)] * n if times is None else [float(t) for t in times]
         self.decisions += n
-        for i, demand in enumerate(demands):
-            # guaranteed miss (guard above); keeps the miss counter exact
-            self.flow_cache.lookup(demand.flow_id, times_l[i])
-        ids = np.fromiter(
-            (d.flow_id for d in demands), dtype=np.int64, count=n
-        )
-
         if not self.installed:
             # safe fallback: behave exactly like ECMP until provisioned
             self.ecmp_fallbacks += n
-            chosen_idx = (
-                flow_hash_array(ids, self.config.hash_salt) % len(candidates)
-            ).astype(np.intp)
+            positions: Sequence[int] = range(len(candidates))
         else:
-            costs = self._cost_candidates(candidates)
-            all_congested = all(
-                c.congestion >= self.config.congested_threshold for c in costs
-            )
-            if all_congested:
+            key = tuple(path_ids) if path_ids is not None else tuple([c.dcs for c in candidates])
+            herd, positions = self._plan(candidates, key)
+            if herd:
                 self.herd_fallbacks += n
-                best = min(costs, key=lambda c: (c.fused, c.candidate.dcs))
-                self.last_outcome = SelectionOutcome(
-                    chosen=best, reduced_set=[best], all_congested=True
-                )
-                chosen_idx = np.full(n, positions[id(best.candidate)], dtype=np.intp)
-            else:
-                reduced = filter_candidates(costs, self.config.keep_fraction)
-                reduced_to_candidate = np.fromiter(
-                    (positions[id(c.candidate)] for c in reduced),
-                    dtype=np.intp,
-                    count=len(reduced),
-                )
-                inner = (
-                    flow_hash_array(ids, self.config.hash_salt) % len(reduced)
-                ).astype(np.intp)
-                chosen_idx = self.backend.gather_rows(reduced_to_candidate, inner)
-                self.last_outcome = SelectionOutcome(
-                    chosen=reduced[int(inner[-1])],
-                    reduced_set=reduced,
-                    all_congested=False,
-                )
-
-        chosen_l = chosen_idx.tolist()
-        for i, demand in enumerate(demands):
-            self.flow_cache.insert(demand.flow_id, candidates[chosen_l[i]].first_hop, times_l[i])
-        return chosen_idx
+        for demand, t in zip(demands, times_l):
+            # guaranteed miss (guard above); keeps the miss counter exact
+            cache.lookup(demand.flow_id, t)
+        chosen = []
+        for demand, t in zip(demands, times_l):
+            j = self._pick(positions, demand.flow_id)
+            chosen.append(j)
+            cache.insert(demand.flow_id, candidates[j].first_hop, t)
+        return np.array(chosen, dtype=np.intp)
 
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
+    def _plan(
+        self, candidates: Sequence[CandidatePath], key: tuple
+    ) -> Tuple[bool, Tuple[int, ...]]:
+        """The selection plan of one candidate set: ``(all_congested, positions)``.
+
+        ``positions`` are the candidate positions of the reduced set (just
+        the minimum-cost one under the herd fallback).  A plan depends on
+        C_path, which changes only when tables are installed (that drops
+        every plan), and on the first hops' C_cong, which changes only
+        when the estimator samples a port.  So the plan is memoised per
+        ``key`` (the candidates' global path ids, or their DC tuples) and
+        recomputed only when the first hops' C_cong tuple differs from the
+        one it was built from.
+        """
+        score = self.estimator.congestion_score
+        plan = self._plans.get(key)
+        if plan is not None:
+            hops, cong, herd, positions = plan
+            if tuple(map(score, hops)) == cong:
+                return herd, positions
+        hops = tuple([c.first_hop for c in candidates])
+        cong = tuple(map(score, hops))
+        costs = score_candidates(
+            candidates, [self._path_quality_of(c) for c in candidates], cong, self.config
+        )
+        reduced, herd = reduce_candidates(costs, self.config)
+        position_of = {id(c): j for j, c in enumerate(costs)}
+        positions = tuple([position_of[id(c)] for c in reduced])
+        self._plans[key] = (hops, cong, herd, positions)
+        return herd, positions
+
+    def _pick(self, positions: Sequence[int], flow_id: int) -> int:
+        """The diversity-preserving hash of ``flow_id`` into ``positions``."""
+        if len(positions) == 1:
+            return positions[0]
+        return positions[flow_hash(flow_id, self.config.hash_salt) % len(positions)]
+
     def _candidate_via(
         self, candidates: Sequence[CandidatePath], next_hop: str
     ) -> Optional[CandidatePath]:
@@ -242,11 +247,6 @@ class LCMPRouter(Router):
             if candidate.first_hop == next_hop:
                 return candidate
         return None
-
-    def _cost_candidates(self, candidates: Sequence[CandidatePath]) -> List[PathCost]:
-        path_scores = [self._path_quality_of(c) for c in candidates]
-        congestion_scores = [self._congestion_of(c) for c in candidates]
-        return score_candidates(candidates, path_scores, congestion_scores, self.config)
 
     def _path_quality_of(self, candidate: CandidatePath) -> int:
         key: PathKey = (candidate.dst, candidate.dcs)
@@ -257,11 +257,6 @@ class LCMPRouter(Router):
             score = candidate_path_quality(candidate, self.tables, self.config)
             self._path_scores[key] = score
         return score
-
-    def _congestion_of(self, candidate: CandidatePath) -> int:
-        if self.estimator is None:
-            return 0
-        return self.estimator.congestion_score(candidate.first_hop)
 
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, int]:

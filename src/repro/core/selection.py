@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from ..routing.base import flow_hash
 from .config import LCMPConfig
 from .cost_fusion import PathCost
 
-__all__ = ["SelectionOutcome", "filter_candidates", "select_path"]
+__all__ = ["SelectionOutcome", "filter_candidates", "reduce_candidates", "select_path"]
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,25 @@ def filter_candidates(costs: Sequence[PathCost], keep_fraction: float) -> List[P
     return ordered[:keep]
 
 
+def reduce_candidates(
+    costs: Sequence[PathCost], config: LCMPConfig
+) -> Tuple[List[PathCost], bool]:
+    """The flow-independent part of :func:`select_path`.
+
+    Returns:
+        ``(reduced, all_congested)``: the set the flow hash picks from and
+        the herd verdict.  Under the herd fallback the set is just the
+        minimum-cost path, so the hash always lands on it.
+    """
+    if not costs:
+        raise ValueError("no candidates to select from")
+    if all(c.congestion >= config.congested_threshold for c in costs):
+        # randomising among uniformly bad choices is pointless: take the
+        # minimum-cost path (paper §3.4, fallbacks and corner cases)
+        return [min(costs, key=lambda c: (c.fused, c.candidate.dcs))], True
+    return filter_candidates(costs, config.keep_fraction), False
+
+
 def select_path(
     costs: Sequence[PathCost],
     flow_id: int,
@@ -65,16 +84,6 @@ def select_path(
     Returns:
         A :class:`SelectionOutcome`; ``chosen`` is the selected path.
     """
-    if not costs:
-        raise ValueError("no candidates to select from")
-
-    all_congested = all(c.congestion >= config.congested_threshold for c in costs)
-    if all_congested:
-        # randomising among uniformly bad choices is pointless: take the
-        # minimum-cost path (paper §3.4, fallbacks and corner cases)
-        best = min(costs, key=lambda c: (c.fused, c.candidate.dcs))
-        return SelectionOutcome(chosen=best, reduced_set=[best], all_congested=True)
-
-    reduced = filter_candidates(costs, config.keep_fraction)
+    reduced, all_congested = reduce_candidates(costs, config)
     index = flow_hash(flow_id, config.hash_salt) % len(reduced)
-    return SelectionOutcome(chosen=reduced[index], reduced_set=reduced, all_congested=False)
+    return SelectionOutcome(chosen=reduced[index], reduced_set=reduced, all_congested=all_congested)

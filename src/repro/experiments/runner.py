@@ -177,7 +177,23 @@ class ExperimentRunner:
         return make_cc_factory(spec.cc)
 
     def demands_for(self, spec: ExperimentSpec, topology: Topology, pathset: PathSet):
-        """Generate the traffic matrix of a spec."""
+        """Generate the traffic matrix of a spec.
+
+        Raises:
+            ValueError: when an explicit ``spec.pairs`` names a DC the built
+                topology does not have (``spec.validate`` cannot know the
+                topology's DCs, so this is checked here).
+        """
+        if spec.pairs != "all_to_all":
+            known = set(topology.dcs)
+            for pair in spec.pairs:
+                unknown = [dc for dc in pair if dc not in known]
+                if unknown:
+                    raise ValueError(
+                        f"traffic pair {tuple(pair)!r} names DC {unknown[0]!r}, which "
+                        f"topology {topology.name!r} does not have; its DCs are "
+                        f"{list(topology.dcs)}"
+                    )
         traffic = TrafficConfig(
             workload=spec.workload,
             load=spec.load,

@@ -11,9 +11,11 @@ the switch's own port telemetry).
 :meth:`Router.select_batch` routes many simultaneous arrivals in one call.
 The base implementation loops :meth:`Router.select` (so batch decisions are
 identical to sequential ones by construction); every shipped router
-overrides it with array operations over the candidate table —
-:func:`flow_hash_array` is the vectorized twin of :func:`flow_hash` and
-produces bit-identical hashes.
+overrides it.  The baselines use array operations over the candidate
+table — :func:`flow_hash_array` is the vectorized twin of :func:`flow_hash`
+and produces bit-identical hashes — while LCMP, whose calls carry about
+one flow at paper scale, hashes each flow with :func:`flow_hash` against a
+memoised per-candidate-set plan.
 
 Telemetry arrives through one hook, :meth:`Router.on_telemetry`: one
 queue-monitor sweep of the attached switch's egress ports as a

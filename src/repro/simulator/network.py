@@ -258,9 +258,10 @@ class RuntimeNetwork:
         for i, demand in enumerate(demands):
             if demand.src_dc != demand.dst_dc:
                 groups.setdefault((demand.src_dc, demand.dst_dc), []).append(i)
+        times_l = np.asarray(times, dtype=np.float64).tolist()
         for (src, dst), members in groups.items():
             self._resolve_group_batch(
-                src, dst, members, demands, times, inter, {src}, 0
+                src, dst, members, demands, times_l, inter, {src}, 0
             )
 
         paths: List[List[RuntimeLink]] = []
@@ -277,12 +278,18 @@ class RuntimeNetwork:
         dst: str,
         members: List[int],
         demands: Sequence[FlowDemand],
-        times: np.ndarray,
+        times: List[float],
         inter: List[List[RuntimeLink]],
         visited: set,
         depth: int,
     ) -> None:
-        """One hop of the grouped walk (recurses per chosen next hop)."""
+        """One hop of the grouped walk (recurses per chosen next hop).
+
+        The walk is depth-first: a group is routed to the destination
+        before its sibling groups.  At paper scale groups hold about one
+        flow and their visited sets differ, so a hop-synchronous regroup
+        would merge almost nothing.
+        """
         if current == dst:
             return
         if depth >= _MAX_RESOLVE_HOPS:
@@ -313,9 +320,7 @@ class RuntimeNetwork:
 
         switch = self._switches[current]
         sub_demands = [demands[i] for i in members]
-        sub_times = times[members] if isinstance(times, np.ndarray) else np.asarray(
-            [times[i] for i in members]
-        )
+        sub_times = [times[i] for i in members]
         chosen_idx, usable = switch.route_flows_batch(
             dst, candidates, sub_demands, sub_times, path_ids=candidate_ids
         )

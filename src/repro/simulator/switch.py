@@ -76,6 +76,8 @@ class DecisionLog:
         #: otherwise (the scalar route_flow path, ad-hoc candidates)
         self._paths = Interner()
         self._global_refs: Dict[int, int] = {}
+        #: interned references of a whole candidate set, per path-id tuple
+        self._refs_by_ids: Dict[Tuple[int, ...], np.ndarray] = {}
         #: interned destination DC names
         self._dsts = Interner()
 
@@ -128,7 +130,7 @@ class DecisionLog:
     def append_batch(
         self,
         demands: Sequence[FlowDemand],
-        times: np.ndarray,
+        times: Sequence[float],
         candidates: Sequence[CandidatePath],
         chosen_idx: np.ndarray,
         dst_dc: str,
@@ -140,7 +142,8 @@ class DecisionLog:
         Args:
             path_ids: precomputed global path ids aligned with
                 ``candidates`` (see :meth:`PathSet.candidate_ids`); interns
-                by integer lookup when given.
+                by integer lookup when given, and the candidate set's
+                interned references are memoised per ``path_ids``.
         """
         count = len(demands)
         n = self._n
@@ -148,11 +151,16 @@ class DecisionLog:
         self.flow_id[n : n + count] = [d.flow_id for d in demands]
         self.time_s[n : n + count] = times
         if path_ids is None:
-            path_ids = (-1,) * len(candidates)
-        refs = np.array(
-            [self._intern_path(c, g) for c, g in zip(candidates, path_ids)],
-            dtype=np.int64,
-        )
+            refs = np.array([self._intern_path(c) for c in candidates], dtype=np.int64)
+        else:
+            key = tuple(path_ids)
+            refs = self._refs_by_ids.get(key)
+            if refs is None:
+                refs = np.array(
+                    [self._intern_path(c, g) for c, g in zip(candidates, key)],
+                    dtype=np.int64,
+                )
+                self._refs_by_ids[key] = refs
         self.path_ref[n : n + count] = refs[chosen_idx]
         self.dst_ref[n : n + count] = self._dsts.intern(dst_dc)
         self.num_candidates[n : n + count] = len(candidates)
@@ -212,6 +220,10 @@ class DCISwitch:
         self.decision_log = DecisionLog()
         #: lifetime count of route_flows_batch calls (batched control plane)
         self.batch_calls = 0
+        #: route_flows_batch's liveness filter per (dst, path ids), valid
+        #: while RuntimeLink.state_version equals _usable_version
+        self._usable_memo: Dict[Tuple[str, Tuple[int, ...]], tuple] = {}
+        self._usable_version = RuntimeLink.state_version
         router.attach(self)
 
     # ------------------------------------------------------------------ #
@@ -220,6 +232,7 @@ class DCISwitch:
     def add_port(self, next_dc: str, link: RuntimeLink) -> None:
         """Register the egress port toward ``next_dc``."""
         self._ports[next_dc] = link
+        self._usable_memo.clear()
 
     @property
     def ports(self) -> Dict[str, RuntimeLink]:
@@ -254,22 +267,28 @@ class DCISwitch:
         return len(self.decision_log)
 
     def _usable_candidates(
-        self, dst_dc: str, candidates: Sequence[CandidatePath]
-    ) -> Tuple[List[int], bool]:
+        self,
+        dst_dc: str,
+        candidates: Sequence[CandidatePath],
+        path_ids: Optional[Sequence[int]] = None,
+    ) -> Tuple[Tuple[CandidatePath, ...], Optional[Tuple[int, ...]], bool]:
         """Exclude dead egress ports (data-plane fast-failover).
 
         When every port is dead the full candidate list is passed through so
         the caller can at least make progress and record the loss downstream.
 
         Returns:
-            ``(indices, fallback)`` — positions of the usable candidates.
+            ``(usable, usable_ids, fallback)`` — the usable candidates, their
+            path ids (``None`` without ``path_ids``) and the all-dead flag.
         """
         if not candidates:
             raise ValueError(f"{self.dc}: no candidate routes toward {dst_dc}")
         live = [j for j, c in enumerate(candidates) if self.port_up(c.first_hop)]
         fallback = not live
-        usable = live if live else list(range(len(candidates)))
-        return usable, fallback
+        positions = live if live else range(len(candidates))
+        usable = tuple([candidates[j] for j in positions])
+        usable_ids = tuple([path_ids[j] for j in positions]) if path_ids is not None else None
+        return usable, usable_ids, fallback
 
     def route_flow(
         self,
@@ -283,8 +302,7 @@ class DCISwitch:
         Raises:
             ValueError: when ``candidates`` is empty.
         """
-        positions, fallback = self._usable_candidates(dst_dc, candidates)
-        usable = [candidates[j] for j in positions]
+        usable, _, fallback = self._usable_candidates(dst_dc, candidates)
         chosen = self.router.select(dst_dc, usable, demand, now)
         self.decision_log.append(
             flow_id=demand.flow_id,
@@ -301,33 +319,43 @@ class DCISwitch:
         dst_dc: str,
         candidates: Sequence[CandidatePath],
         demands: Sequence[FlowDemand],
-        times: np.ndarray,
+        times: Sequence[float],
         path_ids: Optional[Sequence[int]] = None,
-    ) -> Tuple[np.ndarray, List[CandidatePath]]:
+    ) -> Tuple[np.ndarray, Sequence[CandidatePath]]:
         """Route a batch of simultaneous arrivals toward ``dst_dc``.
 
         One liveness filter and one :meth:`Router.select_batch` call cover
         the whole batch; each flow is still stamped with its own decision
-        time (``times[i]``).
+        time (``times[i]``).  With ``path_ids`` the filter's outcome is
+        memoised per ``(dst_dc, path_ids)`` until
+        :attr:`RuntimeLink.state_version` moves (a link failed, recovered
+        or changed capacity).
 
         Args:
             path_ids: precomputed global path ids aligned with
-                ``candidates``; forwarded to the decision log so interning
-                happens by integer lookup.
+                ``candidates``; they key the memo and are forwarded to the
+                router and the decision log so both key on integers.
 
         Returns:
             ``(chosen_idx, usable)`` — per-demand indices into the
-            liveness-filtered ``usable`` candidate list.
+            liveness-filtered ``usable`` candidates.
 
         Raises:
             ValueError: when ``candidates`` is empty.
         """
         self.batch_calls += 1
-        positions, fallback = self._usable_candidates(dst_dc, candidates)
-        usable = [candidates[j] for j in positions]
-        usable_ids = (
-            [path_ids[j] for j in positions] if path_ids is not None else None
-        )
+        if path_ids is None:
+            usable, usable_ids, fallback = self._usable_candidates(dst_dc, candidates)
+        else:
+            if self._usable_version != RuntimeLink.state_version:
+                self._usable_memo.clear()
+                self._usable_version = RuntimeLink.state_version
+            key = (dst_dc, tuple(path_ids))
+            entry = self._usable_memo.get(key)
+            if entry is None:
+                entry = self._usable_candidates(dst_dc, candidates, key[1])
+                self._usable_memo[key] = entry
+            usable, usable_ids, fallback = entry
         chosen_idx = self.router.select_batch(
             dst_dc, usable, demands, times, path_ids=usable_ids
         )

@@ -126,6 +126,55 @@ class TestFusion:
         assert estimator.ports() == []
 
 
+class TestScoreMemo:
+    """C_cong is memoised per port until the port's next sample."""
+
+    @staticmethod
+    def count_fusions(estimator, monkeypatch):
+        calls = []
+        fused = estimator._fused_score
+
+        def counting(port):
+            calls.append(port)
+            return fused(port)
+
+        monkeypatch.setattr(estimator, "_fused_score", counting)
+        return calls
+
+    def test_repeated_reads_fuse_once(self, estimator, switch_tables, monkeypatch):
+        calls = self.count_fusions(estimator, monkeypatch)
+        feed(estimator, "p0", [switch_tables.buffer_bytes * 0.9] * 3)
+        first = estimator.congestion_score("p0")
+        assert [estimator.congestion_score("p0") for _ in range(5)] == [first] * 5
+        assert calls == ["p0"]
+
+    def test_observe_clears_only_that_port(self, estimator, switch_tables, monkeypatch):
+        calls = self.count_fusions(estimator, monkeypatch)
+        feed(estimator, "p0", [0.0])
+        feed(estimator, "p1", [0.0])
+        assert estimator.congestion_score("p0") == estimator.congestion_score("p1") == 0
+        now = feed(estimator, "p0", [switch_tables.buffer_bytes * 0.9] * 10, start=1e-3)
+        # a stale memo would still say 0
+        peak = estimator.congestion_score("p0")
+        assert peak > 0
+        assert estimator.congestion_score("p1") == 0
+        assert calls == ["p0", "p1", "p0"]
+        feed(estimator, "p0", [0.0] * 30, start=now)
+        assert estimator.congestion_score("p0") < peak
+
+    def test_reset_clears_the_memo(self, estimator, switch_tables):
+        deep = [switch_tables.buffer_bytes * 0.9] * 10
+        feed(estimator, "p0", deep)
+        feed(estimator, "p1", deep)
+        assert estimator.congestion_score("p0") > 0
+        assert estimator.congestion_score("p1") > 0
+        estimator.reset("p0")
+        assert estimator.congestion_score("p0") == 0
+        assert estimator.congestion_score("p1") > 0
+        estimator.reset()
+        assert estimator.congestion_score("p1") == 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     samples=st.lists(

@@ -1,8 +1,10 @@
 """Tests for the full LCMP data-plane decision pipeline."""
 
+import numpy as np
 import pytest
 
 from repro.core import ControlPlane, LCMPConfig, LCMPRouter
+from repro.core import lcmp_router as lcmp_router_module
 from repro.simulator import FlowDemand
 from repro.topology import GBPS
 
@@ -168,3 +170,112 @@ class TestAblationBehaviour:
         }
         # DC7 stays in the reduced set despite being saturated
         assert "DC7" in chosen_hops
+
+
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """Count the router's ``score_candidates`` calls: one per plan it builds."""
+    calls = []
+    real = lcmp_router_module.score_candidates
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lcmp_router_module, "score_candidates", counting)
+    return calls
+
+
+def sweep(router, candidates, now, queue_bytes=None):
+    """One telemetry sample of every first-hop port (``queue_bytes`` per port, default 0)."""
+    for cand in candidates:
+        queue = (queue_bytes or {}).get(cand.first_hop, 0.0)
+        router.on_telemetry(port_view(cand.first_hop, queue_bytes=queue), now)
+
+
+class TestSelectionPlan:
+    """One memoised selection plan per candidate set, revalidated on C_cong."""
+
+    def test_plan_reused_while_first_hop_c_cong_is_unchanged(
+        self, provisioned_router, dc1_candidates, plan_builds
+    ):
+        router = provisioned_router
+        for flow_id in range(10):
+            router.select("DC8", dc1_candidates, make_demand(flow_id), now=0.0)
+        assert len(plan_builds) == 1
+        for step in range(5):
+            # every sample drops the port's C_cong memo, but idle ports
+            # keep scoring 0, so the C_cong tuple and the plan still hold
+            sweep(router, dc1_candidates, now=(step + 1) * 1e-3)
+            router.select("DC8", dc1_candidates, make_demand(100 + step), now=0.01)
+        assert len(plan_builds) == 1
+
+    def test_select_and_select_batch_share_the_plan_logic(
+        self, provisioned_router, testbed_paths, dc1_candidates, plan_builds
+    ):
+        router = provisioned_router
+        ids = testbed_paths.candidate_ids("DC1", "DC8")
+        demands = [make_demand(i) for i in range(6)]
+        router.select_batch("DC8", dc1_candidates, demands[:3], [0.0] * 3, path_ids=ids)
+        router.select_batch("DC8", dc1_candidates, demands[3:], [0.0] * 3, path_ids=ids)
+        # keyed on the path ids here and on the DC tuples below
+        assert len(plan_builds) == 1
+        router.select("DC8", dc1_candidates, make_demand(50), now=0.0)
+        router.select_batch("DC8", dc1_candidates, [make_demand(51)], [0.0])
+        assert len(plan_builds) == 2
+
+    def test_plan_rebuilt_when_one_first_hop_c_cong_changes(
+        self, provisioned_router, dc1_candidates, plan_builds
+    ):
+        router = provisioned_router
+        deep = {"DC7": router.tables.buffer_bytes * 0.9}
+        router.select("DC8", dc1_candidates, make_demand(1), now=0.0)
+        assert len(plan_builds) == 1
+        before = [router.estimator.congestion_score(c.first_hop) for c in dc1_candidates]
+        sweep(router, dc1_candidates, now=1e-3, queue_bytes=deep)
+        after = [router.estimator.congestion_score(c.first_hop) for c in dc1_candidates]
+        changed = [c.first_hop for c, b, a in zip(dc1_candidates, before, after) if a != b]
+        assert changed == ["DC7"]
+        hops = {
+            router.select("DC8", dc1_candidates, make_demand(flow_id), now=2e-3).first_hop
+            for flow_id in range(2, 60)
+        }
+        assert len(plan_builds) == 2
+        assert "DC7" not in hops
+
+    def test_install_tables_resets_plans(
+        self, provisioned_router, testbed_topology, testbed_paths, dc1_candidates, plan_builds
+    ):
+        router = provisioned_router
+        router.select("DC8", dc1_candidates, make_demand(1), now=0.0)
+        ControlPlane(testbed_topology, testbed_paths, router.config).install(router, "DC1")
+        router.select("DC8", dc1_candidates, make_demand(2), now=0.0)
+        assert len(plan_builds) == 2
+
+    def test_on_demand_bootstrap_resets_plans(self, dc1_candidates, plan_builds):
+        router = LCMPRouter()
+        router.select("DC8", dc1_candidates, make_demand(1), now=0.0)
+        assert plan_builds == []  # ECMP fallback: no plan before tables exist
+        sweep(router, dc1_candidates, now=0.0)
+        router.select("DC8", dc1_candidates, make_demand(2), now=0.0)
+        assert len(plan_builds) == 1
+        # dropping the estimator makes the next sample bootstrap new tables
+        router.estimator = None
+        sweep(router, dc1_candidates, now=1e-3)
+        router.select("DC8", dc1_candidates, make_demand(3), now=2e-3)
+        assert len(plan_builds) == 2
+
+    def test_herd_plan_counts_every_flow(
+        self, testbed_topology, testbed_paths, dc1_candidates, plan_builds
+    ):
+        config = LCMPConfig(congested_threshold=100)
+        router = LCMPRouter(config)
+        ControlPlane(testbed_topology, testbed_paths, config).install(router, "DC1")
+        deep = {c.first_hop: router.tables.buffer_bytes * 0.95 for c in dc1_candidates}
+        for i in range(50):
+            sweep(router, dc1_candidates, now=i * 1e-3, queue_bytes=deep)
+        demands = [make_demand(i) for i in range(4)]
+        chosen = router.select_batch("DC8", dc1_candidates, demands, np.full(4, 0.1))
+        assert router.herd_fallbacks == 4
+        assert len(set(chosen.tolist())) == 1
+        assert len(plan_builds) == 1

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import LCMPConfig
 from repro.experiments import ExperimentRunner, ExperimentSpec
+from repro.topology import FabricSpec
 
 QUICK = dict(num_flows=120, capacity_scale=0.05, seed=21)
 
@@ -31,6 +32,42 @@ class TestBuildingBlocks:
         topo, paths = runner.topology_for(spec)
         demands = runner.demands_for(spec, topo, paths)
         assert len(demands) == QUICK["num_flows"]
+
+
+TINY_FABRIC = FabricSpec(name="tiny", seed=3, regions=3, cores_per_region=2,
+                         aggs_per_core=2, edges_per_agg=1)
+
+
+class TestUnknownPairDC:
+    """A ``pairs`` DC the built topology lacks is named before any traffic."""
+
+    @pytest.mark.parametrize(
+        "topology, extra, known",
+        [
+            ("testbed8", {}, "DC1"),
+            ("bso13", {}, "DC13"),
+            ("fabric", {"fabric": TINY_FABRIC}, "R0E0x0x0"),
+        ],
+    )
+    def test_run_names_the_unknown_dc_and_the_topology(self, runner, topology, extra, known):
+        spec = ExperimentSpec(
+            name="x", topology=topology, pairs=((known, "DC99"),), **extra, **QUICK
+        )
+        spec.validate()  # membership needs the built topology
+        topo, _ = runner.topology_for(spec)
+        with pytest.raises(ValueError) as info:
+            runner.run(spec)
+        message = str(info.value)
+        assert "'DC99'" in message
+        assert repr(topo.name) in message
+        assert str(list(topo.dcs)) in message
+        assert "no candidate path" not in message
+
+    def test_demands_for_checks_the_source_too(self, runner):
+        spec = ExperimentSpec(name="x", pairs=(("DC0", "DC1"),), **QUICK)
+        topo, paths = runner.topology_for(spec)
+        with pytest.raises(ValueError, match="names DC 'DC0'"):
+            runner.demands_for(spec, topo, paths)
 
 
 class TestRuns:

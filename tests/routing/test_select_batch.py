@@ -219,3 +219,109 @@ class TestBatchEqualsSequential:
             sequential.select("DC8", candidates, d, float(times[i]))
         batched.select_batch("DC8", candidates, demands, times)
         assert sequential.stats() == batched.stats()
+
+
+class TestLCMPPlanOnBSO13:
+    """Multi-hop groups of 1-3 flows on the 13-DC topology, with telemetry
+    changing between calls: every switch's ``select_batch`` must equal the
+    ``Router.select_batch`` loop oracle, stats counters included.  This is
+    what the per-candidate-set selection plan must survive: plans keyed by
+    path ids and by DC tuples, C_cong moving on some ports and not others,
+    dead ports, and re-routed (cached) flows."""
+
+    def test_grouped_walk_matches_loop_oracle(self, bso_topology, bso_paths):
+        from repro.routing.base import Router
+
+        rng = np.random.default_rng(11)
+        # a threshold the sampled queues cross now and then, so both the
+        # herd plan and the reduced-set plan occur
+        factory = lcmp_router_factory(
+            bso_topology, bso_paths, config=LCMPConfig(congested_threshold=120)
+        )
+        dcs = list(bso_topology.dcs)
+        vector = {dc: factory(dc) for dc in dcs}
+        oracle = {dc: factory(dc) for dc in dcs}
+        ports = {dc: [] for dc in dcs}
+        for spec in bso_topology.inter_dc_links():
+            ports[spec.src].append(spec)
+        levels = (0.0, 0.05, 0.3, 0.9)
+        routed = []
+        next_id = 0
+        calls = 0
+
+        def sample(now):
+            for dc in dcs:
+                if rng.random() < 0.5:
+                    continue  # this switch keeps its C_cong (plans stay valid)
+                for spec in ports[dc]:
+                    if rng.random() < 0.5:
+                        continue
+                    view = port_view(
+                        spec.dst,
+                        queue_bytes=spec.buffer_bytes * levels[rng.integers(len(levels))],
+                        cap_bps=spec.cap_bps,
+                        buffer_bytes=spec.buffer_bytes,
+                        up=bool(rng.random() > 0.03),
+                        switch=dc,
+                    )
+                    vector[dc].on_telemetry(view, now)
+                    oracle[dc].on_telemetry(view, now)
+
+        def walk(current, dst, group, times, visited):
+            nonlocal calls
+            if current == dst:
+                return
+            pairs = [
+                (c, pid)
+                for c, pid in zip(
+                    bso_paths.candidates(current, dst), bso_paths.candidate_ids(current, dst)
+                )
+                if c.first_hop not in visited
+            ]
+            if not pairs:
+                return
+            candidates = [c for c, _ in pairs]
+            ids = tuple(pid for _, pid in pairs) if rng.random() < 0.7 else None
+            got = vector[current].select_batch(dst, candidates, group, times, path_ids=ids)
+            want = Router.select_batch(oracle[current], dst, candidates, group, times)
+            calls += 1
+            assert got.tolist() == want.tolist()
+            assert vector[current].stats() == oracle[current].stats()
+            by_hop = {}
+            for k, j in enumerate(got.tolist()):
+                by_hop.setdefault(candidates[j].first_hop, []).append(k)
+            for hop, members in by_hop.items():
+                walk(
+                    hop,
+                    dst,
+                    [group[k] for k in members],
+                    [times[k] for k in members],
+                    visited | {hop},
+                )
+
+        now = 0.0
+        for _ in range(250):
+            now += 1e-4
+            if rng.random() < 0.6:
+                sample(now)
+            src, dst = rng.choice(dcs, size=2, replace=False).tolist()
+            if routed and rng.random() < 0.15:
+                # flows the switches have already cached: the sticky path
+                group = [routed[int(k)] for k in rng.choice(len(routed), size=2)]
+                group = [
+                    FlowDemand(d.flow_id, src, dst, 0, 0, d.size_bytes, now) for d in group
+                ]
+            else:
+                size = int(rng.integers(1, 4))
+                group = make_demands(size, src=src, dst=dst, id_offset=next_id)
+                next_id += size
+                routed.extend(group)
+            walk(src, dst, group, [now] * len(group), {src})
+
+        assert calls > 250
+        for dc in dcs:
+            assert vector[dc].stats() == oracle[dc].stats()
+        herd = sum(r.herd_fallbacks for r in vector.values())
+        assert 0 < herd < sum(r.decisions for r in vector.values())
+        assert sum(r.sticky_hits for r in vector.values()) > 0
+        assert sum(r.failover_rehashes for r in vector.values()) > 0

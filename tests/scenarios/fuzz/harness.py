@@ -6,7 +6,9 @@ core, ``check_all_invariants`` runs the full cross-core sweep — scalar
 (reference), array, array with instrumentation, and array on an eagerly
 built path set (the lazy-vs-eager lane), the live dead-link monitor
 attached wherever the run is not instrumented — and asserts all four
-invariant families on the results: four runs per case.
+invariant families on the results: four runs per case.  Every entry
+point takes the router to run (ECMP by default); LCMP is provisioned by
+its control plane, as the experiment runner does it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.congestion_control import make_cc_factory, make_mixed_cc_factory
+from repro.core import lcmp_router_factory
 from repro.routing import make_router_factory
 from repro.scenarios.fuzz import FuzzCase, build_fuzz_pathset, build_fuzz_topology
 from repro.scenarios.invariants import (
@@ -42,12 +45,20 @@ def make_config(case: FuzzCase, core: str, instrumentation: bool = False) -> Sim
     )
 
 
+def router_factory_for(router: str, topology, paths):
+    """The per-switch router factory of ``router`` over one fuzz topology."""
+    if router == "lcmp":
+        return lcmp_router_factory(topology, paths)
+    return make_router_factory(router)
+
+
 def run_case(
     case: FuzzCase,
     core: str = "array",
     instrumentation: bool = False,
     with_monitor: bool = False,
     prewarm: bool = False,
+    router: str = "ecmp",
 ):
     """Run one fuzz case on one core (``prewarm``: enumerate every path pair first).
 
@@ -60,7 +71,7 @@ def run_case(
     if prewarm:
         paths.prewarm()
     config = make_config(case, core, instrumentation)
-    network = RuntimeNetwork(topology, paths, make_router_factory("ecmp"), config)
+    network = RuntimeNetwork(topology, paths, router_factory_for(router, topology, paths), config)
     if isinstance(case.cc, tuple):
         factory = make_mixed_cc_factory(case.cc, seed=case.seed)
     else:
@@ -72,12 +83,12 @@ def run_case(
     return sim.run(), monitor
 
 
-def run_baseline(case: FuzzCase, core: str = "array"):
+def run_baseline(case: FuzzCase, core: str = "array", router: str = "ecmp"):
     """Run a case's demands with NO scenario attached (pre-event baseline)."""
     topology = build_fuzz_topology(case.topology_name)
     paths = build_fuzz_pathset(topology)
     config = make_config(case, core)
-    network = RuntimeNetwork(topology, paths, make_router_factory("ecmp"), config)
+    network = RuntimeNetwork(topology, paths, router_factory_for(router, topology, paths), config)
     if isinstance(case.cc, tuple):
         factory = make_mixed_cc_factory(case.cc, seed=case.seed)
     else:
@@ -86,8 +97,10 @@ def run_baseline(case: FuzzCase, core: str = "array"):
     return sim.run()
 
 
-def check_all_invariants(case: FuzzCase, require_drained: bool = True) -> Dict[str, object]:
-    """Run a case on every core and assert the four invariant families.
+def check_all_invariants(
+    case: FuzzCase, require_drained: bool = True, router: str = "ecmp"
+) -> Dict[str, object]:
+    """Run a case on every core under ``router`` and assert the four invariant families.
 
     Returns:
         per-core results keyed by core name (plus ``"instrumented"``),
@@ -96,7 +109,7 @@ def check_all_invariants(case: FuzzCase, require_drained: bool = True) -> Dict[s
     topology = build_fuzz_topology(case.topology_name)
     config = make_config(case, "scalar")
 
-    reference, monitor = run_case(case, core="scalar", with_monitor=True)
+    reference, monitor = run_case(case, core="scalar", with_monitor=True, router=router)
     check_demand_conservation(reference, len(case.demands))
     check_no_dead_link_traffic(reference, case.scenario, topology, monitor)
     check_recovery_bound(
@@ -107,16 +120,18 @@ def check_all_invariants(case: FuzzCase, require_drained: bool = True) -> Dict[s
     )
 
     results: Dict[str, object] = {"scalar": reference}
-    array, array_monitor = run_case(case, core="array", with_monitor=True)
+    array, array_monitor = run_case(case, core="array", with_monitor=True, router=router)
     check_demand_conservation(array, len(case.demands))
     check_no_dead_link_traffic(array, case.scenario, topology, array_monitor)
     assert_results_identical(reference, array, label="scalar vs array")
     results["array"] = array
-    instrumented, _ = run_case(case, core="array", instrumentation=True)
+    instrumented, _ = run_case(case, core="array", instrumentation=True, router=router)
     assert_results_identical(reference, instrumented, label="scalar vs instrumented")
     results["instrumented"] = instrumented
     # lazy vs prewarmed path sets must be indistinguishable at run level
-    eager, eager_monitor = run_case(case, core="array", with_monitor=True, prewarm=True)
+    eager, eager_monitor = run_case(
+        case, core="array", with_monitor=True, prewarm=True, router=router
+    )
     check_demand_conservation(eager, len(case.demands))
     check_no_dead_link_traffic(eager, case.scenario, topology, eager_monitor)
     assert_results_identical(reference, eager, label="lazy vs eager pathset")

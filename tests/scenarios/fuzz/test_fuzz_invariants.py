@@ -38,6 +38,14 @@ class TestFuzzInvariants:
         recovery and cross-core bit-identity for arbitrary timelines."""
         check_all_invariants(case)
 
+    @given(fuzz_cases())
+    def test_all_invariants_on_all_cores_lcmp(self, case):
+        """The headline property under the paper's own router: LCMP's
+        selection plans, the switches' liveness-filter memo, the flow
+        cache and lazy invalidation must keep every core bit-identical
+        through random cut/repair stories."""
+        check_all_invariants(case, router="lcmp")
+
     @given(
         st.data(),
         st.sampled_from(sorted(FUZZ_TOPOLOGIES)),
