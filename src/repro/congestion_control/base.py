@@ -110,7 +110,10 @@ class CongestionControl(abc.ABC):
     #: ``feedback_batch_slots(table, slots, generated_s, ecn, util, rtt, qd,
     #: now)`` — :meth:`on_feedback` as an in-place classmethod kernel; the
     #: signal fields arrive as float64 arrays, element ``i`` for
-    #: ``slots[i]`` (``None`` = no kernels)
+    #: ``slots[i]``.  One call may carry lanes of many feedback generations
+    #: (the delay line merges every lane due in a step), so ``generated_s``
+    #: is per lane too; no shipped kernel reads it.  ``slots`` are distinct
+    #: within a call (``None`` = no kernels)
     feedback_batch_slots = None
 
     def __init_subclass__(cls, **kwargs) -> None:

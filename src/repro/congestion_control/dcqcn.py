@@ -80,8 +80,22 @@ class DCQCN(CongestionControl):
             alpha_resume_interval_s: cadence of alpha decay without CNPs.
             increase_timer_s: cadence of rate-increase events.
             ecn_threshold: ECN fraction above which feedback counts as a CNP.
+
+        Raises:
+            ValueError: when ``alpha_resume_interval_s`` or
+                ``increase_timer_s`` is not positive, or ``g`` is outside
+                ``(0, 1]``.
         """
         super().__init__(line_rate_bps, base_rtt_s, min_rate_bps)
+        # a non-positive timer would make the interval loops spin forever
+        if alpha_resume_interval_s <= 0:
+            raise ValueError(
+                f"alpha_resume_interval_s must be positive, got {alpha_resume_interval_s!r}"
+            )
+        if increase_timer_s <= 0:
+            raise ValueError(f"increase_timer_s must be positive, got {increase_timer_s!r}")
+        if not 0 < g <= 1:
+            raise ValueError(f"g must be in (0, 1], got {g!r}")
         self.g = g
         self.rate_ai_bps = rate_ai_bps
         self.rate_hai_bps = rate_hai_bps
@@ -191,17 +205,18 @@ class DCQCN(CongestionControl):
         Both timer cadences (55 µs alpha decay, 0.3 ms increase) are much
         shorter than the 1 ms update step, so the scalar method runs ~20
         Python loop iterations per flow per step; here the same iterations
-        run as masked array operations across all rows at once.  Lanes
-        whose timer has not crossed a boundary are carried through the
-        masked select unchanged, so every lane performs exactly the float
-        operations its instance would.
+        run as array operations across all rows at once.  While every lane
+        still has a boundary to cross (the common count: dt / 55 µs ≈ 18
+        alpha decays for every lane of a fleet in lockstep) an iteration
+        runs unmasked; only the remainder, where some lanes are done, runs
+        as masked in-place ufuncs that leave the finished lanes untouched.
+        Either way every lane performs exactly the float operations, in
+        the order, its instance would.
         """
         if not len(slots):
             return
         block = table.cc_block(cls)
-        where = table.backend.masked_where
         interval = block.p_interval[slots]
-        g = block.p_g[slots]
         inc_interval = block.p_inc[slots]
         line = block.p_line[slots]
         ai = block.p_ai[slots]
@@ -215,25 +230,27 @@ class DCQCN(CongestionControl):
         stage = block.stage[slots]
 
         # alpha decay
-        decay = 1 - g
+        decay = 1 - block.p_g[slots]
         pending = elapsed >= interval
+        while pending.all():
+            elapsed -= interval
+            alpha *= decay
+            np.greater_equal(elapsed, interval, out=pending)
         while pending.any():
-            elapsed = where(pending, elapsed - interval, elapsed)
-            alpha = where(pending, alpha * decay, alpha)
-            pending = elapsed >= interval
+            np.subtract(elapsed, interval, out=elapsed, where=pending)
+            np.multiply(alpha, decay, out=alpha, where=pending)
+            np.greater_equal(elapsed, interval, out=pending)
 
         # staged rate recovery (fast recovery / AI / hyper increase)
         pending = inc_elapsed >= inc_interval
+        while pending.all():
+            inc_elapsed -= inc_interval
+            _increase_lanes(True, stage, target, rate, line, ai, hai, floor)
+            np.greater_equal(inc_elapsed, inc_interval, out=pending)
         while pending.any():
-            inc_elapsed = where(pending, inc_elapsed - inc_interval, inc_elapsed)
-            ai_lane = pending & (stage >= 5) & (stage < 10)
-            hai_lane = pending & (stage >= 10)
-            target = where(ai_lane, np.minimum(line, target + ai), target)
-            target = where(hai_lane, np.minimum(line, target + hai), target)
-            rate = where(pending, (rate + target) / 2.0, rate)
-            stage = where(pending, stage + 1, stage)
-            rate = where(pending, np.minimum(line, np.maximum(floor, rate)), rate)
-            pending = inc_elapsed >= inc_interval
+            np.subtract(inc_elapsed, inc_interval, out=inc_elapsed, where=pending)
+            _increase_lanes(pending, stage, target, rate, line, ai, hai, floor)
+            np.greater_equal(inc_elapsed, inc_interval, out=pending)
 
         block.alpha[slots] = alpha
         block.t_alpha[slots] = elapsed
@@ -260,3 +277,21 @@ class DCQCN(CongestionControl):
             self.rate_bps = (self.rate_bps + self.target_rate_bps) / 2.0
         self._increase_stage += 1
         self._clamp()
+
+
+def _increase_lanes(lanes, stage, target, rate, line, ai, hai, floor) -> None:
+    """:meth:`DCQCN._increase_once` on ``lanes`` (a mask, or True = all), in place.
+
+    The stage picks the target step (none below 5, AI below 10, HAI from
+    10); then the rate moves halfway to the target, the stage advances and
+    the rate is clamped — the scalar method's operations, in its order.
+    """
+    hai_lane = lanes & (stage >= 10)
+    ai_lane = lanes & (stage >= 5) & ~hai_lane
+    np.minimum(line, target + ai, out=target, where=ai_lane)
+    np.minimum(line, target + hai, out=target, where=hai_lane)
+    np.add(rate, target, out=rate, where=lanes)
+    np.divide(rate, 2.0, out=rate, where=lanes)
+    np.add(stage, 1.0, out=stage, where=lanes)
+    np.maximum(floor, rate, out=rate, where=lanes)
+    np.minimum(line, rate, out=rate, where=lanes)

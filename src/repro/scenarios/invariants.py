@@ -26,6 +26,10 @@ correct run must satisfy regardless of the timeline:
    produce byte-for-byte identical records, link stats, failures and
    per-event outcomes.
 
+Alongside them, a strict step check (:class:`StepStateMonitor`, live)
+holds the per-step state physical on both cores: finite, non-negative
+rates, ``0 <= queue <= buffer`` and ``remaining >= 0``.
+
 Each checker raises :class:`InvariantViolation` (an ``AssertionError``
 subclass, so pytest renders it natively) with enough context to replay
 the failure.  To add an invariant, write a ``check_*`` function over a
@@ -41,6 +45,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..simulator.link import RuntimeLink
 from .events import (
@@ -62,6 +68,7 @@ __all__ = [
     "assert_results_identical",
     "assert_scenario_metrics_identical",
     "DeadLinkMonitor",
+    "StepStateMonitor",
 ]
 
 #: the simulation cores, as ``SimulationConfig`` field overrides — the
@@ -304,6 +311,70 @@ class DeadLinkMonitor:
                     self.violations.append(
                         ("incidence-liveness-stale", now, link.key, slot)
                     )
+
+
+class StepStateMonitor:
+    """Live step observer: the per-step state stays physical (strict check).
+
+    Attach with :meth:`attach` (before ``run()``); after every update step
+    it checks, on either core, that every active flow's sending and
+    achieved rates are finite and non-negative and its remaining bytes
+    non-negative, and that every link queue lies in ``[0, buffer]``.  It
+    reads the FlowTable columns and incidence arrays on the array core and
+    the flow, controller and link objects on the scalar core, and writes
+    nothing.  Violations are collected; :meth:`check` raises on the first.
+    """
+
+    def __init__(self) -> None:
+        self.violations: List[Tuple] = []
+        self.steps_observed = 0
+
+    def attach(self, sim) -> "StepStateMonitor":
+        """Register on a :class:`~repro.simulator.fluid.FluidSimulation`."""
+        sim.add_step_observer(self)
+        return self
+
+    def __call__(self, sim, now: float) -> None:
+        self.steps_observed += 1
+        flows = sim._active
+        table = sim._table
+        if table is None:
+            sending = np.array([f.cc.rate_bps for f in flows], dtype=float)
+            achieved = np.array([f.achieved_bps for f in flows], dtype=float)
+            remaining = np.array([f.remaining_bytes for f in flows], dtype=float)
+            links = sim.network.all_active_links()
+            queue = np.array([link.queue_bytes for link in links], dtype=float)
+            buffer = np.array([link.buffer_bytes for link in links], dtype=float)
+        else:
+            rows = sim._active_rows()
+            sending = table.cc_rate_bps[rows]
+            achieved = table.achieved_bps[rows]
+            remaining = table.remaining_bytes[rows]
+            inc = sim._incidence
+            links = inc.links
+            queue, buffer = inc.queue_bytes, inc.buffer_bytes
+        for kind, values in (("sending-rate", sending), ("achieved-rate", achieved)):
+            for i in np.flatnonzero(~(np.isfinite(values) & (values >= 0.0))).tolist():
+                self.violations.append((kind, now, flows[i].flow_id, float(values[i])))
+        for i in np.flatnonzero(~(remaining >= 0.0)).tolist():
+            self.violations.append(
+                ("remaining-bytes", now, flows[i].flow_id, float(remaining[i]))
+            )
+        for i in np.flatnonzero(~((queue >= 0.0) & (queue <= buffer))).tolist():
+            self.violations.append(("queue", now, links[i].key, float(queue[i])))
+
+    def check(self) -> None:
+        """Raise on the first recorded violation (no-op when there is none).
+
+        Raises:
+            InvariantViolation: naming the quantity, time, flow or link and
+                value of the first violation and the total count.
+        """
+        if self.violations:
+            _violate(
+                f"step state: {len(self.violations)} violation(s) over "
+                f"{self.steps_observed} steps, first {self.violations[0]}"
+            )
 
 
 # ---------------------------------------------------------------------- #

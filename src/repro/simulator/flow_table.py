@@ -27,6 +27,11 @@ array run is in flight:
   epoch no longer matches (a signal headed to a finished flow must never
   reach the slot's next tenant).
 
+One feedback delivery is one lane batch: the delay line merges the due
+lanes of every generation, and :meth:`FlowTable.deliver_feedback` makes one
+class-kernel call per class present — more only for the rare rows with
+several signals due at once (per-row rank waves).
+
 Ownership contract (see DESIGN.md, "Flow table"): :meth:`FlowTable.acquire`
 copies a controller's rate, feedback count, state and parameters into the
 row, and :meth:`FlowTable.release` copies the state back; no controller
@@ -40,7 +45,7 @@ binds anything and keeps plain-attribute behaviour, bit for bit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Type
 
 import numpy as np
 
@@ -57,7 +62,7 @@ _CORE_DTYPES: Dict[str, str] = {
     "achieved_bps": "f8",
     "disrupted_s": "f8",
     "feedback_live": "?",
-    "feedback_tick": "i8",
+    "feedback_lane": "i8",
     "cc_rate_bps": "f8",
     "feedback_count": "i8",
     "epoch": "i8",
@@ -66,7 +71,7 @@ _CORE_DTYPES: Dict[str, str] = {
 }
 
 #: fill value of never-used rows, where it is not zero
-_CORE_FILL = {"disrupted_s": np.nan, "feedback_tick": -1, "path_id": -1, "cc_class_id": -1}
+_CORE_FILL = {"disrupted_s": np.nan, "path_id": -1, "cc_class_id": -1}
 
 
 class ColumnBlock:
@@ -151,9 +156,9 @@ class FlowTable:
         #: addressed to the slot is dropped (mirrors the scalar path
         #: abandoning the flow's pending deque)
         self.feedback_live = np.zeros(self._capacity, dtype=bool)
-        #: stamp of the last update tick that delivered feedback to the
-        #: row (detects several signals due in one step)
-        self.feedback_tick = np.full(self._capacity, -1, dtype=np.int64)
+        #: scratch for :meth:`repeated_rows`: the last lane index written
+        #: to the row (meaningless between calls, so never reset)
+        self.feedback_lane = np.zeros(self._capacity, dtype=np.int64)
         #: congestion-controller sending rate (every CC class has
         #: ``rate_bps``; keeping it core makes the step-1 gather one take)
         self.cc_rate_bps = np.zeros(self._capacity)
@@ -266,7 +271,6 @@ class FlowTable:
         self.cc_class_id[slot] = cid
         self.epoch[slot] += 1
         self.feedback_live[slot] = True
-        self.feedback_tick[slot] = -1
         flow.bind_table(self, slot)
         self.cc_rate_bps[slot] = cc.rate_bps
         self.feedback_count[slot] = cc.feedback_count
@@ -327,55 +331,58 @@ class FlowTable:
             cc_cls.advance_batch_slots(self, rows if sel is None else rows[sel], dt, now)
         return len(groups)
 
+    def repeated_rows(self, rows: np.ndarray) -> bool:
+        """Whether some row appears more than once in ``rows``.
+
+        A readback through the ``feedback_lane`` scratch column: each lane
+        writes its index to its row, and with a repeated row the last
+        write wins, so an earlier lane of that row reads another index.
+        O(lanes), no sort.
+        """
+        lanes = np.arange(len(rows))
+        self.feedback_lane[rows] = lanes
+        return bool((self.feedback_lane[rows] != lanes).any())
+
     def deliver_feedback(
         self,
-        batches: Sequence[Tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+        rows: np.ndarray,
+        signals: Sequence[np.ndarray],
         now: float,
-        deliver_s: Optional[Sequence[np.ndarray]] = None,
+        deliver_s: Optional[np.ndarray] = None,
     ) -> int:
-        """Run :meth:`on_feedback` for due feedback signals.
+        """Run :meth:`on_feedback` for one batch of due feedback lanes.
 
         Args:
-            batches: ``(rows, generated_s, ecn, util, rtt, qd)`` per feedback
-                generation, in enqueue order; lane ``i`` of each array goes
-                to ``rows[i]``, and a row appears at most once per batch.
+            rows: the FlowTable row of each lane.
+            signals: the lane arrays ``(generated_s, ecn, util, rtt, qd)``;
+                element ``i`` of each goes to ``rows[i]``.
             now: delivery time.
-            deliver_s: per-batch deliver times, needed only when a row
-                appears in several batches (``None`` = none does).  Such a
-                row's signals are then applied in deliver-time order, ties
-                in enqueue order: waves of equal per-row rank, each split
-                by batch and class.
+            deliver_s: the lanes' deliver times, needed only when a row
+                appears more than once (``None`` = rows are distinct).
+                Such a row's signals are then applied in deliver-time
+                order, ties in lane order: waves of equal per-row rank,
+                one call per class present per wave.
 
         Returns:
             The number of class-kernel calls made.
         """
         if deliver_s is None:
-            return sum(self._feedback_batch(batch, None, now) for batch in batches)
-        ranks = _delivery_ranks(
-            np.concatenate([batch[0] for batch in batches]), np.concatenate(deliver_s)
-        )
-        bounds = np.cumsum([0] + [len(batch[0]) for batch in batches]).tolist()
+            return self._feedback_lanes(rows, signals, now)
+        ranks = _delivery_ranks(rows, deliver_s)
         calls = 0
         for wave in range(int(ranks.max()) + 1):
-            for b, batch in enumerate(batches):
-                sel = np.flatnonzero(ranks[bounds[b] : bounds[b + 1]] == wave)
-                if sel.size:
-                    calls += self._feedback_batch(batch, sel, now)
+            sel = np.flatnonzero(ranks == wave)
+            calls += self._feedback_lanes(rows[sel], [s[sel] for s in signals], now)
         return calls
 
-    def _feedback_batch(self, batch, sel: Optional[np.ndarray], now: float) -> int:
-        """Deliver the lanes ``sel`` (None = all) of one batch; rows distinct."""
-        rows, generated_s, ecn, util, rtt, qd = batch
-        if sel is not None:
-            rows, ecn, util, rtt, qd = rows[sel], ecn[sel], util[sel], rtt[sel], qd[sel]
+    def _feedback_lanes(self, rows: np.ndarray, signals, now: float) -> int:
+        """Deliver lanes addressed to distinct ``rows``: one call per class."""
         groups = self._class_groups(rows)
         for cc_cls, g in groups:
             if g is None:
-                cc_cls.feedback_batch_slots(self, rows, generated_s, ecn, util, rtt, qd, now)
+                cc_cls.feedback_batch_slots(self, rows, *signals, now)
             else:
-                cc_cls.feedback_batch_slots(
-                    self, rows[g], generated_s, ecn[g], util[g], rtt[g], qd[g], now
-                )
+                cc_cls.feedback_batch_slots(self, rows[g], *[s[g] for s in signals], now)
         return len(groups)
 
     # ------------------------------------------------------------------ #

@@ -38,6 +38,7 @@ fast-failover path mid-run.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -68,39 +69,44 @@ class _FeedbackGeneration:
     appends one generation holding the step's signal arrays, and lanes are
     delivered through the CC class kernels (see
     :meth:`~repro.simulator.flow_table.FlowTable.deliver_feedback`) once
-    their ``deliver_s`` passes.  ``next_due_s`` caches the
-    earliest undelivered lane so idle generations cost one comparison per
-    step.
+    their ``deliver_s`` passes.  Lane ``i`` is column ``i`` of two blocks:
+    ``ids`` holds ``(row, epoch)`` and ``values`` holds ``(deliver_s, ecn,
+    util, rtt, qd)``, so merging the due lanes of many generations is one
+    concatenate per block; ``generated_s`` is the step's time, shared by
+    every lane.
 
-    Lanes are addressed by FlowTable row (``rows``) guarded by the row
-    ``epochs`` captured at enqueue time, so a lane whose row was released
-    (and possibly re-acquired by a newer flow) is dropped.
+    The lanes are sorted by deliver time once, here, so the lanes due at
+    ``now`` are always the columns ``[cursor, searchsorted(deliver_s, now,
+    "right"))`` (see :meth:`take_due`) and ``next_due_s`` is the deliver
+    time at the cursor — an idle generation costs one comparison per step.
+    A generation's rows are distinct, so the order of its lanes never
+    decides a delivery order.
+
+    Lanes are addressed by FlowTable row guarded by the row epoch captured
+    at enqueue time, so a lane whose row was released (and possibly
+    re-acquired by a newer flow) is dropped.
     """
 
-    __slots__ = (
-        "rows",
-        "epochs",
-        "generated_s",
-        "deliver_s",
-        "ecn",
-        "util",
-        "rtt",
-        "qd",
-        "undelivered",
-        "next_due_s",
-    )
+    __slots__ = ("ids", "values", "deliver_s", "generated_s", "cursor", "next_due_s")
 
-    def __init__(self, rows, epochs, generated_s, deliver_s, ecn, util, rtt, qd):
-        self.rows = rows
-        self.epochs = epochs
+    def __init__(self, rows, epoch, generated_s, deliver_s, ecn, util, rtt, qd):
+        """Sort one step's lanes by ``deliver_s``; ``epoch`` is the table's epoch column."""
+        order = np.argsort(deliver_s)
+        rows = rows[order]
+        self.ids = np.array((rows, epoch[rows]))
+        self.values = np.array((deliver_s, ecn, util, rtt, qd)).take(order, axis=1)
+        self.deliver_s = self.values[0]
         self.generated_s = generated_s
-        self.deliver_s = deliver_s
-        self.ecn = ecn
-        self.util = util
-        self.rtt = rtt
-        self.qd = qd
-        self.undelivered = np.ones(len(deliver_s), dtype=bool)
-        self.next_due_s = float(deliver_s.min())
+        self.cursor = 0
+        self.next_due_s = float(self.deliver_s[0])
+
+    def take_due(self, now: float) -> slice:
+        """The lanes due at ``now`` not yet taken; the cursor moves past them."""
+        lo = self.cursor
+        deliver_s = self.deliver_s
+        hi = self.cursor = int(deliver_s.searchsorted(now, "right"))
+        self.next_due_s = float(deliver_s[hi]) if hi < len(deliver_s) else math.inf
+        return slice(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -306,7 +312,6 @@ class FluidSimulation:
         self._n_active = 0
         #: in-flight congestion feedback, one generation per update step
         self._feedback_line: "deque[_FeedbackGeneration]" = deque()
-        self._update_tick = 0
         self._pending_arrivals = len(self.demands)
         self._stopped = False
         #: flow id -> (arrival Event, demand) for not-yet-arrived flows
@@ -684,72 +689,49 @@ class FluidSimulation:
     def _deliver_feedback_line(self, now: float) -> None:
         """Deliver every due lane of the feedback delay line (array core).
 
-        Lanes are scanned generation by generation (enqueue order) and
-        addressed by FlowTable row: liveness, the slot-reuse epoch guard
-        and the repeated-delivery tick check are all column reductions, and
-        every due lane is delivered through the classes' in-place
-        ``feedback_batch_slots`` kernels by
-        :meth:`~repro.simulator.flow_table.FlowTable.deliver_feedback`.  A
-        flow normally receives at most one signal per step — one is
-        enqueued per step with a fixed RTT offset.  When an RTT-shortening
-        re-route makes several due at once, the table applies them in
-        per-row deliver-time order, which is exactly the scalar path's
-        order.
+        The due slices of all generations are merged, in line (enqueue)
+        order, into one lane batch addressed by FlowTable row.  Liveness
+        and the slot-reuse epoch guard run once over the batch, and one
+        :meth:`~repro.simulator.flow_table.FlowTable.deliver_feedback` call
+        makes one kernel call per CC class present.  A flow normally
+        receives at most one signal per step — one is enqueued per step
+        with a fixed RTT offset — so its row appears once.  When an
+        RTT-shortening re-route makes several due at once, its row repeats
+        in the batch, and the table applies the row's signals in
+        deliver-time order, ties in enqueue order: exactly the scalar
+        path's order.
         """
-        tick = self._update_tick
         line = self._feedback_line
+        due = [(gen, gen.take_due(now)) for gen in line if gen.next_due_s <= now]
+        while line and line[0].next_due_s == math.inf:
+            line.popleft()
+        if not due:
+            return
+
+        ids = np.concatenate([gen.ids[:, lanes] for gen, lanes in due], axis=1)
+        values = np.concatenate([gen.values[:, lanes] for gen, lanes in due], axis=1)
+        generated_s = np.repeat(
+            [gen.generated_s for gen, _ in due], [lanes.stop - lanes.start for _, lanes in due]
+        )
         table = self._table
         bk = self._backend
-        batches: List[Tuple[_FeedbackGeneration, np.ndarray, np.ndarray]] = []
-        repeated = False
-        for gen in line:
-            if gen.next_due_s > now:
-                continue
-            due = gen.undelivered & (gen.deliver_s <= now)
-            lanes = np.flatnonzero(due)
-            if lanes.size:
-                gen.undelivered[lanes] = False
-                rows = bk.gather_rows(gen.rows, lanes)
-                valid = bk.gather_rows(table.feedback_live, rows) & (
-                    bk.gather_rows(table.epoch, rows) == gen.epochs[lanes]
-                )
-                if not valid.all():
-                    rows = rows[valid]
-                    lanes = lanes[valid]
-                if rows.size:
-                    if (table.feedback_tick[rows] == tick).any():
-                        repeated = True
-                    table.feedback_tick[rows] = tick
-                    batches.append((gen, rows, lanes))
-            remaining_lanes = gen.undelivered
-            if remaining_lanes.any():
-                gen.next_due_s = float(gen.deliver_s[remaining_lanes].min())
-            else:
-                gen.next_due_s = float("inf")
-        while line and not line[0].undelivered.any():
-            line.popleft()
-
-        if not batches:
-            return
-        deliver_s = None
-        if repeated:
-            self._deliver_repeated_calls += 1
-            deliver_s = [gen.deliver_s[lanes] for gen, _, lanes in batches]
-        self._cc_kernel_dispatches += table.deliver_feedback(
-            [
-                (
-                    rows,
-                    gen.generated_s,
-                    gen.ecn[lanes],
-                    gen.util[lanes],
-                    gen.rtt[lanes],
-                    gen.qd[lanes],
-                )
-                for gen, rows, lanes in batches
-            ],
-            now,
-            deliver_s,
+        rows = ids[0]
+        valid = bk.gather_rows(table.feedback_live, rows) & (
+            bk.gather_rows(table.epoch, rows) == ids[1]
         )
+        if not valid.all():
+            rows = rows[valid]
+            values = values[:, valid]
+            generated_s = generated_s[valid]
+            if not rows.size:
+                return
+        deliver_s = values[0]
+        signals = (generated_s, *values[1:])
+        if table.repeated_rows(rows):
+            self._deliver_repeated_calls += 1
+        else:
+            deliver_s = None
+        self._cc_kernel_dispatches += table.deliver_feedback(rows, signals, now, deliver_s)
 
     def _accumulate_path_signals(self, inc, not_marked_links, delay_links):
         """Per-flow path products/sums in exact scalar accumulation order.
@@ -846,7 +828,6 @@ class FluidSimulation:
         """
         now = self.engine.now
         dt = self.config.update_interval_s
-        self._update_tick += 1
         if not self._active:
             self._maybe_stop()
             return
@@ -947,8 +928,8 @@ class FluidSimulation:
             # scalar loop's per-flow (enqueue -> deliver -> interval) order
             self._feedback_line.append(
                 _FeedbackGeneration(
-                    rows.copy(),
-                    table.epoch[rows],
+                    rows,
+                    table.epoch,
                     now,
                     now + base_rtt,
                     ecn_fraction,

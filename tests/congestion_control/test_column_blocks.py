@@ -208,6 +208,97 @@ class TestKernelEquivalence:
         self.run_lockstep(cc_cls, steps=200, churn=True)
 
 
+def dcqcn_lanes(lanes):
+    """Fresh DCQCN controllers, one per ``(params, state)`` lane spec."""
+    out = []
+    for params, state in lanes:
+        cc = DCQCN(LINE_RATE, BASE_RTT, **params)
+        for attr, value in state.items():
+            setattr(cc, attr, value)
+        out.append(cc)
+    return out
+
+
+def dcqcn_advance_lockstep(lanes, dt, steps=3):
+    """``advance_batch_slots`` == ``on_interval`` bit for bit, step by step.
+
+    Returns the scalar twins after the last step.
+    """
+    table = FlowTable(capacity=4)
+    flows = [make_flow(i, cc) for i, cc in enumerate(dcqcn_lanes(lanes))]
+    for f in flows:
+        table.acquire(f)
+    twins = dcqcn_lanes(lanes)
+    slots = np.array([f._slot for f in flows], dtype=np.intp)
+    for step in range(steps):
+        now = step * dt
+        DCQCN.advance_batch_slots(table, slots, dt, now)
+        for twin in twins:
+            twin.on_interval(dt, now)
+        for i, (slot, twin) in enumerate(zip(slots.tolist(), twins)):
+            assert_row_matches(table, slot, twin, context=f"step {step} lane {i}")
+    return twins
+
+
+#: a throttled controller: recovery has somewhere to go
+THROTTLED = dict(alpha=0.5, rate_bps=2e9, target_rate_bps=5e9)
+
+
+class TestDCQCNAdvanceEdges:
+    """The unmasked common count plus the masked remainder, at the edges."""
+
+    def test_dt_below_both_intervals(self):
+        lanes = [({}, THROTTLED), ({}, dict(THROTTLED, _increase_stage=7))]
+        twins = dcqcn_advance_lockstep(lanes, dt=10e-6, steps=1)
+        # no lane crossed a boundary: the timers only accumulated
+        assert all(t.alpha == 0.5 and t.rate_bps == 2e9 for t in twins)
+        assert all(t._time_since_alpha_update == 10e-6 for t in twins)
+        # many short steps then cross boundaries one at a time
+        dcqcn_advance_lockstep(lanes, dt=10e-6, steps=80)
+
+    def test_dt_exact_multiple_of_both_intervals(self):
+        # binary-exact intervals: the repeated subtraction lands on 0 exactly
+        params = dict(alpha_resume_interval_s=2.0**-10, increase_timer_s=2.0**-8)
+        lanes = [(params, THROTTLED), (params, dict(THROTTLED, _increase_stage=4))]
+        twins = dcqcn_advance_lockstep(lanes, dt=3 * 2.0**-8, steps=4)
+        assert all(t._time_since_alpha_update == 0.0 for t in twins)
+        assert all(t._time_since_increase == 0.0 for t in twins)
+        assert twins[0]._increase_stage == 12
+
+    def test_crossing_counts_differ_by_one(self):
+        lanes = [
+            ({}, THROTTLED),
+            ({}, dict(THROTTLED, _time_since_alpha_update=54.9e-6)),
+            ({}, dict(THROTTLED, _time_since_increase=0.29e-3)),
+            ({}, dict(THROTTLED, _time_since_alpha_update=30e-6, _time_since_increase=0.1e-3)),
+        ]
+        twins = dcqcn_advance_lockstep(lanes, dt=1e-3, steps=1)
+        # lane 1 took one more alpha decay, lane 2 one more increase
+        assert twins[1].alpha == twins[0].alpha * (1 - twins[0].g)
+        assert twins[2]._increase_stage == twins[0]._increase_stage + 1
+        dcqcn_advance_lockstep(lanes, dt=1e-3, steps=10)
+
+    def test_stages_cross_ai_and_hai_boundaries(self):
+        lanes = [({}, dict(THROTTLED, _increase_stage=stage)) for stage in (3, 4, 5, 8, 9, 10)]
+        # dt = 3 increase periods: every lane steps through 3 stages in the
+        # common count, so 4 -> 7 enters AI, 9 -> 12 enters HAI mid-loop
+        twins = dcqcn_advance_lockstep(lanes, dt=3 * 0.3e-3 + 1e-6, steps=1)
+        assert [t._increase_stage for t in twins] == [6, 7, 8, 11, 12, 13]
+        assert len({t.target_rate_bps for t in twins}) > 2
+        dcqcn_advance_lockstep(lanes, dt=3 * 0.3e-3 + 1e-6, steps=6)
+
+    def test_two_parameter_sets_in_one_table(self):
+        fast = dict(alpha_resume_interval_s=55e-6, increase_timer_s=0.3e-3)
+        slow = dict(alpha_resume_interval_s=80e-6, increase_timer_s=0.45e-3, g=1 / 8)
+        lanes = [(fast, THROTTLED), (slow, THROTTLED)] * 3
+        twins = dcqcn_advance_lockstep(lanes, dt=1e-3, steps=1)
+        # the parameter sets give different counts, so the masked
+        # remainder ran for the fast lanes
+        assert twins[0].alpha != twins[1].alpha
+        assert twins[0]._increase_stage != twins[1]._increase_stage
+        dcqcn_advance_lockstep(lanes, dt=1e-3, steps=20)
+
+
 #: the FlowTable-level repeated-delivery cases: each class alone, plus a
 #: fleet cycling through all of them
 FLEETS = [[cls] for cls in CC_CLASSES] + [CC_CLASSES]
@@ -232,7 +323,10 @@ class TestRepeatedDelivery:
         rng = np.random.default_rng(5)
         now = 1.0
 
-        batches, deliver_s, pending = [], [], {i: [] for i in range(self.N)}
+        # the generations' lanes merged in enqueue order, as the delay line
+        # hands them over: rows, (generated_s, ecn, util, rtt, qd), deliver_s
+        rows, fields, deliver_s = [], [], []
+        pending = {i: [] for i in range(self.N)}
         for gen in range(self.GENERATIONS):
             lanes = np.sort(rng.choice(self.N, size=self.N - gen, replace=False))
             # deliver times out of enqueue order across generations (an
@@ -240,7 +334,8 @@ class TestRepeatedDelivery:
             due = now - rng.integers(0, 4, size=len(lanes)) * 1e-3
             ecn, util, rtt, qd = signal_arrays(gen, len(lanes))
             generated = 0.5 + gen * 1e-3
-            batches.append((slots[lanes], generated, ecn, util, rtt, qd))
+            rows.append(slots[lanes])
+            fields.append((np.full(len(lanes), generated), ecn, util, rtt, qd))
             deliver_s.append(due)
             for k, lane in enumerate(lanes.tolist()):
                 signal = FeedbackSignal(generated, ecn[k], util[k], rtt[k], qd[k])
@@ -250,7 +345,10 @@ class TestRepeatedDelivery:
             for items in pending.values()
         ), "no row received out-of-order signals; the case is vacuous"
 
-        calls = table.deliver_feedback(batches, now, deliver_s)
+        rows = np.concatenate(rows)
+        assert table.repeated_rows(rows)
+        signals = [np.concatenate(f) for f in zip(*fields)]
+        calls = table.deliver_feedback(rows, signals, now, np.concatenate(deliver_s))
 
         for lane, twin in enumerate(twins):
             # a stable sort keeps enqueue (generation) order among ties
@@ -259,7 +357,8 @@ class TestRepeatedDelivery:
             assert twin.feedback_count == len(pending[lane])
             assert_row_matches(table, slots[lane], twin, context=f"row {lane}")
         waves = max(len(items) for items in pending.values())
-        assert calls >= waves
+        # one call per class present per wave, no split by generation
+        assert waves <= calls <= waves * len(fleet)
 
 
 class TestKernelSubsetDispatch:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.congestion_control import DCQCN
+from repro.congestion_control import DCQCN, make_cc_factory
 from repro.simulator import FeedbackSignal
 
 
@@ -56,3 +56,33 @@ class TestDCQCN:
         for step in range(1, 2000):
             cc.on_interval(1e-3, now=step * 1e-3)
         assert cc.rate_bps == pytest.approx(100e9, rel=0.05)
+
+
+class TestParameterValidation:
+    """A non-positive timer would make the interval loops spin forever."""
+
+    @pytest.mark.parametrize(
+        "param, value",
+        [
+            ("alpha_resume_interval_s", 0.0),
+            ("alpha_resume_interval_s", -55e-6),
+            ("increase_timer_s", 0.0),
+            ("increase_timer_s", -1e-3),
+            ("g", 0.0),
+            ("g", -0.5),
+            ("g", 1.5),
+        ],
+    )
+    def test_rejects_bad_parameter_naming_it(self, param, value):
+        with pytest.raises(ValueError, match=param):
+            DCQCN(100e9, 1e-3, **{param: value})
+
+    def test_factory_rejects_zero_alpha_interval(self):
+        factory = make_cc_factory("dcqcn", alpha_resume_interval_s=0.0)
+        with pytest.raises(ValueError, match="alpha_resume_interval_s"):
+            factory(100e9, 1e-3, 0)
+
+    def test_g_of_one_is_accepted(self):
+        cc = DCQCN(100e9, 1e-3, g=1.0)
+        cc.on_interval(1e-3, 0.0)
+        assert cc.alpha == 0.0

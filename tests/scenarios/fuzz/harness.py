@@ -5,8 +5,9 @@ invariant checkers: ``run_case`` builds and runs one simulation for one
 core, ``check_all_invariants`` runs the full cross-core sweep — scalar
 (reference), array, array with instrumentation, and array on an eagerly
 built path set (the lazy-vs-eager lane), the live dead-link monitor
-attached wherever the run is not instrumented — and asserts all four
-invariant families on the results: four runs per case.  Every entry
+attached wherever the run is not instrumented and the strict step-state
+monitor on every run — and asserts all four invariant families on the
+results: four runs per case.  Every entry
 point takes the router to run (ECMP by default); LCMP is provisioned by
 its control plane, as the experiment runner does it.
 """
@@ -22,6 +23,7 @@ from repro.scenarios.fuzz import FuzzCase, build_fuzz_pathset, build_fuzz_topolo
 from repro.scenarios.invariants import (
     CORE_CONFIGS,
     DeadLinkMonitor,
+    StepStateMonitor,
     assert_results_identical,
     check_demand_conservation,
     check_no_dead_link_traffic,
@@ -62,6 +64,9 @@ def run_case(
 ):
     """Run one fuzz case on one core (``prewarm``: enumerate every path pair first).
 
+    A :class:`StepStateMonitor` watches every step and raises after the
+    run on any non-physical state.
+
     Returns:
         ``(result, monitor)`` — the :class:`SimulationResult` and the
         attached :class:`DeadLinkMonitor` (``None`` unless requested).
@@ -80,7 +85,10 @@ def run_case(
         network, list(case.demands), factory, config, scenario=case.scenario
     )
     monitor = DeadLinkMonitor().attach(sim) if with_monitor else None
-    return sim.run(), monitor
+    strict = StepStateMonitor().attach(sim)
+    result = sim.run()
+    strict.check()
+    return result, monitor
 
 
 def run_baseline(case: FuzzCase, core: str = "array", router: str = "ecmp"):

@@ -20,16 +20,25 @@ from repro.scenarios.events import (
     SRLGFailure,
 )
 from repro.scenarios.injector import EventOutcome, ScenarioMetrics
+from repro.congestion_control import make_cc_factory
+from repro.routing import make_router_factory
 from repro.scenarios.invariants import (
     CORE_CONFIGS,
     InvariantViolation,
+    StepStateMonitor,
     assert_results_identical,
     check_demand_conservation,
     check_recovery_bound,
     down_intervals,
 )
-from repro.simulator import SimulationResult
+from repro.simulator import (
+    FluidSimulation,
+    RuntimeNetwork,
+    SimulationConfig,
+    SimulationResult,
+)
 from repro.simulator.fct import FlowRecord
+from repro.simulator.flow import FlowDemand
 from tests.helpers import store_of
 
 
@@ -236,3 +245,72 @@ class TestBitIdentity:
         b = result_of(1, metrics=ScenarioMetrics(scenario_name="s"))
         with pytest.raises(InvariantViolation, match="only one side"):
             assert_results_identical(a, b)
+
+
+# ---------------------------------------------------------------------- #
+# strict step-state monitor
+# ---------------------------------------------------------------------- #
+def monitored_sim(tiny_topology, tiny_pathset, vectorized, corrupt=None):
+    """A small congested run on the triangle with a StepStateMonitor attached.
+
+    ``corrupt(sim)`` (optional) runs as an earlier step observer and may
+    break the state the monitor then reads.
+    """
+    config = SimulationConfig(
+        seed=3, vectorized=vectorized, max_sim_time_s=0.2, drain_timeout_s=0.2
+    )
+    demands = [
+        FlowDemand(
+            flow_id=i,
+            src_dc="A",
+            dst_dc="B",
+            src_host=i % 4,
+            dst_host=(i + 1) % 4,
+            size_bytes=2_000_000,
+            arrival_s=1e-4 * i,
+        )
+        for i in range(12)
+    ]
+    network = RuntimeNetwork(tiny_topology, tiny_pathset, make_router_factory("ecmp"), config)
+    sim = FluidSimulation(network, demands, make_cc_factory("dcqcn"), config)
+    if corrupt is not None:
+        sim.add_step_observer(lambda s, now: corrupt(s))
+    monitor = StepStateMonitor().attach(sim)
+    return sim, monitor
+
+
+@pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "array"])
+class TestStepStateMonitor:
+    def test_holds_on_a_real_run(self, tiny_topology, tiny_pathset, vectorized):
+        sim, monitor = monitored_sim(tiny_topology, tiny_pathset, vectorized)
+        result = sim.run()
+        monitor.check()
+        assert monitor.steps_observed > 0
+        assert len(result.records) == 12
+        # the run queued, so the queue bound was exercised above zero
+        assert max(stat.peak_queue_bytes for stat in result.link_stats) > 0
+
+    @pytest.mark.parametrize("kind", ["sending-rate", "remaining-bytes", "queue"])
+    def test_fires_on_corrupted_state(self, tiny_topology, tiny_pathset, vectorized, kind):
+        def corrupt(sim):
+            if not sim._active:
+                return
+            flow = sim._active[0]
+            if kind == "sending-rate":
+                if sim._table is None:
+                    flow.cc.rate_bps = float("nan")
+                else:
+                    sim._table.cc_rate_bps[flow._slot] = float("nan")
+            elif kind == "remaining-bytes":
+                flow.remaining_bytes = -1.0
+            elif sim._incidence is None:
+                link = flow.path[0]
+                link.queue_bytes = link.buffer_bytes * 2.0
+            else:
+                sim._incidence.queue_bytes[0] = -1.0
+
+        sim, monitor = monitored_sim(tiny_topology, tiny_pathset, vectorized, corrupt)
+        sim.run()
+        assert monitor.violations and monitor.violations[0][0] == kind
+        with pytest.raises(InvariantViolation, match=kind):
+            monitor.check()

@@ -226,6 +226,53 @@ class TestScenarioEquivalence:
         assert_scenario_metrics_identical(scalar, vector)
 
 
+#: size and horizon of the RTT-shortening reroute case
+RTT_SHORTENING_FLOWS = 80
+RTT_SHORTENING_WINDOW_S = 1.3
+
+
+def build_rtt_shortening_sim(vectorized, cc, instrumentation=False):
+    """Flows on the 500 ms DC1–DC2 route re-routed onto far shorter RTTs mid-run.
+
+    Signals already in flight (stamped with the old RTT) land in the same
+    ticks as freshly enqueued ones, so rows get several signals due at once.
+    """
+    topology = build_testbed8(capacity_scale=0.1)
+    paths = _testbed8_pathset(topology)
+    hosts = topology.host_groups["DC1"].count
+    demands = [
+        FlowDemand(
+            flow_id=i,
+            src_dc="DC1" if i % 2 == 0 else "DC8",
+            dst_dc="DC8" if i % 2 == 0 else "DC1",
+            src_host=i % hosts,
+            dst_host=(i * 7 + 1) % hosts,
+            # huge flows outlive the old-RTT feedback horizon under
+            # every CC (the collision needs the rerouted flows alive
+            # when their stale signals land); small ones yield records
+            size_bytes=120_000 if i % 5 == 0 else 2_000_000_000,
+            arrival_s=0.001 * (i % 10) + 1e-4,
+        )
+        for i in range(RTT_SHORTENING_FLOWS)
+    ]
+    scenario = Scenario(
+        name="rtt-shortening",
+        events=(LinkDown(0.05, "DC1", "DC2"), LinkUp(1.2, "DC1", "DC2")),
+    )
+    config = SimulationConfig(
+        seed=11,
+        vectorized=vectorized,
+        max_sim_time_s=RTT_SHORTENING_WINDOW_S,
+        drain_timeout_s=RTT_SHORTENING_WINDOW_S,
+        instrumentation=instrumentation,
+    )
+    network = RuntimeNetwork(topology, paths, make_router_factory("ecmp"), config)
+    factory = (
+        make_mixed_cc_factory(cc, seed=11) if isinstance(cc, tuple) else make_cc_factory(cc)
+    )
+    return FluidSimulation(network, demands, factory, config, scenario=scenario)
+
+
 class TestRttShorteningRerouteEquivalence:
     """Several feedback lanes coming due in one step — the repeated-delivery
     slow path (per-row deliver-time waves in ``FlowTable.deliver_feedback``).
@@ -237,47 +284,8 @@ class TestRttShorteningRerouteEquivalence:
     core's per-flow deliver-time order exactly, for every CC class and for
     a mixed fleet; the test also asserts the slow path actually ran."""
 
-    NUM_FLOWS = 80
-    WINDOW_S = 1.3
-
     def run_reroute(self, vectorized, cc, instrumentation=False):
-        topology = build_testbed8(capacity_scale=0.1)
-        paths = _testbed8_pathset(topology)
-        hosts = topology.host_groups["DC1"].count
-        demands = [
-            FlowDemand(
-                flow_id=i,
-                src_dc="DC1" if i % 2 == 0 else "DC8",
-                dst_dc="DC8" if i % 2 == 0 else "DC1",
-                src_host=i % hosts,
-                dst_host=(i * 7 + 1) % hosts,
-                # huge flows outlive the old-RTT feedback horizon under
-                # every CC (the collision needs the rerouted flows alive
-                # when their stale signals land); small ones yield records
-                size_bytes=120_000 if i % 5 == 0 else 2_000_000_000,
-                arrival_s=0.001 * (i % 10) + 1e-4,
-            )
-            for i in range(self.NUM_FLOWS)
-        ]
-        scenario = Scenario(
-            name="rtt-shortening",
-            events=(LinkDown(0.05, "DC1", "DC2"), LinkUp(1.2, "DC1", "DC2")),
-        )
-        config = SimulationConfig(
-            seed=11,
-            vectorized=vectorized,
-            max_sim_time_s=self.WINDOW_S,
-            drain_timeout_s=self.WINDOW_S,
-            instrumentation=instrumentation,
-        )
-        network = RuntimeNetwork(topology, paths, make_router_factory("ecmp"), config)
-        factory = (
-            make_mixed_cc_factory(cc, seed=11)
-            if isinstance(cc, tuple)
-            else make_cc_factory(cc)
-        )
-        sim = FluidSimulation(network, demands, factory, config, scenario=scenario)
-        return sim.run()
+        return build_rtt_shortening_sim(vectorized, cc, instrumentation).run()
 
     @pytest.mark.parametrize(
         "cc", ["dcqcn", "hpcc", "timely", "dctcp", "ideal", MIX],
