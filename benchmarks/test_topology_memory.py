@@ -19,16 +19,15 @@ generated fabric (:data:`~repro.topology.generators.CONTINENT_400`:
   flow workload end to end through the experiment stack, completing
   flows and exposing the path-set gauges in ``result.stats``.
 
-Everything is ``REPRO_BENCH_SCALE``-aware (the quick-bench CI smoke sets
-0.25, shrinking the fabric); the recorded ``@pytest.mark.benchmark``
-lanes feed the nightly trajectory, and the run writes
-``BENCH_topology_memory.json`` at the repo root (schema in
-benchmarks/README.md) plus ``results/topology_memory.txt``.
+Every lane runs on the full ``CONTINENT_400`` fabric.  Two
+``@pytest.mark.benchmark`` lanes time fabric generation and lazy path-set
+construction, and the run writes ``BENCH_topology_memory.json`` at the
+repo root (schema in benchmarks/README.md) plus
+``results/topology_memory.txt``.
 """
 
 import gc
 import json
-import os
 import pathlib
 import time
 import tracemalloc
@@ -47,20 +46,6 @@ MAX_LAZY_RESIDENT_FRACTION = 0.25
 WORKING_SET_CACHE_PAIRS = 256
 #: sampled pairs checked bit-identical between the lazy and eager sets
 PARITY_SAMPLE_PAIRS = 40
-
-_BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-
-
-def scaled_spec() -> FabricSpec:
-    """The benchmark fabric, shrunk under ``REPRO_BENCH_SCALE`` < 1."""
-    if _BENCH_SCALE >= 1.0:
-        return CONTINENT_400
-    return FabricSpec(
-        name="continent-scaled",
-        regions=max(2, round(CONTINENT_400.regions * _BENCH_SCALE)),
-        edges_per_agg=max(1, round(CONTINENT_400.edges_per_agg * _BENCH_SCALE)),
-    )
-
 
 def _sample_pairs(pathset, count):
     pairs = pathset.all_pairs()
@@ -119,7 +104,7 @@ def measure_build(spec: FabricSpec):
 
 @pytest.fixture(scope="module")
 def measured():
-    return measure_build(scaled_spec())
+    return measure_build(CONTINENT_400)
 
 
 @pytest.fixture(scope="module")
@@ -127,9 +112,8 @@ def report(measured):
     """Collects lane results; written to disk after the module finishes."""
     data = {
         "schema": "topology_memory/v1",
-        "bench_scale": _BENCH_SCALE,
         "fabric": {
-            "name": scaled_spec().name,
+            "name": CONTINENT_400.name,
             "num_dcs": measured["num_dcs"],
             "num_links": measured["num_links"],
             "num_pairs": measured["num_pairs"],
@@ -154,8 +138,7 @@ def report(measured):
     build, mem = data["build"], data["memory"]
     lines = [
         f"topology memory lanes (fabric {data['fabric']['name']}, "
-        f"{data['fabric']['num_dcs']} DCs, {data['fabric']['num_links']} links, "
-        f"scale {_BENCH_SCALE:g})",
+        f"{data['fabric']['num_dcs']} DCs, {data['fabric']['num_links']} links)",
         f"topology build    : {build['topology_s'] * 1e3:10.1f} ms",
         f"lazy pathset      : {build['lazy_pathset_s'] * 1e3:10.1f} ms",
         f"eager pathset     : {build['eager_pathset_s'] * 1e3:10.1f} ms "
@@ -186,7 +169,7 @@ def test_lazy_build_speedup_gate(measured, report):
     """
     lazy_s, eager_s = measured["lazy_build_s"], measured["eager_build_s"]
     if eager_s / max(lazy_s, 1e-9) < MIN_LAZY_SPEEDUP:
-        remeasured = measure_build(scaled_spec())
+        remeasured = measure_build(CONTINENT_400)
         lazy_s = remeasured["lazy_build_s"]
         eager_s = remeasured["eager_build_s"]
         report["build"]["lazy_pathset_s"] = lazy_s
@@ -217,7 +200,7 @@ def test_lazy_working_set_memory_gate(measured, report):
     Builds a fresh lazy set with an LRU cap, serves a spread of pairs
     (~2 % of all ordered pairs), and gates the resident structure bytes
     against the eager set's; the tracemalloc peak of the whole procedure
-    is recorded for the nightly trajectory.
+    is recorded alongside.
     """
     topology = measured["topology"]
     eager_bytes = measured["eager_bytes"]
@@ -253,7 +236,6 @@ def test_generated_fabric_routable_simulation(measured, report):
     ``topology="fabric"`` spec — and must complete flows and surface the
     path-set gauges in ``result.stats``.
     """
-    spec_fabric = scaled_spec()
     topology = measured["topology"]
     # cross-region edge pairs exist for any generated spec
     edges = [dc for dc in topology.dcs if topology.dc_attrs(dc).tier == "edge"]
@@ -261,9 +243,9 @@ def test_generated_fabric_routable_simulation(measured, report):
     spec = ExperimentSpec(
         name="fabric-smoke",
         topology="fabric",
-        fabric=spec_fabric,
+        fabric=CONTINENT_400,
         pairs=pairs,
-        num_flows=max(50, int(200 * _BENCH_SCALE)),
+        num_flows=200,
         seed=9,
         instrumentation=True,
     )
@@ -284,14 +266,14 @@ def test_generated_fabric_routable_simulation(measured, report):
 
 @pytest.mark.benchmark(group="topology-memory")
 def test_bench_lazy_pathset_build(benchmark):
-    """Recorded lane: lazy path-set construction on the scaled fabric.
+    """Recorded lane: lazy path-set construction on the fabric.
 
     Each round gets a fresh topology so the measurement includes the
     shared index build instead of hitting the topology's index cache.
     """
     benchmark.pedantic(
         fabric_pathset,
-        setup=lambda: ((build_fabric(scaled_spec()),), {}),
+        setup=lambda: ((build_fabric(CONTINENT_400),), {}),
         rounds=3,
         iterations=1,
     )
@@ -299,5 +281,5 @@ def test_bench_lazy_pathset_build(benchmark):
 
 @pytest.mark.benchmark(group="topology-memory")
 def test_bench_fabric_topology_build(benchmark):
-    """Recorded lane: generating the scaled fabric topology itself."""
-    benchmark.pedantic(lambda: build_fabric(scaled_spec()), rounds=3, iterations=1)
+    """Recorded lane: generating the fabric topology itself."""
+    benchmark.pedantic(lambda: build_fabric(CONTINENT_400), rounds=3, iterations=1)

@@ -8,12 +8,7 @@ from .fct_analysis import (
     reduction,
 )
 from .fidelity import FidelityResult, fidelity_study, pearson
-from .perf_report import (
-    perf_report,
-    phase_breakdown,
-    phase_breakdown_json,
-    top_counters,
-)
+from .perf_report import perf_report, phase_breakdown, top_counters
 from .report import format_table, reduction_report, slowdown_table, utilization_report
 from .scenario_analysis import (
     EventImpact,
@@ -34,7 +29,6 @@ __all__ = [
     "pearson",
     "perf_report",
     "phase_breakdown",
-    "phase_breakdown_json",
     "top_counters",
     "EventImpact",
     "event_impacts",

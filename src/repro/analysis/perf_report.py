@@ -7,22 +7,17 @@ sweep-merged snapshot from
 * :func:`phase_breakdown` — per-phase rows (count, total/mean/max duration,
   share of the top-level ``step.*`` time), sorted by total time;
 * :func:`top_counters` — the top-N counters by value;
-* :func:`perf_report` — a human-readable text report of both;
-* :func:`phase_breakdown_json` — the structured per-phase payload the bench
-  lanes embed next to their wall-clock numbers, so ``BENCH_*.json``
-  artifacts carry a breakdown instead of a single number (schema in
-  ``benchmarks/README.md``).
+* :func:`perf_report` — a human-readable text report of both.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 __all__ = [
     "phase_breakdown",
     "top_counters",
     "perf_report",
-    "phase_breakdown_json",
 ]
 
 
@@ -88,29 +83,3 @@ def perf_report(snapshot: Optional[dict], top: int = 10) -> str:
     for row in top_counters(snapshot, top=top):
         lines.append(f"{row['name']:<40} {row['value']:>12}")
     return "\n".join(lines) + "\n"
-
-
-def phase_breakdown_json(snapshot: Optional[dict], top_n_counters: int = 20) -> Dict:
-    """The structured per-phase payload the bench lanes write to disk.
-
-    Schema (documented in ``benchmarks/README.md``)::
-
-        {
-          "phases":   [{"name", "count", "total_ms", "mean_us",
-                        "max_us", "share"}, ...],   # sorted by total_ms
-          "counters": {name: int},                  # top-N by value
-          "gauges":   {name: {"last", "max"}},
-        }
-
-    ``None`` in, ``{}`` out, so callers can write it unconditionally.
-    """
-    if snapshot is None:
-        return {}
-    return {
-        "phases": phase_breakdown(snapshot),
-        "counters": {
-            row["name"]: row["value"]
-            for row in top_counters(snapshot, top=top_n_counters)
-        },
-        "gauges": snapshot.get("gauges", {}),
-    }

@@ -137,12 +137,14 @@ class ExperimentSpec:
 
         Raises:
             ValueError: for unknown topology, router, workload or
-                congestion-control names, malformed ``pairs`` or
-                non-positive loads.
+                congestion-control names, malformed ``pairs`` or a load
+                outside ``(0, MAX_LOAD]`` (the range
+                :class:`~repro.workloads.TrafficConfig` accepts).
         """
         from ..congestion_control import available_ccs
         from ..routing import available_routers
         from ..workloads.distributions import available_workloads
+        from ..workloads.traffic_gen import MAX_LOAD
 
         for kind, name, known in (
             ("router", self.router, available_routers()),
@@ -159,8 +161,8 @@ class ExperimentSpec:
             self.fabric.validate()
         elif self.topology not in ("testbed8", "bso13"):
             raise ValueError(f"unknown topology {self.topology!r}")
-        if self.load <= 0:
-            raise ValueError("load must be positive")
+        if not 0 < self.load <= MAX_LOAD:
+            raise ValueError(f"load must be in (0, {MAX_LOAD:g}], got {self.load!r}")
         if self.num_flows <= 0:
             raise ValueError("num_flows must be positive")
         if self.capacity_scale <= 0:

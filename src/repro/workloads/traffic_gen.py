@@ -30,7 +30,10 @@ from ..topology.paths import PathSet
 from .cdf import FlowSizeCDF
 from .distributions import get_workload
 
-__all__ = ["TrafficConfig", "TrafficGenerator", "aggregate_egress_capacity"]
+__all__ = ["MAX_LOAD", "TrafficConfig", "TrafficGenerator", "aggregate_egress_capacity"]
+
+#: highest offered load a traffic matrix accepts; valid loads are (0, MAX_LOAD]
+MAX_LOAD = 1.5
 
 
 def aggregate_egress_capacity(topology: Topology, source_dcs: Sequence[str]) -> float:
@@ -76,10 +79,11 @@ class TrafficConfig:
         """Sanity-check the config.
 
         Raises:
-            ValueError: on non-positive load or flow counts.
+            ValueError: on a load outside (0, MAX_LOAD] or a non-positive
+                flow count.
         """
-        if not 0 < self.load <= 1.5:
-            raise ValueError("load must be in (0, 1.5]")
+        if not 0 < self.load <= MAX_LOAD:
+            raise ValueError(f"load must be in (0, {MAX_LOAD:g}]")
         if self.num_flows <= 0:
             raise ValueError("num_flows must be positive")
 

@@ -1,10 +1,8 @@
 """Unit tests for the per-phase performance report helpers."""
 
-import json
-
 import pytest
 
-from repro.analysis import perf_report, phase_breakdown, phase_breakdown_json, top_counters
+from repro.analysis import perf_report, phase_breakdown, top_counters
 from repro.obs import Instrumentation
 
 
@@ -110,16 +108,3 @@ class TestPerfReport:
         assert "step.update" in text
         assert "engine.events_fired" in text
         assert "phase breakdown" in text
-
-
-class TestPhaseBreakdownJson:
-    def test_none_yields_empty_dict(self):
-        assert phase_breakdown_json(None) == {}
-
-    def test_schema_and_serialisability(self):
-        payload = phase_breakdown_json(make_snapshot())
-        assert set(payload) == {"phases", "counters", "gauges"}
-        assert payload["phases"][0]["name"] == "step.update"
-        assert payload["counters"]["engine.events_fired"] == 100
-        assert payload["gauges"]["engine.peak_pending_events"]["max"] == 7.0
-        json.dumps(payload)

@@ -11,6 +11,8 @@ from repro.experiments import (
     WORKLOAD_NAMES,
     ExperimentSpec,
 )
+from repro.workloads import TrafficConfig
+from repro.workloads.traffic_gen import MAX_LOAD
 
 
 class TestConstants:
@@ -47,6 +49,7 @@ class TestSpec:
         "overrides, match",
         [
             (dict(load=0), "load"),
+            (dict(load=2.0), "load must be in \\(0, 1.5\\], got 2.0"),
             (dict(num_flows=0), "num_flows"),
             (dict(capacity_scale=0), "capacity_scale"),
             (dict(router="ospf"), "unknown router 'ospf'"),
@@ -63,6 +66,18 @@ class TestSpec:
     def test_invalid_fields(self, overrides, match):
         with pytest.raises(ValueError, match=match):
             ExperimentSpec(name="x", **overrides).validate()
+
+    def test_load_range_matches_the_traffic_generator(self):
+        """The spec accepts exactly the loads TrafficConfig accepts, so a
+        spec that validates never fails later inside a run."""
+        for load in (1e-9, 0.8, MAX_LOAD):
+            ExperimentSpec(name="x", load=load).validate()
+            TrafficConfig(load=load).validate()
+        for load in (0.0, MAX_LOAD * (1 + 1e-9)):
+            with pytest.raises(ValueError, match="load must be in"):
+                ExperimentSpec(name="x", load=load).validate()
+            with pytest.raises(ValueError, match="load must be in"):
+                TrafficConfig(load=load).validate()
 
     def test_valid_pairs(self):
         ExperimentSpec(name="x", pairs="all_to_all").validate()

@@ -125,6 +125,17 @@ class TestRunManyParallel:
             runner.run_many(specs, parallel=True, max_workers=2)
         assert not runner._topology_cache
 
+    def test_out_of_range_load_rejected_before_any_run(self):
+        """A load the traffic generator would reject fails the sweep up
+        front, not inside a worker after the topology is built."""
+        runner = ExperimentRunner()
+        specs = small_specs() + [ExperimentSpec(name="overload", load=2.0)]
+        with pytest.raises(ValueError, match=r"load must be in \(0, 1.5\], got 2.0"):
+            runner.run_many(specs, parallel=False)
+        # a serial sweep would have built (and cached) the topology for
+        # the specs ahead of the bad one
+        assert not runner._topology_cache
+
     def test_router_comparison_parallel_matches_serial(self):
         base = ExperimentSpec(name="base", num_flows=60, seed=9)
         serial = ExperimentRunner().run_router_comparison(

@@ -46,6 +46,13 @@ class TestFuzzInvariants:
         through random cut/repair stories."""
         check_all_invariants(case, router="lcmp")
 
+    @given(fuzz_cases(), st.sampled_from(("ucmp", "wcmp", "redte")))
+    def test_all_invariants_on_all_cores_baselines(self, case, router):
+        """The headline property under the remaining baselines: UCMP/WCMP
+        capacity weighting and RedTE's telemetry hook must keep every core
+        bit-identical through random cut/repair stories."""
+        check_all_invariants(case, router=router)
+
     @given(
         st.data(),
         st.sampled_from(sorted(FUZZ_TOPOLOGIES)),
