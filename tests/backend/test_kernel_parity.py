@@ -13,7 +13,9 @@ kernels:
 * uniform segment lengths (the reshape fast path) and ragged mixes (the
   masked-walk fallback),
 * uniform lengths at permuted starts and overlapping segments (which the
-  fast path must refuse).
+  fast path must refuse),
+* the 20k-flow step shape at full size (``TestHotLaneGeometry``: 80k
+  lanes onto 40 links, where a reordered accumulation shows).
 
 Each geometry tier is additionally driven directly (``TestGeometryTiers``)
 on every geometry it can take, so a dispatch change cannot route a case to
@@ -415,3 +417,111 @@ class TestRowKernels:
         den = 2.0
         out = np.asarray(backend.masked_divide(num, den, np.array([True, False, True])))
         np.testing.assert_array_equal(out, [0.5, 0.0, 1.5])
+
+
+# --------------------------------------------------------------------- #
+# the production step shape, at full size
+# --------------------------------------------------------------------- #
+#: the 20k-flow fluid step: 20k segments of the testbed8 path length (4)
+#: over ~40 registered links
+HOT_SEGMENTS = 20_000
+HOT_SEG_LEN = 4
+HOT_LINKS = 40
+
+
+def hot_lane_inputs():
+    """Deterministic inputs shaped like the 20k-flow step's kernel calls."""
+    rng = np.random.default_rng(17)
+    lanes = HOT_SEGMENTS * HOT_SEG_LEN
+    return {
+        "lengths": np.full(HOT_SEGMENTS, HOT_SEG_LEN, dtype=np.int64),
+        "starts": np.arange(HOT_SEGMENTS, dtype=np.int64) * HOT_SEG_LEN,
+        "idx": rng.integers(0, HOT_LINKS, size=lanes).astype(np.intp),
+        "lane_values": rng.uniform(0.5, 2.0, size=lanes),
+        "link_values": rng.uniform(0.0, 1.0, size=HOT_LINKS),
+        "rows": rng.permutation(HOT_SEGMENTS).astype(np.intp),
+        "column": rng.uniform(size=HOT_SEGMENTS),
+    }
+
+
+HOT = hot_lane_inputs()
+
+
+class TestHotLaneGeometry:
+    """Every kernel against its loop reference on the shape the simulator
+    hands it at 20k flows: 80k lanes accumulating onto 40 links (long
+    duplicate runs per bin) and the uniform-length fast path at full
+    width.  The edge-geometry classes above stay tiny; this tier catches a
+    kernel that is exact on a handful of lanes but reorders accumulation
+    once a bin takes thousands of them."""
+
+    def test_geometry_takes_the_fast_path(self):
+        n_lanes = len(HOT["lane_values"])
+        assert _uniform_length(n_lanes, HOT["starts"], HOT["lengths"]) == HOT_SEG_LEN
+        assert _csr_contiguous(n_lanes, HOT["starts"], HOT["lengths"])
+
+    def test_scatter_add(self, backend):
+        want = np.zeros(HOT_LINKS)
+        for i, v in zip(HOT["idx"].tolist(), HOT["lane_values"].tolist()):
+            want[i] += v
+        got = backend.scatter_add(HOT_LINKS, HOT["idx"], HOT["lane_values"])
+        _assert_equal(got, want)
+
+    @pytest.mark.parametrize("op", ["sum", "prod", "min", "max"])
+    def test_segment_reduce(self, backend, op):
+        args = (HOT["lane_values"], HOT["starts"], HOT["lengths"], op)
+        _assert_equal(
+            backend.segment_reduce(*args), backend._segment_reduce_loop(*args)
+        )
+
+    def test_expand_segments(self, backend):
+        want = [v for v in HOT["column"].tolist() for _ in range(HOT_SEG_LEN)]
+        got = backend.expand_segments(HOT["column"], HOT["lengths"])
+        _assert_equal(got, np.asarray(want))
+
+    def test_path_signals(self, backend):
+        not_marked_links = 1.0 - HOT["link_values"] * 0.1
+        delay_links = HOT["link_values"] * 1e-4
+        idx, starts, lengths = HOT["idx"], HOT["starts"], HOT["lengths"]
+        nm, qd = backend.path_signals(
+            idx, starts, lengths, not_marked_links, delay_links
+        )
+        _assert_equal(
+            nm,
+            backend._segment_reduce_loop(
+                not_marked_links[idx], starts, lengths, "prod"
+            ),
+        )
+        _assert_equal(
+            qd,
+            backend._segment_reduce_loop(delay_links[idx], starts, lengths, "sum"),
+        )
+
+    def test_weighted_choice(self, backend):
+        cumulative = np.cumsum(np.full(8, 12.5))
+        points = HOT["column"] * cumulative[-1]
+        got = np.asarray(backend.weighted_choice_searchsorted(cumulative, points))
+        np.testing.assert_array_equal(got, cursor_loop(cumulative, points))
+
+    def test_gather_rows(self, backend):
+        column = HOT["column"]
+        want = [column[r] for r in HOT["rows"].tolist()]
+        _assert_equal(backend.gather_rows(column, HOT["rows"]), np.asarray(want))
+
+    def test_scatter_rows(self, backend):
+        column = np.zeros(HOT_SEGMENTS)
+        values = HOT["column"]
+        backend.scatter_rows(column, HOT["rows"], values)
+        want = np.zeros(HOT_SEGMENTS)
+        for r, v in zip(HOT["rows"].tolist(), values.tolist()):
+            want[r] = v
+        _assert_equal(column, want)
+
+    def test_masked_divide(self, backend):
+        num = HOT["column"]
+        den = HOT["column"][::-1].copy()
+        den[::7] = 0.0
+        mask = den > 0
+        want = [n / d if m else 0.0 for n, d, m in zip(num, den, mask)]
+        got = backend.masked_divide(num, den, mask)
+        _assert_equal(got, np.asarray(want))

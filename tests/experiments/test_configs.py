@@ -67,17 +67,21 @@ class TestSpec:
         with pytest.raises(ValueError, match=match):
             ExperimentSpec(name="x", **overrides).validate()
 
-    def test_load_range_matches_the_traffic_generator(self):
-        """The spec accepts exactly the loads TrafficConfig accepts, so a
-        spec that validates never fails later inside a run."""
-        for load in (1e-9, 0.8, MAX_LOAD):
+    # The spec accepts exactly the loads TrafficConfig accepts, so a spec
+    # that validates never fails later inside a run.
+    @pytest.mark.parametrize("load", [1e-9, 0.8, MAX_LOAD])
+    def test_load_accepted_by_spec_and_traffic_generator(self, load):
+        ExperimentSpec(name="x", load=load).validate()
+        TrafficConfig(load=load).validate()
+
+    @pytest.mark.parametrize(
+        "load", [0.0, -0.5, MAX_LOAD * (1 + 1e-9), float("nan"), float("inf")]
+    )
+    def test_load_rejected_by_spec_and_traffic_generator(self, load):
+        with pytest.raises(ValueError, match="load must be in"):
             ExperimentSpec(name="x", load=load).validate()
+        with pytest.raises(ValueError, match="load must be in"):
             TrafficConfig(load=load).validate()
-        for load in (0.0, MAX_LOAD * (1 + 1e-9)):
-            with pytest.raises(ValueError, match="load must be in"):
-                ExperimentSpec(name="x", load=load).validate()
-            with pytest.raises(ValueError, match="load must be in"):
-                TrafficConfig(load=load).validate()
 
     def test_valid_pairs(self):
         ExperimentSpec(name="x", pairs="all_to_all").validate()
