@@ -7,7 +7,8 @@ their setup declaratively and reproducibly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 __all__ = ["SimulationConfig"]
 
@@ -82,15 +83,17 @@ class SimulationConfig:
         """Check that the configuration is internally consistent.
 
         Raises:
-            ValueError: on non-positive intervals or stop time, a negative
-                drain timeout or noise level, or ECN settings out of range.
+            ValueError: on a NaN field, non-positive or infinite intervals,
+                a non-positive stop time, a negative drain timeout or noise
+                level, or ECN settings out of range.
         """
-        if self.update_interval_s <= 0:
-            raise ValueError("update_interval_s must be positive")
-        if self.monitor_interval_s <= 0:
-            raise ValueError("monitor_interval_s must be positive")
-        if self.gc_interval_s <= 0:
-            raise ValueError("gc_interval_s must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and math.isnan(value):
+                raise ValueError(f"{f.name} must not be NaN")
+        for name in ("update_interval_s", "monitor_interval_s", "gc_interval_s"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0 <= self.ecn_kmin_fraction <= self.ecn_kmax_fraction <= 1:
             raise ValueError("require 0 <= ecn_kmin_fraction <= ecn_kmax_fraction <= 1")
         if not 0 <= self.ecn_pmax <= 1:

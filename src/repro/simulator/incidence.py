@@ -8,18 +8,27 @@ index structure over numpy arrays:
   has ever appeared on an active flow's path gets a stable integer slot;
   static per-link attributes (buffer size, ECN thresholds) live in parallel
   arrays indexed by slot;
-* a **per-flow index array**: each flow caches the registry slots of its
-  path links, computed once at arrival (or re-route) time and keyed by the
-  flow's :class:`~repro.simulator.flow_table.FlowTable` row slot;
-* a **concatenated view**: the per-flow arrays concatenated in active-flow
-  order (``idx``), plus segment ``starts``/``lengths`` — exactly the layout
+* a **hop matrix**: one padded row of registry slots per
+  :class:`~repro.simulator.flow_table.FlowTable` row slot, plus a hop-count
+  column.  A flow's row is written once at arrival (or re-route) time; the
+  matrix doubles in rows when a row past its capacity arrives and widens
+  when a path longer than any seen arrives.  Slots past a row's hop count
+  are stale padding and are never read;
+* a **concatenated view**: the active rows' hops in active-flow order
+  (``idx``), plus segment ``starts``/``lengths`` — exactly the layout
   ``np.add.at`` / ``np.minimum.reduceat`` / ``np.multiply.reduceat`` want.
+  It is one gather ``hops[active_rows, :width]`` (``width`` = the longest
+  active path): a plain ravel when every active path has ``width`` hops,
+  else a ``arange(width) < lengths[:, None]`` mask, which keeps the
+  flow-major lane order.
 
 The concatenated view is rebuilt **only when flow membership or a path
 changes** (arrival, completion, failure, re-route) — event-driven and rare
 relative to update ticks.  Link capacity / liveness arrays are cached and
 re-gathered only when :attr:`RuntimeLink.state_version` says some link
-mutated (scenario fault injection, capacity events) or the registry grew.
+mutated (scenario fault injection, capacity events) or the registry grew;
+the re-gather also records whether every registered link is up, and while
+that holds :meth:`FlowLinkIncidence.broken_flows` skips its reduction.
 
 Mutable per-link state (queue, carried/dropped bytes, peak queue, offered
 load) is held *in the arrays* while an array run is in flight: the
@@ -33,7 +42,7 @@ scalar-vs-vector equivalence guarantee.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -72,9 +81,13 @@ class FlowLinkIncidence:
         # cached dynamic per-link attributes (capacity, liveness)
         self.cap_bps = np.empty(0)
         self.up = np.empty(0, dtype=bool)
+        self._all_up = True
         self._seen_state_version = -1
         # --- per-flow structure, indexed by FlowTable row slot ---
-        self._paths: List[Optional[np.ndarray]] = []
+        #: padded registry slots of each row's path (row-major hop matrix)
+        self.hops = np.zeros((0, 0), dtype=np.intp)
+        #: hop count of each row's path (0 for a free row)
+        self.hop_counts = np.zeros(0, dtype=np.intp)
         # concatenated CSR view over the active flows
         self.idx = np.empty(0, dtype=np.intp)
         self.starts = np.empty(0, dtype=np.intp)
@@ -147,6 +160,7 @@ class FlowLinkIncidence:
         self.up = np.fromiter(
             (link.up for link in self._links), dtype=bool, count=n
         )
+        self._all_up = bool(self.up.all())
         self._seen_state_version = RuntimeLink.state_version
 
     def register_links(self, links: Sequence[RuntimeLink]) -> List[int]:
@@ -181,12 +195,28 @@ class FlowLinkIncidence:
 
         Called at arrival time and after every re-route.
         """
-        if row >= len(self._paths):
-            self._paths.extend([None] * (row + 1 - len(self._paths)))
-        self._paths[row] = np.array(
-            [self._slot(link) for link in path], dtype=np.intp
-        )
+        slots = [self._slot(link) for link in path]
+        n = len(slots)
+        rows, width = self.hops.shape
+        if row >= rows or n > width:
+            self._grow(row, n)
+        self.hops[row, :n] = slots
+        self.hop_counts[row] = n
         self._membership_dirty = True
+
+    def _grow(self, row: int, length: int) -> None:
+        """Reallocate the hop matrix to hold row ``row`` and ``length`` hops.
+
+        Rows grow by doubling; the width grows to the longest path seen.
+        """
+        old_rows, old_width = self.hops.shape
+        rows = max(row + 1, 2 * old_rows) if row >= old_rows else old_rows
+        width = max(old_width, length)
+        hops = np.zeros((rows, width), dtype=np.intp)
+        hops[:old_rows, :old_width] = self.hops
+        counts = np.zeros(rows, dtype=np.intp)
+        counts[:old_rows] = self.hop_counts
+        self.hops, self.hop_counts = hops, counts
 
     def update_flow_path(self, flow) -> None:
         """Re-index a flow after a re-route changed its path."""
@@ -194,8 +224,8 @@ class FlowLinkIncidence:
 
     def remove_row(self, row: int) -> None:
         """Drop the path of a finished or failed flow's row."""
-        if row < len(self._paths):
-            self._paths[row] = None
+        if row < len(self.hop_counts):
+            self.hop_counts[row] = 0
         self._membership_dirty = True
 
     # ------------------------------------------------------------------ #
@@ -216,14 +246,16 @@ class FlowLinkIncidence:
         if self._membership_dirty:
             self.membership_rebuilds += 1
             if len(active_rows):
-                paths = self._paths
-                flow_paths = [paths[row] for row in active_rows.tolist()]
-                self.lengths = np.fromiter(
-                    (len(a) for a in flow_paths), dtype=np.intp, count=len(flow_paths)
-                )
-                self.idx = np.concatenate(flow_paths)
-                starts = np.zeros(len(flow_paths), dtype=np.intp)
-                np.cumsum(self.lengths[:-1], out=starts[1:])
+                lengths = self.hop_counts[active_rows]
+                width = int(lengths.max())
+                block = self.hops[active_rows, :width]
+                if int(lengths.min()) == width:
+                    self.idx = block.ravel()
+                else:
+                    self.idx = block[np.arange(width) < lengths[:, None]]
+                self.lengths = lengths
+                starts = np.zeros(len(lengths), dtype=np.intp)
+                np.cumsum(lengths[:-1], out=starts[1:])
                 self.starts = starts
                 mask = np.zeros(len(self._links), dtype=bool)
                 mask[self.idx] = True
@@ -244,9 +276,11 @@ class FlowLinkIncidence:
         """Boolean per active flow: does its path cross a dead link?
 
         Requires :meth:`refresh` to have run for the current active list.
+        While every registered link is up no path can cross a dead one, so
+        the answer is all-False without a gather or reduction.
         """
-        if len(self.starts) == 0:
-            return np.empty(0, dtype=bool)
+        if self._all_up or len(self.starts) == 0:
+            return np.zeros(len(self.starts), dtype=bool)
         bk = self.backend
         path_up = bk.segment_reduce(
             bk.gather_rows(self.up, self.idx).astype(np.float64),

@@ -185,6 +185,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=match):
             config.validate()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # a NaN interval hangs run() or schedules an event in the past
+            ("update_interval_s", float("nan")),
+            ("monitor_interval_s", float("nan")),
+            ("gc_interval_s", float("nan")),
+            # an infinite interval never fires: the run drains unfinished
+            ("update_interval_s", float("inf")),
+            ("monitor_interval_s", float("inf")),
+            ("gc_interval_s", float("inf")),
+            ("max_sim_time_s", float("nan")),
+            ("drain_timeout_s", float("nan")),
+            ("fidelity_noise", float("nan")),
+        ],
+        ids=lambda v: v if isinstance(v, str) else repr(v),
+    )
+    def test_validate_rejects_non_finite(self, field, value):
+        """Only ``validate()`` runs: a bad interval would hang ``run()``."""
+        config = SimulationConfig().with_overrides(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            config.validate()
+
     def test_default_and_zero_drain_are_valid(self):
         SimulationConfig().validate()
         SimulationConfig(drain_timeout_s=0.0).validate()

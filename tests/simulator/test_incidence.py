@@ -1,0 +1,224 @@
+"""Unit tests for the flow×link incidence structure (the array core's layout).
+
+Each FlowTable row's path is one row of a padded hop matrix; the CSR view
+the kernels read (``idx``/``starts``/``lengths``/``active_slots``) is one
+gather over the active rows.  These tests pin that view against a
+per-flow-concatenate oracle through growth, row reuse and ragged hop
+counts, and check the liveness query through a cut and its repair.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.simulator import RuntimeLink
+from repro.simulator.incidence import FlowLinkIncidence
+from repro.topology.graph import LinkSpec
+
+
+def make_links(n):
+    return [
+        RuntimeLink(
+            LinkSpec(
+                src=f"N{i}",
+                dst=f"N{i + 1}",
+                cap_bps=1e9 * (i + 1),
+                delay_s=0.001,
+                buffer_bytes=1_000_000,
+                inter_dc=True,
+            )
+        )
+        for i in range(n)
+    ]
+
+
+def oracle(inc, paths, active_rows):
+    """The CSR view built the obvious way: concatenate per-flow slot arrays."""
+    per_flow = [
+        np.array([inc.register_links([link])[0] for link in paths[row]], dtype=np.intp)
+        for row in active_rows
+    ]
+    lengths = np.array([len(a) for a in per_flow], dtype=np.intp)
+    idx = np.concatenate(per_flow)
+    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]]).astype(np.intp)
+    return idx, starts, lengths, np.unique(idx)
+
+
+def assert_view(inc, paths, active_rows):
+    rows = np.asarray(active_rows, dtype=np.intp)
+    inc.refresh(rows)
+    idx, starts, lengths, active_slots = oracle(inc, paths, active_rows)
+    np.testing.assert_array_equal(inc.idx, idx)
+    np.testing.assert_array_equal(inc.starts, starts)
+    np.testing.assert_array_equal(inc.lengths, lengths)
+    np.testing.assert_array_equal(inc.active_slots, active_slots)
+    for name in ("idx", "starts", "lengths", "active_slots"):
+        assert getattr(inc, name).dtype == np.intp, name
+
+
+class TestHopMatrixGrowth:
+    def test_row_past_capacity_grows_and_keeps_rows(self):
+        links = make_links(6)
+        inc = FlowLinkIncidence()
+        paths = {0: links[:2], 1: links[2:4]}
+        for row, path in paths.items():
+            inc.set_path(row, path)
+        rows_before = inc.hops.shape[0]
+        paths[rows_before + 3] = links[4:6]
+        inc.set_path(rows_before + 3, paths[rows_before + 3])
+        assert inc.hops.shape[0] >= rows_before + 4
+        assert_view(inc, paths, [0, 1, rows_before + 3])
+
+    def test_rows_grow_by_doubling(self):
+        links = make_links(2)
+        inc = FlowLinkIncidence()
+        for row in range(9):
+            inc.set_path(row, links)
+        assert inc.hops.shape[0] == 16
+
+    def test_longer_path_widens_the_matrix(self):
+        links = make_links(8)
+        inc = FlowLinkIncidence()
+        paths = {0: links[:2], 1: links[2:4]}
+        for row, path in paths.items():
+            inc.set_path(row, path)
+        assert inc.hops.shape[1] == 2
+        assert_view(inc, paths, [0, 1])
+        paths[2] = links[2:8]
+        inc.set_path(2, paths[2])
+        assert inc.hops.shape[1] == 6
+        assert inc.membership_rebuilds == 1
+        assert_view(inc, paths, [0, 1, 2])
+        assert inc.membership_rebuilds == 2
+
+    def test_reroute_rewrites_the_row(self):
+        links = make_links(5)
+        inc = FlowLinkIncidence()
+        paths = {0: links[:3], 1: links[3:5]}
+        for row, path in paths.items():
+            inc.set_path(row, path)
+        assert_view(inc, paths, [0, 1])
+        paths[0] = [links[4], links[0]]
+        inc.set_path(0, paths[0])
+        assert_view(inc, paths, [0, 1])
+
+
+class TestRowReuse:
+    def test_shorter_path_after_remove_leaks_no_stale_slots(self):
+        links = make_links(6)
+        inc = FlowLinkIncidence()
+        paths = {0: links[:5], 1: links[5:6]}
+        for row, path in paths.items():
+            inc.set_path(row, path)
+        assert_view(inc, paths, [0, 1])
+        inc.remove_row(0)
+        assert inc.hop_counts[0] == 0
+        assert_view(inc, paths, [1])
+        # row 0 is reused by a 2-hop flow; its old hops 2..4 stay in the
+        # padding and must not appear in the view
+        paths[0] = [links[5], links[0]]
+        inc.set_path(0, paths[0])
+        assert_view(inc, paths, [0, 1])
+        assert not np.isin([2, 3, 4], inc.idx).any()
+        assert list(inc.active_slots) == [0, 5]
+
+    def test_uniform_rows_after_reuse(self):
+        """Every active path as wide as the longest: the plain-ravel case."""
+        links = make_links(6)
+        inc = FlowLinkIncidence()
+        paths = {0: links[:4], 1: links[4:6]}
+        for row, path in paths.items():
+            inc.set_path(row, path)
+        inc.remove_row(0)
+        paths[0] = [links[3], links[2]]
+        inc.set_path(0, paths[0])
+        assert_view(inc, paths, [1, 0])
+        assert inc.hops.shape[1] == 4
+
+
+class TestRaggedView:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_permuted_ragged_rows_match_the_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        links = make_links(12)
+        inc = FlowLinkIncidence()
+        paths = {}
+        for row in rng.permutation(40).tolist():
+            hops = int(rng.integers(1, 7))
+            paths[row] = [links[i] for i in rng.choice(12, size=hops, replace=False)]
+            inc.set_path(row, paths[row])
+        active = rng.permutation(40)[:25].tolist()
+        assert len({len(paths[row]) for row in active}) > 1
+        assert_view(inc, paths, active)
+        # churn: drop some rows, re-path others, and check again
+        for row in active[:5]:
+            inc.remove_row(row)
+        for row in active[5:10]:
+            paths[row] = [links[i] for i in rng.choice(12, size=2, replace=False)]
+            inc.set_path(row, paths[row])
+        assert_view(inc, paths, active[5:][::-1])
+
+    def test_no_active_rows(self):
+        links = make_links(3)
+        inc = FlowLinkIncidence()
+        inc.set_path(0, links)
+        inc.refresh(np.empty(0, dtype=np.intp))
+        for name in ("idx", "starts", "lengths", "active_slots"):
+            assert len(getattr(inc, name)) == 0
+        assert inc.broken_flows().shape == (0,)
+
+
+class TestBrokenFlows:
+    def test_cut_and_repair(self):
+        links = make_links(4)
+        inc = FlowLinkIncidence()
+        paths = {0: links[:2], 1: links[2:4], 2: [links[1], links[3]]}
+        for row, path in paths.items():
+            inc.set_path(row, path)
+        rows = np.array([2, 0, 1], dtype=np.intp)
+
+        version = RuntimeLink.state_version
+        inc.refresh(rows)
+        np.testing.assert_array_equal(inc.broken_flows(), [False, False, False])
+
+        links[1].fail()
+        assert RuntimeLink.state_version != version
+        version = RuntimeLink.state_version
+        inc.refresh(rows)
+        np.testing.assert_array_equal(inc.broken_flows(), [True, True, False])
+
+        links[1].recover()
+        assert RuntimeLink.state_version != version
+        inc.refresh(rows)
+        np.testing.assert_array_equal(inc.broken_flows(), [False, False, False])
+
+    def test_all_up_skips_the_reduction(self):
+        links = make_links(3)
+        inc = FlowLinkIncidence()
+        inc.set_path(0, links)
+        inc.set_path(1, links[1:])
+        rows = np.array([0, 1], dtype=np.intp)
+
+        class NoReduction:
+            def gather_rows(self, *args):
+                raise AssertionError("liveness gathered while every link is up")
+
+            segment_reduce = gather_rows
+
+        inc.backend = NoReduction()
+        inc.refresh(rows)
+        np.testing.assert_array_equal(inc.broken_flows(), [False, False])
+
+    def test_dead_link_off_every_active_path(self):
+        """A registered but unused dead link breaks no flow."""
+        links = make_links(4)
+        inc = FlowLinkIncidence()
+        inc.register_links([links[3]])
+        inc.set_path(0, links[:2])
+        links[3].fail()
+        try:
+            inc.refresh(np.array([0], dtype=np.intp))
+            np.testing.assert_array_equal(inc.broken_flows(), [False])
+        finally:
+            links[3].recover()

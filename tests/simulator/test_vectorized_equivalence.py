@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.congestion_control import (
@@ -22,13 +23,17 @@ from repro.congestion_control import (
     make_mixed_cc_factory,
 )
 from repro.congestion_control.base import CongestionControl
+from repro.core import lcmp_router_factory
 from repro.experiments import ExperimentRunner, ExperimentSpec
 from repro.routing import make_router_factory
 from repro.scenarios import get_scenario
 from repro.scenarios.events import CapacityChange, LinkDown, LinkUp, Scenario, TrafficSurge
+from repro.scenarios.library import single_link_cut
 from repro.simulator import FluidSimulation, RuntimeNetwork, SimulationConfig
+from repro.simulator import fluid as fluid_module
 from repro.simulator.flow import FeedbackSignal, FlowDemand
-from repro.topology import build_testbed8
+from repro.simulator.incidence import FlowLinkIncidence
+from repro.topology import build_bso13, bso13_pathset, build_testbed8
 from repro.topology import testbed8_pathset as _testbed8_pathset
 from repro.workloads import TrafficConfig, TrafficGenerator
 
@@ -370,6 +375,84 @@ class TestHighConcurrencyEquivalence:
         )
         assert_results_identical(scalar, array)
         assert_scenario_metrics_identical(scalar, array)
+
+
+class PerFlowIncidence(FlowLinkIncidence):
+    """The layout the hop matrix replaced: one slot array per row, and a
+    view rebuilt by concatenating the active rows' arrays."""
+
+    def __init__(self):
+        super().__init__()
+        self.per_flow = {}
+
+    def set_path(self, row, path):
+        super().set_path(row, path)
+        self.per_flow[row] = np.array([self._slot(link) for link in path], dtype=np.intp)
+
+    def remove_row(self, row):
+        super().remove_row(row)
+        self.per_flow.pop(row, None)
+
+    def refresh(self, active_rows):
+        rebuild = self._membership_dirty and len(active_rows) > 0
+        super().refresh(active_rows)
+        if rebuild:
+            arrays = [self.per_flow[row] for row in active_rows.tolist()]
+            self.lengths = np.array([len(a) for a in arrays], dtype=np.intp)
+            self.idx = np.concatenate(arrays)
+            self.starts = np.concatenate([[0], np.cumsum(self.lengths)[:-1]]).astype(np.intp)
+            self.active_slots = np.unique(self.idx)
+
+
+class TestHopMatrixChurnEquivalence:
+    """LCMP on the 13-DC all-to-all matrix with a DC4<->DC6 cut: reroutes
+    rewrite rows, completions free rows that later arrivals reuse with
+    other hop counts, and a path longer than any seen at the first update
+    step widens the hop matrix mid-run."""
+
+    def run_churn(self, vectorized):
+        topology = build_bso13(capacity_scale=0.1)
+        paths = bso13_pathset(topology)
+        config = SimulationConfig(seed=5, vectorized=vectorized, instrumentation=True)
+        traffic = TrafficConfig(
+            workload="websearch", load=0.1, num_flows=300, pairs="all_to_all", seed=5
+        )
+        demands = TrafficGenerator(topology, paths, traffic).generate()
+        network = RuntimeNetwork(
+            topology, paths, lcmp_router_factory(topology, paths), config
+        )
+        scenario = single_link_cut(
+            fail_at_s=0.01, recover_at_s=0.03, src="DC4", dst="DC6"
+        )
+        sim = FluidSimulation(
+            network, demands, make_cc_factory("dcqcn"), config, scenario=scenario
+        )
+        shapes = []
+        if vectorized:
+            sim.add_step_observer(lambda s, now: shapes.append(s._incidence.hops.shape))
+        return sim.run(), shapes
+
+    def test_scalar_identical_through_row_reuse_and_widening(self):
+        scalar, _ = self.run_churn(vectorized=False)
+        array, shapes = self.run_churn(vectorized=True)
+        assert_results_identical(scalar, array)
+        assert_scenario_metrics_identical(scalar, array)
+        counters = array.stats["counters"]
+        assert counters["slow_path.reroutes"] > 0
+        # rows were freed and reused: fewer matrix rows than flows admitted
+        rows, width = shapes[-1]
+        assert rows < counters["arrivals.flows_admitted"]
+        assert len(array.records) == counters["arrivals.flows_admitted"]
+        assert width > shapes[0][1], "the hop matrix never widened mid-run"
+
+    def test_counters_match_the_per_flow_layout(self, monkeypatch):
+        array, _ = self.run_churn(vectorized=True)
+        monkeypatch.setattr(fluid_module, "FlowLinkIncidence", PerFlowIncidence)
+        reference, _ = self.run_churn(vectorized=True)
+        assert_results_identical(reference, array)
+        assert_scenario_metrics_identical(reference, array)
+        assert array.stats["counters"] == reference.stats["counters"]
+        assert array.stats["counters"]["incidence.membership_rebuilds"] > 0
 
 
 class TestCorrelatedScenarioEquivalence:
