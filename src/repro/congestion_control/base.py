@@ -151,6 +151,19 @@ class CongestionControl(abc.ABC):
     def on_interval(self, dt: float, now: float) -> None:
         """Periodic behaviour (rate recovery / increase), every update step."""
 
+    def rebase_rtt(self, base_rtt_s: float) -> None:
+        """Move the controller onto a path with base RTT ``base_rtt_s``.
+
+        The one rule for how base RTT maps to parameters: the constructor
+        applies it and a re-route applies it again, so a moved flow's
+        controller holds exactly what a fresh one on the new path would.
+        It sets parameters only, never algorithm state, so the array core
+        re-copies the row's parameter columns after it
+        (:meth:`~repro.simulator.flow_table.FlowTable.copy_params`).
+        Subclasses whose parameters derive from the base RTT extend it.
+        """
+        self.base_rtt_s = float(base_rtt_s)
+
     # ------------------------------------------------------------------ #
     def _clamp(self) -> None:
         """Keep the rate within [min_rate, line_rate]."""

@@ -69,11 +69,18 @@ class Timely(CongestionControl):
         self.ewma_alpha = ewma_alpha
         self.addstep_bps = addstep_fraction * line_rate_bps
         self.beta = beta
-        self.t_low_s = base_rtt_s + t_low_extra_s
-        self.t_high_s = base_rtt_s + t_high_extra_s
+        self.t_low_extra_s = t_low_extra_s
+        self.t_high_extra_s = t_high_extra_s
+        self.rebase_rtt(base_rtt_s)
         self._prev_rtt_s = base_rtt_s
         self._rtt_diff_s = 0.0
         self._hai_counter = 0
+
+    def rebase_rtt(self, base_rtt_s: float) -> None:
+        """The thresholds sit a fixed queueing delay above the base RTT."""
+        super().rebase_rtt(base_rtt_s)
+        self.t_low_s = base_rtt_s + self.t_low_extra_s
+        self.t_high_s = base_rtt_s + self.t_high_extra_s
 
     # ------------------------------------------------------------------ #
     def on_feedback(self, signal: FeedbackSignal, now: float) -> None:

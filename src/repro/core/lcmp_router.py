@@ -123,6 +123,7 @@ class LCMPRouter(Router):
     ) -> CandidatePath:
         """Full LCMP decision for the first packet of a flow."""
         self.decisions += 1
+        self.last_choice_pinned = False
 
         # flow identification: established flows follow the cached egress
         cached = self.flow_cache.lookup(demand.flow_id, now)
@@ -131,6 +132,7 @@ class LCMPRouter(Router):
                 sticky = self._candidate_via(candidates, cached.out_port)
                 if sticky is not None:
                     self.sticky_hits += 1
+                    self.last_choice_pinned = True
                     return sticky
             else:
                 # lazy fast-failover: invalidate and treat as a new flow

@@ -85,6 +85,11 @@ class Router(abc.ABC):
     #: registry name, e.g. ``"ecmp"``
     name: str = "base"
 
+    #: True when the most recent :meth:`select` followed per-flow state (a
+    #: flow-cache pin) instead of choosing among its candidates; routers
+    #: without such state leave it False
+    last_choice_pinned: bool = False
+
     def __init__(self) -> None:
         self.switch = None
         #: the shared kernels of the batched selection paths

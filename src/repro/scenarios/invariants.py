@@ -28,7 +28,18 @@ correct run must satisfy regardless of the timeline:
 
 Alongside them, a strict step check (:class:`StepStateMonitor`, live)
 holds the per-step state physical on both cores: finite, non-negative
-rates, ``0 <= queue <= buffer`` and ``remaining >= 0``.
+rates, ``0 <= queue <= buffer`` and ``remaining >= 0``.  Two routing
+invariants, fed by a live :class:`FailoverRecorder`, guard the fast-failover
+path (paper §3.4) and its re-route wait list:
+
+* **Decision accounting** (:func:`check_decision_accounting`) — the
+  DecisionLog rows at each inter-DC flow's source switch total the admitted
+  inter-DC flows plus the run's re-route attempts (every walk decides once
+  at its source).
+* **Stranded flows are retried** (:func:`check_stranded_retry`) — at every
+  link-up on one of a stranded flow's candidate paths (per
+  :func:`down_intervals`), the flow gets a re-route attempt or heals in
+  place at that instant.
 
 Each checker raises :class:`InvariantViolation` (an ``AssertionError``
 subclass, so pytest renders it natively) with enough context to replay
@@ -69,6 +80,9 @@ __all__ = [
     "assert_scenario_metrics_identical",
     "DeadLinkMonitor",
     "StepStateMonitor",
+    "FailoverRecorder",
+    "check_decision_accounting",
+    "check_stranded_retry",
 ]
 
 #: the simulation cores, as ``SimulationConfig`` field overrides — the
@@ -521,3 +535,181 @@ def assert_scenario_metrics_identical(reference, other, label: str = "") -> None
     for oa, ob in zip(a.outcomes, b.outcomes):
         if dataclasses.asdict(oa) != dataclasses.asdict(ob):
             _violate(f"{prefix}event outcome mismatch:\n  {oa}\n  {ob}")
+
+
+# ---------------------------------------------------------------------- #
+# routing invariants: decision accounting and stranded-flow retries
+# ---------------------------------------------------------------------- #
+@dataclasses.dataclass
+class RevalidateCall:
+    """One ``revalidate_flows`` call as a :class:`FailoverRecorder` saw it.
+
+    Attributes:
+        now: the call's simulated time.
+        stranded: flow id -> ``(src_dc, dst_dc)`` of every flow disrupted
+            (and active) when the call began.
+        settled: the stranded flows the call attempted to re-route, healed
+            in place or re-routed.
+    """
+
+    now: float
+    stranded: Dict[int, Tuple[str, str]]
+    settled: set
+
+
+class FailoverRecorder:
+    """Live recorder behind the routing invariants (iii) and (v).
+
+    Attach with :meth:`attach` (before ``run()``).  It wraps three methods
+    of the simulation instance — admission, the re-route attempt and the
+    re-validation sweep — to record every admitted flow's endpoints, every
+    attempt ``(now, flow_id)`` and, per sweep, which disrupted flows it
+    attempted or healed.  It changes no simulation state.
+    """
+
+    def __init__(self) -> None:
+        self.sim = None
+        #: flow id -> (src_dc, dst_dc) of every admitted flow
+        self.admitted: Dict[int, Tuple[str, str]] = {}
+        #: every re-route attempt, in order
+        self.attempts: List[Tuple[float, int]] = []
+        self.calls: List[RevalidateCall] = []
+
+    def attach(self, sim) -> "FailoverRecorder":
+        """Wrap ``sim``'s admission, re-route and re-validation methods."""
+        self.sim = sim
+        append_active = sim._append_active
+        reroute = sim._reroute_flow
+        revalidate = sim.revalidate_flows
+
+        def admit(flow):
+            self.admitted[flow.flow_id] = (flow.demand.src_dc, flow.demand.dst_dc)
+            return append_active(flow)
+
+        def attempt(flow, now):
+            self.attempts.append((now, flow.flow_id))
+            return reroute(flow, now)
+
+        def sweep(now):
+            before = {f.flow_id: f for f in sim._active if f.disrupted_s is not None}
+            first = len(self.attempts)
+            revalidate(now)
+            settled = {fid for _, fid in self.attempts[first:]}
+            settled.update(
+                fid
+                for fid, f in before.items()
+                if f._active_pos >= 0 and f.disrupted_s is None
+            )
+            self.calls.append(
+                RevalidateCall(
+                    now,
+                    {fid: (f.demand.src_dc, f.demand.dst_dc) for fid, f in before.items()},
+                    settled & before.keys(),
+                )
+            )
+
+        sim._append_active = admit
+        sim._reroute_flow = attempt
+        sim.revalidate_flows = sweep
+        return self
+
+
+def check_decision_accounting(recorder: FailoverRecorder) -> None:
+    """Routing invariant (iii): decisions = admissions + re-route attempts.
+
+    Every inter-DC walk — an admission or a re-route attempt — makes its
+    first decision at the flow's source DC switch, so after the run the
+    DecisionLog rows there carry each admitted inter-DC flow at least once
+    and total the admitted inter-DC flows plus the simulation's
+    ``failover.reroute_attempts`` counter.
+
+    Raises:
+        InvariantViolation: when the recorded attempts disagree with the
+            counter, an admitted inter-DC flow has no source decision, or
+            the totals differ.
+    """
+    sim = recorder.sim
+    attempts = sim._reroute_attempts
+    if attempts != len(recorder.attempts):
+        _violate(
+            f"decision accounting: failover.reroute_attempts is {attempts} but "
+            f"{len(recorder.attempts)} attempts were recorded"
+        )
+    source_of = {
+        fid: src for fid, (src, dst) in recorder.admitted.items() if src != dst
+    }
+    rows: Dict[int, int] = {}
+    for dc, switch in sim.network.switches.items():
+        log = switch.decision_log
+        for fid in log.flow_id[: len(log)].tolist():
+            if source_of.get(fid) == dc:
+                rows[fid] = rows.get(fid, 0) + 1
+    missing = sorted(set(source_of) - set(rows))
+    if missing:
+        _violate(
+            f"decision accounting: admitted inter-DC flows {missing[:5]} have "
+            f"no decision at their source switch"
+        )
+    total = sum(rows.values())
+    if total != len(source_of) + attempts:
+        _violate(
+            f"decision accounting: {total} decisions at source switches, but "
+            f"{len(source_of)} admitted inter-DC flows + {attempts} re-route "
+            f"attempts = {len(source_of) + attempts}"
+        )
+
+
+def check_stranded_retry(recorder: FailoverRecorder, scenario: Scenario) -> None:
+    """Routing invariant (v): every link-up retries the flows it could help.
+
+    For each repair instant ``t`` of each directed link (the finite ends of
+    :func:`down_intervals`) and each flow stranded in a re-validation sweep
+    at ``t`` one of whose candidate paths (from the run's path set) crosses
+    that link: some sweep at ``t`` in which the flow was stranded attempted
+    to re-route it or found its path healed.
+
+    Raises:
+        InvariantViolation: naming the link, the instant and the flow that
+            was left waiting.
+    """
+    sim = recorder.sim
+    pathset = sim.network.pathset
+    outages = down_intervals(scenario, sim.network.topology)
+    repairs: Dict[float, List[Tuple[str, str]]] = {}
+    for key, spans in outages.items():
+        for _, end in spans:
+            if end < math.inf:
+                repairs.setdefault(end, []).append(key)
+    if not repairs:
+        return
+    hops_of: Dict[Tuple[str, str], set] = {}
+
+    def candidate_hops(pair: Tuple[str, str]) -> set:
+        hops = hops_of.get(pair)
+        if hops is None:
+            hops = set()
+            for candidate in pathset.candidates(*pair):
+                hops.update(zip(candidate.dcs, candidate.dcs[1:]))
+            hops_of[pair] = hops
+        return hops
+
+    by_time: Dict[float, List[RevalidateCall]] = {}
+    for call in recorder.calls:
+        if call.now in repairs:
+            by_time.setdefault(call.now, []).append(call)
+    for t, calls in by_time.items():
+        waiting: Dict[int, Tuple[str, str]] = {}
+        settled: set = set()
+        for call in calls:
+            waiting.update(call.stranded)
+            settled |= call.settled
+        for fid, pair in waiting.items():
+            if fid in settled:
+                continue
+            for key in repairs[t]:
+                if key in candidate_hops(pair):
+                    _violate(
+                        f"stranded retry: flow {fid} ({pair[0]}->{pair[1]}) was "
+                        f"neither retried nor healed when {key[0]}->{key[1]}, "
+                        f"one of its candidate hops, came back at {t:g}s"
+                    )

@@ -119,6 +119,9 @@ class Flow:
         self._achieved_bps: float = 0.0
         #: when the flow's path lost a link (None while the path is healthy)
         self._disrupted_s: Optional[float] = None
+        #: (link-state version, routers' epoch) of the last failed re-route
+        #: while the flow waits on the simulation's wait list, else None
+        self._parked_at: Optional[Tuple[int, int]] = None
         #: congestion feedback in flight towards the sender, normally in
         #: non-decreasing deliver-time order (append-only); a re-route that
         #: shortens the path RTT may break the order, tracked by the flag
@@ -137,6 +140,7 @@ class Flow:
             self._disrupted_s if self._disrupted_s is not None else float("nan")
         )
         table.path_id[slot] = self._route_id_attr
+        table.wait_version[slot], table.wait_epoch[slot] = self._parked_at or (-1, -1)
         self._table = table
         self._slot = slot
 
@@ -146,6 +150,7 @@ class Flow:
         if table is None:
             return
         slot = self._slot
+        self._parked_at = self.parked_at
         self._table = None
         self._remaining_bytes = float(table.remaining_bytes[slot])
         self._base_rtt_s = float(table.base_rtt_s[slot])
@@ -221,6 +226,29 @@ class Flow:
             self._disrupted_s = value
         else:
             t.disrupted_s[self._slot] = value if value is not None else float("nan")
+
+    @property
+    def parked_at(self) -> Optional[Tuple[int, int]]:
+        """``(link-state version, routers' epoch)`` of the last failed re-route.
+
+        None while the flow is not parked on the re-route wait list; an
+        epoch of -1 means only a link change can wake it.  Table-resident
+        while bound (the ``wait_version`` / ``wait_epoch`` columns, -1 =
+        not parked), so the array core can mask parked rows.
+        """
+        t = self._table
+        if t is None:
+            return self._parked_at
+        version = int(t.wait_version[self._slot])
+        return None if version < 0 else (version, int(t.wait_epoch[self._slot]))
+
+    @parked_at.setter
+    def parked_at(self, value: Optional[Tuple[int, int]]) -> None:
+        t = self._table
+        if t is None:
+            self._parked_at = value
+        else:
+            t.wait_version[self._slot], t.wait_epoch[self._slot] = value or (-1, -1)
 
     @property
     def route_id(self) -> int:

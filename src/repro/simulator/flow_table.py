@@ -10,9 +10,10 @@ array run is in flight:
   finished/failed flows return their slot to a free list for reuse and the
   column arrays double in capacity when the free list runs dry;
 * **core columns** hold the state every flow has (``remaining_bytes``,
-  ``base_rtt_s``, ``achieved_bps``, the disruption stamp, feedback-line
-  bookkeeping, the congestion controller's sending rate and feedback
-  count, and the id of its congestion-control class);
+  ``base_rtt_s``, ``achieved_bps``, the disruption stamp and re-route
+  wait state, feedback-line bookkeeping, the congestion controller's
+  sending rate and feedback count, and the id of its congestion-control
+  class);
 * **per-CC-class column blocks** hold algorithm state: a congestion-control
   class that declares :attr:`~repro.congestion_control.base.CongestionControl
   .cc_columns` gets its own block of columns (state plus replicated static
@@ -68,10 +69,18 @@ _CORE_DTYPES: Dict[str, str] = {
     "epoch": "i8",
     "path_id": "i8",
     "cc_class_id": "i8",
+    "wait_version": "i8",
+    "wait_epoch": "i8",
 }
 
 #: fill value of never-used rows, where it is not zero
-_CORE_FILL = {"disrupted_s": np.nan, "path_id": -1, "cc_class_id": -1}
+_CORE_FILL = {
+    "disrupted_s": np.nan,
+    "path_id": -1,
+    "cc_class_id": -1,
+    "wait_version": -1,
+    "wait_epoch": -1,
+}
 
 
 class ColumnBlock:
@@ -174,6 +183,11 @@ class FlowTable:
         #: id of the occupying flow's CC class (-1 = free); the CC
         #: dispatch splits row batches by this column
         self.cc_class_id = np.full(self._capacity, -1, dtype=np.int64)
+        #: the re-route wait list (see FluidSimulation._park): link-state
+        #: version and routers' epoch of a parked flow's failed attempt;
+        #: -1 = not parked / no epoch wake
+        self.wait_version = np.full(self._capacity, -1, dtype=np.int64)
+        self.wait_epoch = np.full(self._capacity, -1, dtype=np.int64)
 
         #: per-CC-class column blocks, keyed by the CC class
         self._blocks: Dict[Type, ColumnBlock] = {}
@@ -278,6 +292,20 @@ class FlowTable:
         for name, col in cc_cls.cc_columns.items():
             getattr(block, name)[slot] = getattr(cc, col.attr)
         return slot
+
+    def copy_params(self, flow) -> None:
+        """Re-copy the parameter columns of a bound flow's controller.
+
+        For a parameter change that follows a re-route
+        (:meth:`~repro.congestion_control.base.CongestionControl.rebase_rtt`
+        touches parameters only, never the row-resident state).
+        """
+        cc = flow.cc
+        block = self._blocks[type(cc)]
+        slot = flow._slot
+        for name, col in type(cc).cc_columns.items():
+            if col.kind == "param":
+                getattr(block, name)[slot] = getattr(cc, col.attr)
 
     def release(self, flow) -> None:
         """Copy the row back into the flow and its controller; free the slot.

@@ -273,6 +273,12 @@ class FluidSimulation:
         self._deliver_repeated_calls = 0
         self._sequential_arrivals = 0
         self._reroutes = 0
+        self._reroute_attempts = 0
+        self._parked = 0
+        self._wakeups = 0
+        #: housekeeping ticks run so far (part of the routers' epoch, see
+        #: :meth:`_router_epoch`)
+        self._gc_ticks = 0
         self._cc_kernel_dispatches = 0
         self._arrival_batches = 0
         self._flows_admitted = 0
@@ -421,6 +427,12 @@ class FluidSimulation:
         (paper §3.4).  A flow with no healthy alternative stays pinned until
         its path recovers, or — when the scenario sets a stranded timeout —
         is explicitly failed and recorded.
+
+        A failed re-route parks the flow on a wait list: it is retried only
+        once something its walk depends on has changed (see
+        :meth:`_wakes`), never on every step.  Parking skips attempts only;
+        a parked flow still heals in place and still fails at its stranded
+        timeout at the same instant as before.
         """
         stranded_timeout = None
         if self.injector is not None:
@@ -435,9 +447,22 @@ class FluidSimulation:
             rows = self._active_rows()
             self._incidence.refresh(rows)
             broken_arr = self._incidence.broken_flows()
-            need = broken_arr | ~np.isnan(self._table.disrupted_s[rows])
+            table = self._table
+            disrupted = table.disrupted_s[rows]
+            need = broken_arr | ~np.isnan(disrupted)
             if not need.any():
                 return
+            # parked rows no wake condition holds for (the mask form of
+            # _wakes) need nothing until their stranded timeout comes
+            asleep = table.wait_version[rows] == RuntimeLink.state_version
+            if asleep.any():
+                epoch = table.wait_epoch[rows]
+                asleep &= (epoch < 0) | (epoch == self._router_epoch())
+                if stranded_timeout is not None:
+                    asleep &= now - disrupted < stranded_timeout
+                need &= ~asleep
+                if not need.any():
+                    return
             targets = np.flatnonzero(need)
             flows = [self._active[i] for i in targets.tolist()]
             broken_l = broken_arr[targets].tolist()
@@ -452,28 +477,72 @@ class FluidSimulation:
     def _revalidate_one(
         self, flow: Flow, broken: bool, now: float, stranded_timeout: Optional[float]
     ) -> None:
-        """Re-evaluate one flow: clear, reroute, pin or fail it."""
+        """Re-evaluate one flow: clear, reroute, park or fail it."""
         if not broken:
             if flow.disrupted_s is not None:
                 # the original path healed in place (link recovery)
                 if self.injector is not None:
                     self.injector.on_flow_restored(flow, now)
                 flow.disrupted_s = None
+                flow.parked_at = None
             return
         if flow.disrupted_s is None:
             flow.disrupted_s = now
             if self.injector is not None:
                 self.injector.on_flow_disrupted(flow, now)
-        if self._reroute_flow(flow, now):
-            if self.injector is not None:
-                self.injector.on_flow_rerouted(flow, now)
-            flow.disrupted_s = None
-            return
+        parked = flow.parked_at
+        if parked is None or self._wakes(parked):
+            if parked is not None:
+                self._wakeups += 1
+            if self._reroute_flow(flow, now):
+                if self.injector is not None:
+                    self.injector.on_flow_rerouted(flow, now)
+                flow.disrupted_s = None
+                flow.parked_at = None
+                return
+            self._park(flow, parked is None)
         if (
             stranded_timeout is not None
             and now - flow.disrupted_s >= stranded_timeout
         ):
             self._fail_flow(flow, now)
+
+    # ------------------------------------------------------------------ #
+    # the re-route wait list
+    # ------------------------------------------------------------------ #
+    def _router_epoch(self) -> int:
+        """Count of the events that move router state without a link change.
+
+        Telemetry sweeps (each is delivered to the routers) and housekeeping
+        ticks (flow-cache GC, RedTE's control loop).
+        """
+        return self.telemetry.sweeps + self._gc_ticks
+
+    def _park(self, flow: Flow, first: bool) -> None:
+        """Put a flow whose re-route just failed on the wait list.
+
+        The flow records the link-state version its walk saw and, when the
+        walk made an adaptive choice (see
+        :attr:`~repro.simulator.network.RuntimeNetwork.last_walk_adaptive`),
+        the routers' epoch; otherwise only a link change can alter the walk.
+        ``first``: the flow was not parked before this attempt.
+        """
+        if first:
+            self._parked += 1
+        epoch = self._router_epoch() if self.network.last_walk_adaptive else -1
+        flow.parked_at = (RuntimeLink.state_version, epoch)
+
+    def _wakes(self, parked: Tuple[int, int]) -> bool:
+        """Whether a parked flow's re-route could now come out differently.
+
+        True when any link failed, recovered or changed capacity since the
+        failed attempt, or — for a walk that made an adaptive choice — the
+        routers saw a telemetry sweep or a housekeeping tick since.
+        """
+        version, epoch = parked
+        if version != RuntimeLink.state_version:
+            return True
+        return epoch >= 0 and epoch != self._router_epoch()
 
     # ------------------------------------------------------------------ #
     # event handlers
@@ -643,6 +712,7 @@ class FluidSimulation:
     def _gc_step(self) -> None:
         with self._sp_gc:
             self.network.tick_all(self.engine.now)
+            self._gc_ticks += 1
 
     def add_step_observer(
         self, observer: Callable[["FluidSimulation", float], None]
@@ -972,9 +1042,14 @@ class FluidSimulation:
     def _reroute_flow(self, flow: Flow, now: float) -> bool:
         """Re-resolve the path of a flow that lost a link (fast-failover).
 
+        The controller's base-RTT parameters follow the new path
+        (:meth:`~repro.congestion_control.base.CongestionControl.rebase_rtt`;
+        on the array core the row's parameter columns are re-copied).
+
         Returns:
             True when the flow was moved onto a fully healthy path.
         """
+        self._reroute_attempts += 1
         try:
             new_path = self.network.resolve_path(flow.demand, now)
         except RoutingLoopError:
@@ -985,11 +1060,13 @@ class FluidSimulation:
             return False
         self._reroutes += 1
         flow.path = tuple(new_path)
-        flow.base_rtt_s = 2.0 * sum(link.delay_s for link in new_path)
+        flow.base_rtt_s = base_rtt = 2.0 * sum(link.delay_s for link in new_path)
+        flow.cc.rebase_rtt(base_rtt)
         flow.route_id = self.collector.route_index_for(flow.demand.src_dc, flow.path)
         if self._incidence is not None:
             self._incidence.update_flow_path(flow)
             self._table.path_id[flow._slot] = flow.route_id
+            self._table.copy_params(flow)
         return True
 
     def _fail_flow(self, flow: Flow, now: float) -> None:
@@ -1091,6 +1168,9 @@ class FluidSimulation:
             "slow_path.deliver_repeated": self._deliver_repeated_calls,
             "slow_path.sequential_routing": self._sequential_arrivals,
             "slow_path.reroutes": self._reroutes,
+            "failover.reroute_attempts": self._reroute_attempts,
+            "failover.parked": self._parked,
+            "failover.wakeups": self._wakeups,
             "cc.kernel_dispatches": self._cc_kernel_dispatches,
             "arrivals.batches": self._arrival_batches,
             "arrivals.flows_admitted": self._flows_admitted,

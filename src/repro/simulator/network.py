@@ -86,6 +86,11 @@ class RuntimeNetwork:
         #: liveness-array cache.
         self._fallback_cache: Dict[Tuple[str, str], object] = {}
         self._fallback_seen_version = RuntimeLink.state_version
+        #: whether the last :meth:`resolve_path` walk made an adaptive
+        #: choice (:attr:`DCISwitch.last_choice_adaptive`) at some switch —
+        #: the one way the same link state can give a different walk; the
+        #: simulation's re-route wait list reads it after a failed attempt
+        self.last_walk_adaptive = False
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -180,6 +185,7 @@ class RuntimeNetwork:
             Ordered runtime links: source NIC uplink, inter-DC links,
             destination NIC downlink.
         """
+        self.last_walk_adaptive = False
         links: List[RuntimeLink] = [
             self.host_link(demand.src_dc, demand.src_host, "up")
         ]
@@ -207,6 +213,8 @@ class RuntimeNetwork:
             if candidates:
                 switch = self._switches[current]
                 chosen = switch.route_flow(dst, candidates, demand, now)
+                if switch.last_choice_adaptive:
+                    self.last_walk_adaptive = True
                 next_dc = chosen.first_hop
             else:
                 # no loop-free candidate left: commit to the shortest-delay

@@ -224,6 +224,14 @@ class DCISwitch:
         #: while RuntimeLink.state_version equals _usable_version
         self._usable_memo: Dict[Tuple[str, Tuple[int, ...]], tuple] = {}
         self._usable_version = RuntimeLink.state_version
+        #: whether the router's choices follow telemetry (see
+        #: :attr:`last_choice_adaptive`)
+        self._adaptive_router = router.consumes_telemetry()
+        #: whether the last :meth:`route_flow` choice could come out
+        #: differently at the same link state: the router follows
+        #: telemetry, did not follow a per-flow pin, and at least two live
+        #: first hops were on offer
+        self.last_choice_adaptive = False
         router.attach(self)
 
     # ------------------------------------------------------------------ #
@@ -303,7 +311,14 @@ class DCISwitch:
             ValueError: when ``candidates`` is empty.
         """
         usable, _, fallback = self._usable_candidates(dst_dc, candidates)
-        chosen = self.router.select(dst_dc, usable, demand, now)
+        router = self.router
+        chosen = router.select(dst_dc, usable, demand, now)
+        self.last_choice_adaptive = (
+            self._adaptive_router
+            and not fallback
+            and not router.last_choice_pinned
+            and len({c.first_hop for c in usable}) > 1
+        )
         self.decision_log.append(
             flow_id=demand.flow_id,
             time_s=now,

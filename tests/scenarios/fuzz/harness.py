@@ -7,14 +7,16 @@ core, ``check_all_invariants`` runs the full cross-core sweep — scalar
 built path set (the lazy-vs-eager lane), the live dead-link monitor
 attached wherever the run is not instrumented and the strict step-state
 monitor on every run — and asserts all four invariant families on the
-results: four runs per case.  Every entry
+results, plus the two routing invariants (decision accounting and
+stranded-flow retries, from a :class:`FailoverRecorder` on every run):
+four runs per case.  Every entry
 point takes the router to run (ECMP by default); LCMP is provisioned by
 its control plane, as the experiment runner does it.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.congestion_control import make_cc_factory, make_mixed_cc_factory
 from repro.core import lcmp_router_factory
@@ -23,11 +25,14 @@ from repro.scenarios.fuzz import FuzzCase, build_fuzz_pathset, build_fuzz_topolo
 from repro.scenarios.invariants import (
     CORE_CONFIGS,
     DeadLinkMonitor,
+    FailoverRecorder,
     StepStateMonitor,
     assert_results_identical,
+    check_decision_accounting,
     check_demand_conservation,
     check_no_dead_link_traffic,
     check_recovery_bound,
+    check_stranded_retry,
 )
 from repro.simulator import FluidSimulation, RuntimeNetwork, SimulationConfig
 
@@ -61,11 +66,13 @@ def run_case(
     with_monitor: bool = False,
     prewarm: bool = False,
     router: str = "ecmp",
+    recorder: Optional[FailoverRecorder] = None,
 ):
     """Run one fuzz case on one core (``prewarm``: enumerate every path pair first).
 
     A :class:`StepStateMonitor` watches every step and raises after the
-    run on any non-physical state.
+    run on any non-physical state; ``recorder``, when given, is attached
+    before the run.
 
     Returns:
         ``(result, monitor)`` — the :class:`SimulationResult` and the
@@ -86,6 +93,8 @@ def run_case(
     )
     monitor = DeadLinkMonitor().attach(sim) if with_monitor else None
     strict = StepStateMonitor().attach(sim)
+    if recorder is not None:
+        recorder.attach(sim)
     result = sim.run()
     strict.check()
     return result, monitor
@@ -116,8 +125,11 @@ def check_all_invariants(
     """
     topology = build_fuzz_topology(case.topology_name)
     config = make_config(case, "scalar")
+    recorders = {name: FailoverRecorder() for name in ("scalar", "array", "instrumented", "eager")}
 
-    reference, monitor = run_case(case, core="scalar", with_monitor=True, router=router)
+    reference, monitor = run_case(
+        case, core="scalar", with_monitor=True, router=router, recorder=recorders["scalar"]
+    )
     check_demand_conservation(reference, len(case.demands))
     check_no_dead_link_traffic(reference, case.scenario, topology, monitor)
     check_recovery_bound(
@@ -128,20 +140,36 @@ def check_all_invariants(
     )
 
     results: Dict[str, object] = {"scalar": reference}
-    array, array_monitor = run_case(case, core="array", with_monitor=True, router=router)
+    array, array_monitor = run_case(
+        case, core="array", with_monitor=True, router=router, recorder=recorders["array"]
+    )
     check_demand_conservation(array, len(case.demands))
     check_no_dead_link_traffic(array, case.scenario, topology, array_monitor)
     assert_results_identical(reference, array, label="scalar vs array")
     results["array"] = array
-    instrumented, _ = run_case(case, core="array", instrumentation=True, router=router)
+    instrumented, _ = run_case(
+        case,
+        core="array",
+        instrumentation=True,
+        router=router,
+        recorder=recorders["instrumented"],
+    )
     assert_results_identical(reference, instrumented, label="scalar vs instrumented")
     results["instrumented"] = instrumented
     # lazy vs prewarmed path sets must be indistinguishable at run level
     eager, eager_monitor = run_case(
-        case, core="array", with_monitor=True, prewarm=True, router=router
+        case,
+        core="array",
+        with_monitor=True,
+        prewarm=True,
+        router=router,
+        recorder=recorders["eager"],
     )
     check_demand_conservation(eager, len(case.demands))
     check_no_dead_link_traffic(eager, case.scenario, topology, eager_monitor)
     assert_results_identical(reference, eager, label="lazy vs eager pathset")
     results["eager_paths"] = eager
+    for recorder in recorders.values():
+        check_decision_accounting(recorder)
+        check_stranded_retry(recorder, case.scenario)
     return results

@@ -22,13 +22,17 @@ from repro.scenarios.events import (
 from repro.scenarios.injector import EventOutcome, ScenarioMetrics
 from repro.congestion_control import make_cc_factory
 from repro.routing import make_router_factory
+from repro.scenarios.fuzz import build_fuzz_pathset, build_fuzz_topology
 from repro.scenarios.invariants import (
     CORE_CONFIGS,
+    FailoverRecorder,
     InvariantViolation,
     StepStateMonitor,
     assert_results_identical,
+    check_decision_accounting,
     check_demand_conservation,
     check_recovery_bound,
+    check_stranded_retry,
     down_intervals,
 )
 from repro.simulator import (
@@ -314,3 +318,106 @@ class TestStepStateMonitor:
         assert monitor.violations and monitor.violations[0][0] == kind
         with pytest.raises(InvariantViolation, match=kind):
             monitor.check()
+
+
+# ---------------------------------------------------------------------- #
+# routing invariants: decision accounting (iii) and stranded retries (v)
+# ---------------------------------------------------------------------- #
+#: every way into DC4 is cut at 10 ms; DC3-DC4 returns at 20 ms, which
+#: must retry the flows still stranded behind DC2-DC4 (back at 30 ms)
+DC4_CUT = Scenario(
+    name="dc4-cut",
+    events=(
+        LinkDown(0.010, "DC2", "DC4"),
+        LinkDown(0.010, "DC3", "DC4"),
+        LinkUp(0.020, "DC3", "DC4"),
+        LinkUp(0.030, "DC2", "DC4"),
+    ),
+)
+
+
+class NeverWakes(FluidSimulation):
+    """A broken wait list: a parked flow is never retried."""
+
+    def _wakes(self, parked):
+        return False
+
+
+def recorded_run(vectorized, sim_cls=FluidSimulation):
+    """Eight DC1->DC4 flows on the diamond through :data:`DC4_CUT`, recorded."""
+    topology = build_fuzz_topology("diamond")
+    config = SimulationConfig(seed=2, vectorized=vectorized)
+    network = RuntimeNetwork(
+        topology, build_fuzz_pathset(topology), make_router_factory("ecmp"), config
+    )
+    demands = [
+        FlowDemand(
+            flow_id=i,
+            src_dc="DC1",
+            dst_dc="DC4",
+            src_host=i % 4,
+            dst_host=(i + 1) % 4,
+            size_bytes=3_000_000,
+            arrival_s=5e-4 * i,
+        )
+        for i in range(8)
+    ]
+    sim = sim_cls(network, demands, make_cc_factory("dcqcn"), config, scenario=DC4_CUT)
+    recorder = FailoverRecorder().attach(sim)
+    sim.run()
+    return sim, recorder
+
+
+@pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "array"])
+class TestRoutingInvariants:
+    def test_hold_on_a_real_run(self, vectorized):
+        sim, recorder = recorded_run(vectorized)
+        check_decision_accounting(recorder)
+        check_stranded_retry(recorder, DC4_CUT)
+        assert len(recorder.admitted) == 8
+        assert {t for t, _ in recorder.attempts} == {0.010, 0.020}
+        # the 20 ms repair both retried some flows and healed others
+        (repair,) = [c for c in recorder.calls if c.now == 0.020 and c.stranded]
+        assert repair.settled == set(repair.stranded)
+        retried = {fid for t, fid in recorder.attempts if t == 0.020}
+        assert retried and repair.settled - retried
+
+    def test_accounting_fires_on_an_extra_decision(self, vectorized):
+        sim, recorder = recorded_run(vectorized)
+        network = sim.network
+        network.switch("DC1").decision_log.append(
+            flow_id=0,
+            time_s=0.05,
+            chosen=network.pathset.candidates("DC1", "DC4")[0],
+            dst_dc="DC4",
+            num_candidates=1,
+            fallback=False,
+        )
+        with pytest.raises(InvariantViolation, match="decisions at source switches"):
+            check_decision_accounting(recorder)
+
+    def test_accounting_fires_on_a_miscounted_attempt(self, vectorized):
+        sim, recorder = recorded_run(vectorized)
+        sim._reroute_attempts += 1
+        with pytest.raises(InvariantViolation, match="reroute_attempts"):
+            check_decision_accounting(recorder)
+
+    def test_accounting_fires_on_an_undecided_admission(self, vectorized):
+        _, recorder = recorded_run(vectorized)
+        recorder.admitted[99] = ("DC1", "DC4")
+        with pytest.raises(InvariantViolation, match=r"\[99\] have no decision"):
+            check_decision_accounting(recorder)
+
+    def test_retry_fires_on_a_dropped_attempt(self, vectorized):
+        _, recorder = recorded_run(vectorized)
+        retried = {fid for t, fid in recorder.attempts if t == 0.020}
+        for call in recorder.calls:
+            if call.now == 0.020:
+                call.settled -= retried
+        with pytest.raises(InvariantViolation, match="neither retried nor healed"):
+            check_stranded_retry(recorder, DC4_CUT)
+
+    def test_retry_fires_on_a_wait_list_that_never_wakes(self, vectorized):
+        _, recorder = recorded_run(vectorized, sim_cls=NeverWakes)
+        with pytest.raises(InvariantViolation, match="DC3->DC4"):
+            check_stranded_retry(recorder, DC4_CUT)
