@@ -1,6 +1,6 @@
 """Realtime on-switch congestion estimator C_cong (paper §3.3, Eq. 3–5).
 
-Each DCI egress port keeps four small registers (the paper's §4 accounting:
+Each DCI egress port keeps a few small registers (the paper's §4 accounting:
 ``queueCur``, ``queuePrev``, ``trend``, ``durCnt`` plus a timestamp).  The
 monitor samples the port queue at a modest cadence and the estimator fuses
 three signals:
@@ -14,141 +14,208 @@ three signals:
   level stays above a high-water mark and decays otherwise.
 
 The fused score is ``C_cong = min((w_ql*Q + w_tl*T + w_dp*D) >> S_cong, 255)``.
-A port's score only changes when the port is sampled, so the estimator
-memoises it per port: the port's next :meth:`CongestionEstimator.observe`
-(or :meth:`CongestionEstimator.reset`) drops the memo.
+
+The registers are columns of a :class:`CongestionRegisters` block, one row
+per port.  :meth:`CongestionEstimator.update` samples any set of rows in one
+vector pass and writes the fused ``C_cong`` column in the same pass, so the
+telemetry plane updates every LCMP switch of a run at once, and a switch
+reads only its own rows.  The per-port register footprint of §4 describes
+the switch, not this layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import List, Optional, Sequence, Union
+
+import numpy as np
 
 from .config import LCMPConfig
 from .switch_tables import SwitchTables
 
-__all__ = ["PortCongestionState", "CongestionEstimator"]
+__all__ = ["CongestionRegisters", "CongestionEstimator"]
+
+#: a set of register rows: a slice, or an integer index array
+Rows = Union[slice, np.ndarray]
+
+#: the register columns (besides the C_cong outputs) and their fresh values
+_REGISTERS = (
+    ("queue_cur", np.int64, 0),
+    ("trend", np.int64, 0),
+    ("dur_cnt", np.int64, 0),
+    ("sample_s", np.float64, np.nan),
+    ("interval_s", np.float64, 0.0),
+    ("rate_bps", np.float64, 0.0),
+)
 
 
-@dataclass
-class PortCongestionState:
-    """The per-port registers of the congestion estimator (24 B on-switch)."""
+class CongestionRegisters:
+    """The estimator registers of a set of ports, one row per port.
 
-    queue_cur: int = 0
-    queue_prev: int = 0
-    trend: int = 0
-    dur_cnt: int = 0
-    last_sample_s: float = -1.0
-    #: port rate, used to choose the trend-normalisation bucket
-    rate_bps: float = 0.0
-    #: most recently observed sampling interval (robustness to cadence)
-    observed_interval_s: float = 0.0
+    Attributes:
+        queue_cur: last sampled queue, truncated to whole bytes.
+        trend: the shift-EWMA trend accumulator of Eq. 3.
+        dur_cnt: the duration counter.
+        sample_s: time of the last sample (NaN before the first).
+        interval_s: the last observed sampling interval (0 until a port has
+            two samples).
+        rate_bps: the port rate at the last sample.
+        c_cong: the fused C_cong per row.
+        c_cong_list: :attr:`c_cong` as Python ints, for scalar reads.
+    """
+
+    def __init__(self, rows: int = 0) -> None:
+        for name, dtype, fresh in _REGISTERS:
+            setattr(self, name, np.full(rows, fresh, dtype=dtype))
+        self.c_cong = np.zeros(rows, dtype=np.int64)
+        self.c_cong_list: List[int] = [0] * rows
+
+    def __len__(self) -> int:
+        return len(self.c_cong_list)
+
+    def add_rows(self, count: int) -> range:
+        """Append ``count`` fresh rows; returns their indices."""
+        start = len(self)
+        for name, dtype, fresh in _REGISTERS:
+            setattr(self, name, np.append(getattr(self, name), np.full(count, fresh, dtype)))
+        self.c_cong = np.append(self.c_cong, np.zeros(count, dtype=np.int64))
+        self.c_cong_list.extend([0] * count)
+        return range(start, start + count)
+
+    def reset(self, rows: Sequence[int]) -> None:
+        """Return ``rows`` to the state of a never-sampled port."""
+        rows = np.asarray(rows, dtype=np.intp)
+        for name, _, fresh in _REGISTERS:
+            getattr(self, name)[rows] = fresh
+        self.c_cong[rows] = 0
+        for row in rows.tolist():
+            self.c_cong_list[row] = 0
+
+    def copy_rows(self, source: "CongestionRegisters", src: Sequence[int], dst: Sequence[int]) -> None:
+        """Copy ``source``'s rows ``src`` into this block's rows ``dst``."""
+        src = np.asarray(src, dtype=np.intp)
+        dst = np.asarray(dst, dtype=np.intp)
+        for name, _, _ in _REGISTERS:
+            getattr(self, name)[dst] = getattr(source, name)[src]
+        self.c_cong[dst] = source.c_cong[src]
+        for d, value in zip(dst.tolist(), source.c_cong[src].tolist()):
+            self.c_cong_list[d] = value
 
 
 class CongestionEstimator:
-    """Maintains per-port congestion state and produces C_cong scores."""
+    """The Eq. 3–5 arithmetic over register rows that share one switch table.
+
+    One estimator serves every port whose switch holds ``tables`` and
+    ``config``.  The level lookups count thresholds: the number of queue
+    thresholds at or below a queue is its level plus one, and the level
+    score tables are indexed by that count (the tables' thresholds
+    increase, so counting equals :func:`~repro.core.switch_tables.lookup_level`).
+    The estimator keeps the per-row trend-threshold matrix of the rates it
+    saw last, and rebuilds it only when a rate changes.
+    """
 
     def __init__(self, tables: SwitchTables, config: Optional[LCMPConfig] = None) -> None:
         self.tables = tables
-        self.config = config or tables.config
-        self._ports: Dict[str, PortCongestionState] = {}
-        #: memoised C_cong per port, dropped by the port's next observe
-        self._scores: Dict[str, int] = {}
+        self.config = cfg = config or tables.config
+        scores = np.asarray(tables.level_scores, dtype=np.int64)
+        # a level lookup never falls below level 0: the first threshold
+        # counts every queue, so the count is the level plus one ...
+        self._queue_thresholds = np.array([-np.inf] + list(tables.queue_thresholds[1:]))
+        self._queue_scores = cfg.w_ql * np.concatenate(([0], scores))
+        # ... and the duration counter's step per count: +1 at or above the
+        # high-water level, -duration_decay below it
+        counts = np.arange(len(scores) + 1)
+        self._duration_steps = np.where(counts > cfg.high_water_level, 1, -cfg.duration_decay)
+        # a trend that does not grow (or a port without a rate) counts no
+        # threshold and scores 0; a growing one counts level plus one
+        self._trend_scores = cfg.w_tl * np.concatenate(([0], scores))
+        self._shift = np.int64(cfg.trend_ewma_shift)
+        self._inverse_shift = 1.0 / (1 << cfg.trend_ewma_shift)
+        self._rates = b""
+        self._trend_thresholds = np.empty((0, len(scores) + 1))
 
-    # ------------------------------------------------------------------ #
-    # sampling
-    # ------------------------------------------------------------------ #
-    def observe(self, port: str, queue_bytes: float, rate_bps: float, now: float) -> PortCongestionState:
-        """Feed one monitor sample for ``port``.
+    def _trend_matrix(self, rates: np.ndarray) -> np.ndarray:
+        """Trend thresholds per row for ``rates``, padded with a final +inf.
 
-        Updates the instantaneous queue register, the shift-EWMA trend
-        (Eq. 3) and the duration counter, and records the observed sampling
-        interval so trend normalisation stays correct if the cadence drifts.
+        The first threshold of a positive rate is the least positive float,
+        so only a growing trend counts it; a row whose rate is not positive
+        counts nothing.
         """
-        self._scores.pop(port, None)
-        state = self._ports.setdefault(port, PortCongestionState(rate_bps=rate_bps))
-        state.rate_bps = rate_bps
+        key = rates.tobytes()
+        if key != self._rates:
+            width = len(self.tables.level_scores)
+            never = [np.inf] * (width + 1)
+            matrix = []
+            for rate in rates.tolist():
+                if rate > 0:
+                    levels = self.tables.trend_thresholds_for(rate)
+                    matrix.append([_LEAST_POSITIVE] + list(levels[1:]) + [np.inf])
+                else:
+                    matrix.append(never)
+            self._trend_thresholds = np.array(matrix, dtype=np.float64).reshape(
+                len(matrix), width + 1
+            )
+            self._rates = key
+        return self._trend_thresholds
 
-        if state.last_sample_s >= 0:
-            state.observed_interval_s = max(0.0, now - state.last_sample_s)
-        state.last_sample_s = now
+    def update(
+        self,
+        regs: CongestionRegisters,
+        rows: Rows,
+        queue_bytes: np.ndarray,
+        rate_bps: np.ndarray,
+        now: float,
+    ) -> None:
+        """Sample ``rows`` at ``now`` and refresh their C_cong.
 
-        state.queue_prev = state.queue_cur
-        state.queue_cur = int(queue_bytes)
+        ``queue_bytes`` and ``rate_bps`` hold one value per row.  Each row
+        records the interval since its last sample; the trend accumulator
+        is rescaled to the table's interval whenever that observed interval
+        differs from it (the robustness-to-cadence property of §3.3).
+        """
+        cfg = self.config
+        k = self._shift
+        rate = np.asarray(rate_bps, dtype=np.float64)
 
-        delta = state.queue_cur - state.queue_prev
-        k = self.config.trend_ewma_shift
-        # Eq. 3: T = T_old - (T_old >> K) + (delta >> K), in integer arithmetic.
-        # Python's >> floors toward -inf which matches the hardware behaviour
-        # for non-negative accumulators; deltas may be negative so we shift
-        # their magnitude and restore the sign.
-        delta_shifted = (abs(delta) >> k) * (1 if delta >= 0 else -1)
-        state.trend = state.trend - (state.trend >> k) + delta_shifted
+        # a never-sampled row's time is NaN, and fmax turns its interval into 0
+        interval = np.fmax(now - regs.sample_s[rows], 0.0)
 
-        level = self.tables.queue_level(state.queue_cur)
-        if level >= self.config.high_water_level:
-            state.dur_cnt += 1
-        else:
-            state.dur_cnt = max(0, state.dur_cnt - self.config.duration_decay)
-        return state
+        # Eq. 3 on int64 registers.  The delta's magnitude is shifted and its
+        # sign restored, so a negative delta rounds toward zero: scaling by
+        # 2^-K is exact in float64 for queues below 2^53 bytes, and astype
+        # truncates toward zero
+        cur = np.asarray(queue_bytes).astype(np.int64)
+        delta = cur - regs.queue_cur[rows]
+        trend = regs.trend[rows]
+        trend = trend - (trend >> k) + (delta * self._inverse_shift).astype(np.int64)
 
-    # ------------------------------------------------------------------ #
-    # scoring
-    # ------------------------------------------------------------------ #
-    def queue_score(self, port: str) -> int:
-        """Q: quantised instantaneous queue level as a 0–255 score."""
-        state = self._ports.get(port)
-        if state is None:
-            return 0
-        return self.tables.level_score(self.tables.queue_level(state.queue_cur))
+        q_count = self._queue_thresholds.searchsorted(cur, "right")
+        dur = np.maximum(regs.dur_cnt[rows] + self._duration_steps[q_count], 0)
 
-    def trend_score(self, port: str) -> int:
-        """T: trend level as a 0–255 score (zero for non-growing queues)."""
-        state = self._ports.get(port)
-        if state is None or state.trend <= 0 or state.rate_bps <= 0:
-            return 0
-        level = self.tables.trend_level(
-            state.trend, state.rate_bps, state.observed_interval_s or None
+        # rescaling by base / interval is exact (1.0) when the two are equal
+        base = self.tables.trend_interval_s
+        trend_bytes = trend * (base / np.where(interval > 0.0, interval, base))
+        t_count = (self._trend_matrix(rate) <= trend_bytes[:, None]).argmin(axis=1)
+        fused = (
+            self._queue_scores[q_count]
+            + self._trend_scores[t_count]
+            + cfg.w_dp * np.minimum(dur >> cfg.duration_shift, 255)
         )
-        return self.tables.level_score(level)
+        fused = np.minimum(fused >> cfg.cong_shift, 255)
 
-    def duration_score(self, port: str) -> int:
-        """D: persistence penalty (right-shifted duration counter, capped)."""
-        state = self._ports.get(port)
-        if state is None:
-            return 0
-        return min(255, state.dur_cnt >> self.config.duration_shift)
-
-    def congestion_score(self, port: str) -> int:
-        """C_cong for ``port`` (Eq. 4 and Eq. 5), memoised until its next sample."""
-        score = self._scores.get(port)
-        if score is None:
-            score = self._scores[port] = self._fused_score(port)
-        return score
-
-    def _fused_score(self, port: str) -> int:
-        q = self.queue_score(port)
-        t = self.trend_score(port)
-        d = self.duration_score(port)
-        cong_score = self.config.w_ql * q + self.config.w_tl * t + self.config.w_dp * d
-        return min(cong_score >> self.config.cong_shift, 255)
-
-    # ------------------------------------------------------------------ #
-    # introspection
-    # ------------------------------------------------------------------ #
-    def port_state(self, port: str) -> Optional[PortCongestionState]:
-        """Raw register state of a port (None when never sampled)."""
-        return self._ports.get(port)
-
-    def ports(self) -> list:
-        """All ports the estimator has seen."""
-        return sorted(self._ports)
-
-    def reset(self, port: Optional[str] = None) -> None:
-        """Drop state for one port, or all ports when ``port`` is None."""
-        if port is None:
-            self._ports.clear()
-            self._scores.clear()
+        regs.queue_cur[rows] = cur
+        regs.trend[rows] = trend
+        regs.dur_cnt[rows] = dur
+        regs.sample_s[rows] = now
+        regs.interval_s[rows] = interval
+        regs.rate_bps[rows] = rate
+        regs.c_cong[rows] = fused
+        if isinstance(rows, slice):
+            regs.c_cong_list[rows] = fused.tolist()
         else:
-            self._ports.pop(port, None)
-            self._scores.pop(port, None)
+            scores_list = regs.c_cong_list
+            for row, value in zip(rows.tolist(), fused.tolist()):
+                scores_list[row] = value
+
+
+#: the first trend threshold: only a positive trend reaches it
+_LEAST_POSITIVE = float(np.nextafter(0.0, 1.0))

@@ -67,6 +67,10 @@ class FlowCache:
         self.hits += 1
         return entry
 
+    def peek(self, flow_id: int) -> Optional[FlowCacheEntry]:
+        """The entry of a flow, without touching its timestamp, order or counters."""
+        return self._entries.get(flow_id)
+
     def insert(self, flow_id: int, out_port: str, now: float) -> FlowCacheEntry:
         """Insert (or overwrite) the mapping for a flow.
 

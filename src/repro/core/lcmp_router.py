@@ -3,7 +3,9 @@
 For the first packet of a new flow the switch
 
 1. refreshes the congestion state of every candidate egress port (done
-   continuously by the queue monitor feeding :class:`CongestionEstimator`),
+   continuously by the queue monitor: the telemetry plane runs one
+   :class:`CongestionEstimator` pass per sweep over every LCMP switch's
+   register rows, and each switch reads only its own rows),
 2. looks up the precomputed path-quality score C_path of each candidate (or,
    when the control plane has not installed it, derives it on demand from
    the candidate's static attributes — the paper's on-demand table creation),
@@ -21,7 +23,8 @@ When no tables are available at all the router falls back to plain ECMP
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from ..routing.base import Router, flow_hash, register_router
 from ..simulator.flow import FlowDemand
 from ..topology.paths import CandidatePath
 from .config import LCMPConfig
-from .congestion import CongestionEstimator
+from .congestion import CongestionEstimator, CongestionRegisters
 from .control_plane import PathKey
 from .cost_fusion import score_candidates
 from .failover import PortLivenessTracker
@@ -38,7 +41,7 @@ from .path_quality import candidate_path_quality
 from .selection import reduce_candidates
 from .switch_tables import SwitchTables
 
-__all__ = ["LCMPRouter"]
+__all__ = ["LCMPRouter", "LCMPTelemetryFeed"]
 
 
 @register_router
@@ -54,7 +57,12 @@ class LCMPRouter(Router):
 
         self.tables: Optional[SwitchTables] = None
         self._path_scores: Dict[PathKey, int] = {}
-        self.estimator: Optional[CongestionEstimator] = None
+        self._estimator: Optional[CongestionEstimator] = None
+        #: the block holding this switch's congestion registers: a private
+        #: one, or the telemetry feed's shared one (see :meth:`bind_registers`)
+        self.registers = CongestionRegisters()
+        #: this switch's register row per egress port
+        self._rows: Dict[str, int] = {}
         self.flow_cache = FlowCache(
             capacity=self.config.flow_cache_capacity,
             idle_timeout_s=self.config.flow_idle_timeout_s,
@@ -74,38 +82,101 @@ class LCMPRouter(Router):
     # ------------------------------------------------------------------ #
     def install_tables(self, tables: SwitchTables, path_scores: Dict[PathKey, int]) -> None:
         """Install bootstrap tables and precomputed C_path scores."""
-        self.tables = tables
         self._path_scores = dict(path_scores)
-        self.estimator = CongestionEstimator(tables, self.config)
+        self._provision(tables)
+
+    def _provision(self, tables: SwitchTables) -> None:
+        """Adopt ``tables``; this switch's registers start afresh under them."""
+        self.tables = tables
+        if self._rows:
+            self.registers.reset(list(self._rows.values()))
         self._plans.clear()
+
+    def bootstrap_from(self, view) -> None:
+        """On-demand table creation from a monitor sample (paper §3.1.2).
+
+        A switch the control plane has not provisioned sizes its capacity
+        classes and queue levels from the fastest port and the deepest
+        buffer the monitor reports, as :meth:`ControlPlane.build_tables`
+        does over the topology's links.
+        """
+        self._provision(
+            SwitchTables.bootstrap(
+                config=self.config,
+                max_capacity_bps=max(max(view.cap_bps.tolist()), 1.0),
+                buffer_bytes=max(max(view.buffer_bytes.tolist()), 1.0),
+            )
+        )
 
     @property
     def installed(self) -> bool:
         """True once the control plane has provisioned this switch."""
         return self.tables is not None
 
+    @property
+    def estimator(self) -> Optional[CongestionEstimator]:
+        """The Eq. 3-5 arithmetic under this switch's tables (None until provisioned)."""
+        if self.tables is None:
+            return None
+        if self._estimator is None or self._estimator.tables is not self.tables:
+            self._estimator = CongestionEstimator(self.tables, self.config)
+        return self._estimator
+
+    # ------------------------------------------------------------------ #
+    # congestion registers
+    # ------------------------------------------------------------------ #
+    @property
+    def port_rows(self) -> Dict[str, int]:
+        """This switch's row of :attr:`registers` per egress port (a copy)."""
+        return dict(self._rows)
+
+    def _row_of(self, port: str) -> int:
+        """The register row of ``port``; a never-sampled port gets a fresh one."""
+        row = self._rows.get(port)
+        if row is None:
+            row = self._rows[port] = self.registers.add_rows(1)[0]
+        return row
+
+    def bind_registers(self, registers: CongestionRegisters, rows: Dict[str, int]) -> None:
+        """Keep this switch's registers in ``registers``, at ``rows`` per port.
+
+        The ports' current register state moves along, so binding changes
+        where the registers live and nothing else.
+        """
+        ports = [port for port in self._rows if port in rows]
+        registers.copy_rows(
+            self.registers, [self._rows[p] for p in ports], [rows[p] for p in ports]
+        )
+        self.registers = registers
+        self._rows = dict(rows)
+        self._plans.clear()
+
     # ------------------------------------------------------------------ #
     # telemetry hook
     # ------------------------------------------------------------------ #
+    @classmethod
+    def telemetry_feed(cls, plane, members):
+        """One register pass per sweep for all of a plane's LCMP switches."""
+        return LCMPTelemetryFeed(plane, members)
+
     def on_telemetry(self, view, now: float) -> None:
-        """Refresh congestion state (step 1 of the decision pipeline)."""
-        ups = view.up.tolist()
-        queues = view.queue_bytes.tolist()
-        caps = view.cap_bps.tolist()
-        buffers = view.buffer_bytes.tolist()
-        for i, port in enumerate(view.port_dcs):
-            self.liveness.observe(port, ups[i])
-            if self.estimator is None:
-                # the switch has not been provisioned yet; bootstrap minimal
-                # tables from what the monitor tells us (on-demand creation)
-                self.tables = SwitchTables.bootstrap(
-                    config=self.config,
-                    max_capacity_bps=max(caps[i], 1.0),
-                    buffer_bytes=max(buffers[i], 1.0),
-                )
-                self.estimator = CongestionEstimator(self.tables, self.config)
-                self._plans.clear()
-            self.estimator.observe(port, queues[i], caps[i], now)
+        """Refresh congestion state (step 1 of the decision pipeline).
+
+        Runs the estimator on this switch's rows of the view's ports; a
+        telemetry plane updates every LCMP switch at once instead
+        (:class:`LCMPTelemetryFeed`).
+        """
+        ports = view.port_dcs
+        for port, up in zip(ports, view.up.tolist()):
+            self.liveness.observe(port, up)
+        if not ports:
+            return
+        if self.tables is None:
+            # the switch has not been provisioned yet: bootstrap minimal
+            # tables from what the monitor tells us (on-demand creation)
+            self.bootstrap_from(view)
+        rows = np.array([self._row_of(port) for port in ports], dtype=np.intp)
+        self.estimator.update(self.registers, rows, view.queue_bytes, view.cap_bps, now)
 
     def on_tick(self, now: float) -> None:
         """Periodic garbage collection of the flow cache."""
@@ -215,25 +286,28 @@ class LCMPRouter(Router):
         C_path, which changes only when tables are installed (that drops
         every plan), and on the first hops' C_cong, which changes only
         when the estimator samples a port.  So the plan is memoised per
-        ``key`` (the candidates' global path ids, or their DC tuples) and
-        recomputed only when the first hops' C_cong tuple differs from the
-        one it was built from.
+        ``key`` (the candidates' global path ids, or their DC tuples) with
+        a reader of its first hops' register rows and its C_path scores,
+        and recomputed only when those rows' C_cong differ from the values
+        it was built from.
         """
-        score = self.estimator.congestion_score
+        scores = self.registers.c_cong_list
         plan = self._plans.get(key)
-        if plan is not None:
-            hops, cong, herd, positions = plan
-            if tuple(map(score, hops)) == cong:
+        if plan is None:
+            read = itemgetter(*[self._row_of(c.first_hop) for c in candidates])
+            c_paths = [self._path_quality_of(c) for c in candidates]
+        else:
+            read, cong, herd, positions, c_paths = plan
+            if read(scores) == cong:
                 return herd, positions
-        hops = tuple([c.first_hop for c in candidates])
-        cong = tuple(map(score, hops))
+        cong = read(scores)
         costs = score_candidates(
-            candidates, [self._path_quality_of(c) for c in candidates], cong, self.config
+            candidates, c_paths, cong if len(candidates) > 1 else (cong,), self.config
         )
         reduced, herd = reduce_candidates(costs, self.config)
         position_of = {id(c): j for j, c in enumerate(costs)}
         positions = tuple([position_of[id(c)] for c in reduced])
-        self._plans[key] = (hops, cong, herd, positions)
+        self._plans[key] = (read, cong, herd, positions, c_paths)
         return herd, positions
 
     def _pick(self, positions: Sequence[int], flow_id: int) -> int:
@@ -273,3 +347,100 @@ class LCMPRouter(Router):
             "flow_cache_hits": self.flow_cache.hits,
             "flow_cache_misses": self.flow_cache.misses,
         }
+
+
+class LCMPTelemetryFeed:
+    """Delivers each telemetry sweep to a plane's LCMP switches in one pass.
+
+    The feed owns one :class:`CongestionRegisters` block whose rows are its
+    switches' port rows of the plane, in plane order, and binds every switch
+    to its rows.  Switches that share tables and config form one group,
+    and a sweep runs one :meth:`CongestionEstimator.update` per group (one
+    for the whole run when the control plane provisioned every switch).
+    Each switch still reads only its own rows.  A switch that is not yet
+    provisioned bootstraps from its first sweep, as
+    :meth:`LCMPRouter.on_telemetry` does.
+
+    Port liveness reaches a switch's tracker only for rows whose ``up``
+    flipped since the previous sweep (every row on the first sweep): a
+    tracker's state is the last value it observed.
+    """
+
+    def __init__(self, plane, members: List[Tuple[str, LCMPRouter]]) -> None:
+        self.plane = plane
+        self.members = list(members)
+        self.routers = [router for _, router in self.members]
+        self.registers = CongestionRegisters()
+        #: per member: its block row per port
+        self._row_maps: List[Dict[str, int]] = []
+        #: per block row: (router, port)
+        self._owners: List[Tuple[LCMPRouter, str]] = []
+        plane_rows: List[int] = []
+        for dc, router in self.members:
+            rows, ports = plane.rows_of(dc)
+            self._row_maps.append(
+                {port: len(plane_rows) + i for i, port in enumerate(ports)}
+            )
+            self._owners.extend((router, port) for port in ports)
+            plane_rows.extend(range(rows.start, rows.stop))
+        self.registers.add_rows(len(plane_rows))
+        self._plane_rows = np.array(plane_rows, dtype=np.intp)
+        #: block rows are exactly the plane's rows, so no gather is needed
+        self._whole_plane = plane_rows == list(range(plane.num_ports))
+        self._binding: Optional[list] = None
+        self._groups: List[tuple] = []
+        #: the ``up`` column the trackers last saw, as Python bools
+        self._prev_up: Optional[List[bool]] = None
+
+    def _regroup(self) -> None:
+        """Bind every member to the block and group them by tables and config."""
+        by_tables: Dict[Tuple[int, int], Tuple[LCMPRouter, List[int]]] = {}
+        for (dc, router), rows in zip(self.members, self._row_maps):
+            if router.registers is not self.registers:
+                router.bind_registers(self.registers, rows)
+            if router.tables is None:
+                router.bootstrap_from(self.plane.view(dc))
+            key = (id(router.tables), id(router.config))
+            by_tables.setdefault(key, (router, []))[1].extend(rows.values())
+        self._groups = []
+        for router, rows in by_tables.values():
+            rows.sort()
+            if rows == list(range(rows[0], rows[-1] + 1)):
+                block_rows = slice(rows[0], rows[-1] + 1)
+            else:
+                block_rows = np.array(rows, dtype=np.intp)
+            plane_rows = self._plane_rows[rows]
+            if self._whole_plane and len(rows) == len(self._plane_rows):
+                plane_rows = None
+            estimator = CongestionEstimator(router.tables, router.config)
+            self._groups.append((estimator, block_rows, plane_rows))
+        self._binding = list(map(_binding, self.routers))
+
+    def __call__(self, now: float) -> None:
+        plane = self.plane
+        up = plane.up if self._whole_plane else plane.up[self._plane_rows]
+        ups = up.tolist()
+        prev = self._prev_up
+        if ups != prev:
+            owners = self._owners
+            for row, value in enumerate(ups):
+                if prev is None or value != prev[row]:
+                    router, port = owners[row]
+                    router.liveness.observe(port, value)
+            self._prev_up = ups
+
+        if self._binding != list(map(_binding, self.routers)):
+            self._regroup()
+        queues, caps = plane.queue_bytes, plane.cap_bps
+        for estimator, block_rows, plane_rows in self._groups:
+            if plane_rows is None:
+                estimator.update(self.registers, block_rows, queues, caps, now)
+            else:
+                estimator.update(
+                    self.registers, block_rows, queues[plane_rows], caps[plane_rows], now
+                )
+
+
+def _binding(router: LCMPRouter) -> Tuple[int, int]:
+    """What a feed's grouping of ``router`` depends on: its tables and register block."""
+    return id(router.tables), id(router.registers)

@@ -19,7 +19,9 @@ memoised per-candidate-set plan.
 
 Telemetry arrives through one hook, :meth:`Router.on_telemetry`: one
 queue-monitor sweep of the attached switch's egress ports as a
-:class:`~repro.simulator.telemetry.TelemetryView`.
+:class:`~repro.simulator.telemetry.TelemetryView`.  A telemetry plane
+delivers each sweep through :meth:`Router.telemetry_feed`, once per router
+class, so a class can update all of its switches at once (LCMP does).
 """
 
 from __future__ import annotations
@@ -181,6 +183,23 @@ class Router(abc.ABC):
         (read-only columns, one row per egress port).  The base router
         ignores telemetry.
         """
+
+    @classmethod
+    def telemetry_feed(cls, plane, members):
+        """How a telemetry plane delivers each sweep to its routers of this class.
+
+        ``members`` are the plane's ``(dc, router)`` pairs of this class;
+        the result is called with the sweep time after every sweep.  The
+        default hands each router its switch's view through
+        :meth:`on_telemetry`.  A class whose routers can be updated
+        together overrides it.
+        """
+
+        def feed(now: float) -> None:
+            for dc, router in members:
+                router.on_telemetry(plane.view(dc), now)
+
+        return feed
 
     def consumes_telemetry(self) -> bool:
         """True when this router overrides :meth:`on_telemetry`.

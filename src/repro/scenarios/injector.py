@@ -126,10 +126,6 @@ class ScenarioMetrics:
     scenario_name: str
     outcomes: List[EventOutcome] = field(default_factory=list)
 
-    def outcome_for(self, index: int) -> EventOutcome:
-        """The outcome of the ``index``-th (time-sorted) event."""
-        return self.outcomes[index]
-
     @property
     def total_disrupted(self) -> int:
         """Disruptions across all events."""

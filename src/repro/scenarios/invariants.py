@@ -28,9 +28,9 @@ correct run must satisfy regardless of the timeline:
 
 Alongside them, a strict step check (:class:`StepStateMonitor`, live)
 holds the per-step state physical on both cores: finite, non-negative
-rates, ``0 <= queue <= buffer`` and ``remaining >= 0``.  Two routing
+rates, ``0 <= queue <= buffer`` and ``remaining >= 0``.  Four routing
 invariants, fed by a live :class:`FailoverRecorder`, guard the fast-failover
-path (paper §3.4) and its re-route wait list:
+path (paper §3.4), its re-route wait list and the port liveness it relies on:
 
 * **Decision accounting** (:func:`check_decision_accounting`) — the
   DecisionLog rows at each inter-DC flow's source switch total the admitted
@@ -40,6 +40,12 @@ path (paper §3.4) and its re-route wait list:
   link-up on one of a stranded flow's candidate paths (per
   :func:`down_intervals`), the flow gets a re-route attempt or heals in
   place at that instant.
+* **No dead first hop while a live one exists** (:func:`check_live_first_hop`)
+  — no DecisionLog row commits a first hop that :func:`down_intervals`
+  has down while a loop-free candidate's first hop is up.
+* **Lazy invalidation** (:func:`check_lazy_invalidation`) — a flow-cache
+  lookup that finds a flow's entry on a dead port invalidates it and counts
+  one lazy invalidation, and a lookup on a live port counts none.
 
 Each checker raises :class:`InvariantViolation` (an ``AssertionError``
 subclass, so pytest renders it natively) with enough context to replay
@@ -83,6 +89,8 @@ __all__ = [
     "FailoverRecorder",
     "check_decision_accounting",
     "check_stranded_retry",
+    "check_live_first_hop",
+    "check_lazy_invalidation",
 ]
 
 #: the simulation cores, as ``SimulationConfig`` field overrides — the
@@ -557,14 +565,38 @@ class RevalidateCall:
     settled: set
 
 
+@dataclasses.dataclass
+class CacheLookup:
+    """One flow-cache lookup of a per-flow decision, as a :class:`FailoverRecorder` saw it.
+
+    Attributes:
+        now: the decision's simulated time.
+        switch: the deciding switch.
+        flow_id: the flow.
+        cached_port: the egress the flow's cache entry held (None: no entry).
+        port_up: whether that egress's link was up at the lookup.
+        invalidations: lazy invalidations the decision counted.
+    """
+
+    now: float
+    switch: str
+    flow_id: int
+    cached_port: Optional[str]
+    port_up: bool
+    invalidations: int
+
+
 class FailoverRecorder:
-    """Live recorder behind the routing invariants (iii) and (v).
+    """Live recorder behind the routing invariants (iii), (iv) and (v).
 
     Attach with :meth:`attach` (before ``run()``).  It wraps three methods
     of the simulation instance — admission, the re-route attempt and the
     re-validation sweep — to record every admitted flow's endpoints, every
     attempt ``(now, flow_id)`` and, per sweep, which disrupted flows it
-    attempted or healed.  It changes no simulation state.
+    attempted or healed.  It also wraps the per-flow ``select`` of every
+    router with a flow cache and a liveness tracker (LCMP) to record each
+    decision's cache entry and lazy invalidations (:class:`CacheLookup`).
+    It changes no simulation state.
     """
 
     def __init__(self) -> None:
@@ -574,10 +606,37 @@ class FailoverRecorder:
         #: every re-route attempt, in order
         self.attempts: List[Tuple[float, int]] = []
         self.calls: List[RevalidateCall] = []
+        self.lookups: List[CacheLookup] = []
+
+    def _watch_cache(self, switch) -> None:
+        router = switch.router
+        select = router.select
+        cache, liveness = router.flow_cache, router.liveness
+
+        def watched(dst_dc, candidates, demand, now):
+            entry = cache.peek(demand.flow_id)
+            port = None if entry is None else entry.out_port
+            up = port is not None and switch.port_up(port)
+            before = liveness.lazy_invalidations
+            try:
+                return select(dst_dc, candidates, demand, now)
+            finally:
+                self.lookups.append(
+                    CacheLookup(
+                        now, switch.dc, demand.flow_id, port, up,
+                        liveness.lazy_invalidations - before,
+                    )
+                )
+
+        router.select = watched
 
     def attach(self, sim) -> "FailoverRecorder":
         """Wrap ``sim``'s admission, re-route and re-validation methods."""
         self.sim = sim
+        for switch in sim.network.switches.values():
+            router = switch.router
+            if hasattr(router, "flow_cache") and hasattr(router, "liveness"):
+                self._watch_cache(switch)
         append_active = sim._append_active
         reroute = sim._reroute_flow
         revalidate = sim.revalidate_flows
@@ -713,3 +772,106 @@ def check_stranded_retry(recorder: FailoverRecorder, scenario: Scenario) -> None
                         f"neither retried nor healed when {key[0]}->{key[1]}, "
                         f"one of its candidate hops, came back at {t:g}s"
                     )
+
+
+def _event_instants(scenario: Scenario) -> Dict[float, int]:
+    """How many timeline entries (events, repairs, window ends) fall on each instant."""
+    counts: Dict[float, int] = {}
+    for event in scenario.compiled_events():
+        instants = [event.time_s]
+        if isinstance(event, (DCMaintenance, RegionalPowerEvent)):
+            instants.append(event.end_s)
+        elif isinstance(event, SRLGFailure):
+            instants.extend(event.recovery_times())
+        for t in instants:
+            counts[t] = counts.get(t, 0) + 1
+    return counts
+
+
+def _down_at(spans: List[Tuple[float, float]], t: float, instants: Dict[float, int]) -> Optional[bool]:
+    """Whether a link with outage ``spans`` is down for decisions at ``t``.
+
+    A scenario event fires before every decision at its instant, so a link
+    cut at ``t`` is down and one repaired at ``t`` is up.  When several
+    timeline entries share ``t``, decisions may run between them, and a
+    link that changes at ``t`` is ``None`` (either).
+    """
+    for start, end in spans:
+        if start < t < end:
+            return True
+        if t == start or t == end:
+            return None if instants.get(t, 0) > 1 else t == start
+    return False
+
+
+def check_live_first_hop(recorder: FailoverRecorder, scenario: Scenario) -> None:
+    """Routing invariant (i): no dead first hop while a live candidate exists.
+
+    Replays every switch's DecisionLog: the rows of one flow at one instant
+    form its walk (source first, each next switch the previous choice), so
+    each decision's loop-free candidates are the path set's candidates whose
+    first hop the walk has not visited.  A decision whose chosen first hop
+    is down (per :func:`down_intervals`) while one of those candidates'
+    first hops is up is a violation.  Links whose state is ambiguous at the
+    decision's instant (see :func:`_down_at`) are skipped.
+
+    Raises:
+        InvariantViolation: naming the switch, flow, instant and both hops.
+    """
+    network = recorder.sim.network
+    outages = down_intervals(scenario, network.topology)
+    if not outages:
+        return
+    instants = _event_instants(scenario)
+    walks: Dict[Tuple[int, float], Dict[str, list]] = {}
+    for dc, switch in network.switches.items():
+        for d in switch.decisions:
+            walks.setdefault((d.flow_id, d.time_s), {}).setdefault(dc, []).append(d)
+    for (flow_id, t), rows in walks.items():
+        if any(len(r) > 1 for r in rows.values()):
+            continue  # several walks of one flow at one instant: no single order
+        chosen_hops = {r[0].chosen.first_hop for r in rows.values()}
+        sources = [dc for dc in rows if dc not in chosen_hops]
+        if len(sources) != 1:
+            continue
+        current, visited = sources[0], {sources[0]}
+        while current in rows:
+            decision = rows[current][0]
+            hop = decision.chosen.first_hop
+            if _down_at(outages.get((current, hop), []), t, instants):
+                for candidate in network.pathset.candidates(current, decision.dst_dc):
+                    other = candidate.first_hop
+                    if other in visited:
+                        continue
+                    if _down_at(outages.get((current, other), []), t, instants) is False:
+                        _violate(
+                            f"live first hop: {current} sent flow {flow_id} to dead "
+                            f"{current}->{hop} at {t:g}s while {current}->{other} was up"
+                        )
+            visited.add(hop)
+            current = hop
+
+
+def check_lazy_invalidation(recorder: FailoverRecorder) -> None:
+    """Routing invariant (iv): a cached entry on a dead port is lazily invalidated.
+
+    Every recorded flow-cache lookup (:class:`CacheLookup`) that found the
+    flow's entry on a port whose link was down must count exactly one lazy
+    invalidation, and one on a port whose link was up none.  The link state
+    is the switch's own port state at the lookup, which the dead-link
+    monitor checks against the timeline; the router's liveness tracker,
+    which the telemetry plane feeds, is what this invariant checks.
+
+    Raises:
+        InvariantViolation: naming the switch, flow, port and instant.
+    """
+    for lookup in recorder.lookups:
+        if lookup.cached_port is None:
+            continue
+        if lookup.invalidations != int(not lookup.port_up):
+            state = "live" if lookup.port_up else "dead"
+            _violate(
+                f"lazy invalidation: {lookup.switch} looked up flow {lookup.flow_id} "
+                f"cached on {state} port {lookup.cached_port} at {lookup.now:g}s and "
+                f"counted {lookup.invalidations} lazy invalidations"
+            )

@@ -116,10 +116,6 @@ class MetricsStore:
         """The DC-level route interned under ``path_index``."""
         return self._routes[path_index]
 
-    def dc_name(self, ref: int) -> str:
-        """The DC name interned under ``ref``."""
-        return self._dcs[ref]
-
     # ------------------------------------------------------------------ #
     # appending
     # ------------------------------------------------------------------ #

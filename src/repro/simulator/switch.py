@@ -168,10 +168,6 @@ class DecisionLog:
         self._n = n + count
 
     # ------------------------------------------------------------------ #
-    def chosen_path(self, row: int) -> CandidatePath:
-        """The candidate chosen by the ``row``-th decision."""
-        return self._paths[int(self.path_ref[row])]
-
     def first_hops(self) -> List[str]:
         """Chosen first hop per decision (placement analysis helper)."""
         hops = [p.first_hop for p in self._paths.values]

@@ -13,9 +13,15 @@ models those registers as per-switch × per-port *columns*:
   attaches its flow×link incidence arrays
   (:mod:`repro.simulator.incidence`) and sweeps them with a handful of
   fancy-indexed gathers;
-* **router delivery** via :meth:`~repro.routing.base.Router.on_telemetry`
-  with a :class:`TelemetryView` of one switch's ports.  Routers that ignore
-  telemetry (ECMP, WCMP, UCMP) are detected once and skipped entirely.
+* **router delivery by class**: each router class that consumes telemetry
+  supplies one feed for all of its switches
+  (:meth:`~repro.routing.base.Router.telemetry_feed`).  The default hands
+  every router a :class:`TelemetryView` of its switch's ports through
+  :meth:`~repro.routing.base.Router.on_telemetry` (RedTE); LCMP updates
+  every switch's congestion registers in one vector pass
+  (:class:`~repro.core.lcmp_router.LCMPTelemetryFeed`).  Routers that
+  ignore telemetry (ECMP, WCMP, UCMP) are detected once and skipped
+  entirely.
 
 Bit-equivalence contract: the array core syncs link state back to the link
 objects at the end of every update step, and the monitor fires *before* the
@@ -111,6 +117,11 @@ class TelemetryPlane:
             for dc, switch in network.switches.items()
             if switch.router.consumes_telemetry()
         ]
+        by_class: Dict[type, List[Tuple[str, object]]] = {}
+        for dc, router in self._consumers:
+            by_class.setdefault(type(router), []).append((dc, router))
+        #: one delivery per router class (see :meth:`feed_routers`)
+        self._feeds = [cls.telemetry_feed(self, members) for cls, members in by_class.items()]
 
         # trace ordering: rows permuted into network.inter_dc_links order so
         # traces keep the key order of the network's link list
@@ -137,6 +148,10 @@ class TelemetryPlane:
     def switches(self) -> List[str]:
         """Switch names in registry order."""
         return list(self._switch_rows)
+
+    def rows_of(self, switch: str) -> Tuple[slice, Tuple[str, ...]]:
+        """``switch``'s row slice of every column and the neighbouring DC per row."""
+        return self._switch_rows[switch]
 
     def view(self, switch: str) -> TelemetryView:
         """One switch's rows of the current columns."""
@@ -213,9 +228,9 @@ class TelemetryPlane:
             getattr(self, name).flags.writeable = False
 
     def feed_routers(self, now: float) -> None:
-        """Deliver the sweep to every telemetry-consuming router."""
-        for dc, router in self._consumers:
-            router.on_telemetry(self.view(dc), now)
+        """Deliver the sweep to every telemetry-consuming router, class by class."""
+        for feed in self._feeds:
+            feed(now)
 
     def observe_trace(self, trace, now: float) -> None:
         """Append this sweep's inter-DC rows to a link trace."""

@@ -27,7 +27,6 @@ from .graph import (
 )
 from .generators import CONTINENT_400, FabricSpec, build_fabric, fabric_pathset
 from .index import TopologyIndex
-from .leaf_spine import PodSpec, build_pod
 from .paths import (
     CandidatePath,
     PathSet,
@@ -53,8 +52,6 @@ __all__ = [
     "POWER_REDUNDANCY_LEVELS",
     "power_redundancy_rank",
     "DC_ATTR_PLAN",
-    "PodSpec",
-    "build_pod",
     "CandidatePath",
     "PathSet",
     "PathView",

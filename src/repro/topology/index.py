@@ -118,10 +118,6 @@ class TopologyIndex:
         """Dense id of DC ``name`` (-1 when unknown)."""
         return self.dc_ids.get(name, -1)
 
-    def link_spec(self, row: int) -> LinkSpec:
-        """The :class:`LinkSpec` stored at link row ``row``."""
-        return self.link_specs[row]
-
     def specs_from(self, name: str) -> Tuple[LinkSpec, ...]:
         """Outgoing inter-DC links of DC ``name`` in link *insertion* order.
 
@@ -210,14 +206,3 @@ class TopologyIndex:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TopologyIndex(dcs={self.num_dcs}, links={self.num_links})"
 
-
-def min_hops_between(
-    index: TopologyIndex, src: str, dst: str
-) -> Optional[int]:
-    """Minimum inter-DC hop count between two named DCs (None unreachable)."""
-    su = index.dc_id(src)
-    sv = index.dc_id(dst)
-    if su < 0 or sv < 0:
-        return None
-    hops = int(index.min_hops_from(su)[sv])
-    return None if hops == UNREACHABLE else hops

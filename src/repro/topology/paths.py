@@ -88,11 +88,6 @@ class CandidatePath:
         """The next DC after the source — the egress decision LCMP makes."""
         return self.dcs[1]
 
-    @property
-    def first_link(self) -> LinkSpec:
-        """The first inter-DC link (the egress port at the source DCI)."""
-        return self.links[0]
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         route = "->".join(self.dcs)
         return f"{route} ({self.delay_s * 1e3:.1f} ms, {self.bottleneck_bps / 1e9:g} Gbps)"
@@ -169,11 +164,6 @@ class PathView:
     def first_hop(self) -> str:
         """The next DC after the source — the egress decision LCMP makes."""
         return self.links[0].dst
-
-    @property
-    def first_link(self) -> LinkSpec:
-        """The first inter-DC link (the egress port at the source DCI)."""
-        return self.links[0]
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         route = "->".join(self.dcs)

@@ -27,8 +27,7 @@ Each DC hosts a small leaf-spine pod in the paper (1 DCI, 2 spines, 4 leaves,
 16 servers, 100 Gbps intra-DC links, 400 Gbps DCI-spine links).  For the
 flow-level experiments the pod is condensed into a host group with a 100 Gbps
 NIC rate and a few-microsecond access delay (the intra-DC fabric is never the
-bottleneck by construction); :func:`build_testbed8` can optionally expand the
-full pod via :mod:`repro.topology.leaf_spine` for structural tests.
+bottleneck by construction).
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from .graph import GBPS, MS, Topology
-from .leaf_spine import build_pod
 from .paths import PathSet
 
 __all__ = ["RELAY_PLAN", "DC_ATTR_PLAN", "build_testbed8", "testbed8_pathset"]
@@ -77,7 +75,6 @@ INTER_DC_BUFFER_BYTES = 512 * 1024 * 1024
 def build_testbed8(
     hosts_per_dc: int = 16,
     nic_bps: float = 100 * GBPS,
-    expand_pods: bool = False,
     inter_dc_buffer_bytes: int = INTER_DC_BUFFER_BYTES,
     capacity_scale: float = 1.0,
 ) -> Topology:
@@ -86,9 +83,6 @@ def build_testbed8(
     Args:
         hosts_per_dc: servers attached to each datacenter (16 in the paper).
         nic_bps: host NIC rate (100 Gbps in the paper).
-        expand_pods: when True also create the explicit leaf/spine fabric
-            inside each DC (used by structural tests; the flow-level
-            experiments use the condensed host-group form).
         inter_dc_buffer_bytes: egress buffer on inter-DC links.
         capacity_scale: multiply every capacity and buffer by this factor.
             The experiment harness runs the fluid model in a time-scaled
@@ -122,8 +116,6 @@ def build_testbed8(
 
     for dc in topo.dcs:
         topo.add_hosts(dc, count=hosts_per_dc, nic_bps=nic_bps * capacity_scale)
-        if expand_pods:
-            build_pod(topo, dc)
 
     topo.validate()
     return topo

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import ControlPlane, LCMPConfig, LCMPRouter
 from repro.core import lcmp_router as lcmp_router_module
-from repro.simulator import FlowDemand
+from repro.simulator import FlowDemand, TelemetryView
 from repro.topology import GBPS
 
 from tests.helpers import port_view
@@ -50,6 +50,25 @@ class TestProvisioning:
         chosen = router.select("DC8", dc1_candidates, make_demand(2), now=0.0)
         assert chosen in dc1_candidates
         assert router.ecmp_fallbacks == 0
+
+    def test_on_demand_bootstrap_sizes_tables_from_the_fastest_port(self):
+        """The capacity classes and queue levels come from the largest
+        capacity and buffer in the view, not from its first port."""
+        router = LCMPRouter()
+        view = TelemetryView(
+            switch="DC1",
+            port_dcs=("DC2", "DC3"),
+            queue_bytes=np.zeros(2),
+            carried_bytes=np.zeros(2),
+            cap_bps=np.array([100 * GBPS, 400 * GBPS]),
+            buffer_bytes=np.array([64e6, 512e6]),
+            up=np.ones(2, dtype=bool),
+        )
+        router.on_telemetry(view, now=0.0)
+        assert router.tables.max_capacity_bps == 400 * GBPS
+        assert router.tables.buffer_bytes == 512e6
+        # the 100G port is a middle class, not the top one
+        assert router.tables.capacity_level(100 * GBPS) < router.config.num_levels - 1
 
 
 class TestDecision:
@@ -186,6 +205,11 @@ def plan_builds(monkeypatch):
     return calls
 
 
+def c_cong(router, port):
+    """``port``'s C_cong, read from the router's own register row."""
+    return router.registers.c_cong_list[router.port_rows[port]]
+
+
 def sweep(router, candidates, now, queue_bytes=None):
     """One telemetry sample of every first-hop port (``queue_bytes`` per port, default 0)."""
     for cand in candidates:
@@ -231,9 +255,9 @@ class TestSelectionPlan:
         deep = {"DC7": router.tables.buffer_bytes * 0.9}
         router.select("DC8", dc1_candidates, make_demand(1), now=0.0)
         assert len(plan_builds) == 1
-        before = [router.estimator.congestion_score(c.first_hop) for c in dc1_candidates]
+        before = [c_cong(router, c.first_hop) for c in dc1_candidates]
         sweep(router, dc1_candidates, now=1e-3, queue_bytes=deep)
-        after = [router.estimator.congestion_score(c.first_hop) for c in dc1_candidates]
+        after = [c_cong(router, c.first_hop) for c in dc1_candidates]
         changed = [c.first_hop for c, b, a in zip(dc1_candidates, before, after) if a != b]
         assert changed == ["DC7"]
         hops = {
@@ -259,11 +283,21 @@ class TestSelectionPlan:
         sweep(router, dc1_candidates, now=0.0)
         router.select("DC8", dc1_candidates, make_demand(2), now=0.0)
         assert len(plan_builds) == 1
-        # dropping the estimator makes the next sample bootstrap new tables
-        router.estimator = None
-        sweep(router, dc1_candidates, now=1e-3)
+        # dropping the tables makes the next sample bootstrap new ones
+        deep = {c.first_hop: 1e9 for c in dc1_candidates}
+        sweep(router, dc1_candidates, now=1e-3, queue_bytes=deep)
+        assert max(c_cong(router, c.first_hop) for c in dc1_candidates) > 0
+        router.tables = None
+        sweep(router, dc1_candidates, now=2e-3)
         router.select("DC8", dc1_candidates, make_demand(3), now=2e-3)
         assert len(plan_builds) == 2
+        # the bootstrap started this switch's registers afresh
+        assert all(router.registers.sample_s[router.port_rows[c.first_hop]] == 2e-3
+                   for c in dc1_candidates)
+        for c in dc1_candidates:
+            row = router.port_rows[c.first_hop]
+            assert router.registers.interval_s[row] == 0.0
+            assert router.registers.trend[row] == 0
 
     def test_herd_plan_counts_every_flow(
         self, testbed_topology, testbed_paths, dc1_candidates, plan_builds

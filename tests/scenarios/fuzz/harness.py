@@ -7,9 +7,9 @@ core, ``check_all_invariants`` runs the full cross-core sweep — scalar
 built path set (the lazy-vs-eager lane), the live dead-link monitor
 attached wherever the run is not instrumented and the strict step-state
 monitor on every run — and asserts all four invariant families on the
-results, plus the two routing invariants (decision accounting and
-stranded-flow retries, from a :class:`FailoverRecorder` on every run):
-four runs per case.  Every entry
+results, plus the routing invariants (decision accounting, stranded-flow
+retries, live first hops and lazy invalidation, from a
+:class:`FailoverRecorder` on every run): four runs per case.  Every entry
 point takes the router to run (ECMP by default); LCMP is provisioned by
 its control plane, as the experiment runner does it.
 """
@@ -30,11 +30,15 @@ from repro.scenarios.invariants import (
     assert_results_identical,
     check_decision_accounting,
     check_demand_conservation,
+    check_lazy_invalidation,
+    check_live_first_hop,
     check_no_dead_link_traffic,
     check_recovery_bound,
     check_stranded_retry,
 )
 from repro.simulator import FluidSimulation, RuntimeNetwork, SimulationConfig
+
+from tests.core.congestion_oracle import RegisterOracle
 
 #: generous drain headroom: fuzz timelines always repair, so a run must
 #: always reach the drained steady state well before this deadline
@@ -71,8 +75,9 @@ def run_case(
     """Run one fuzz case on one core (``prewarm``: enumerate every path pair first).
 
     A :class:`StepStateMonitor` watches every step and raises after the
-    run on any non-physical state; ``recorder``, when given, is attached
-    before the run.
+    run on any non-physical state; under LCMP a :class:`RegisterOracle`
+    checks every switch's congestion registers after every sweep;
+    ``recorder``, when given, is attached before the run.
 
     Returns:
         ``(result, monitor)`` — the :class:`SimulationResult` and the
@@ -93,6 +98,9 @@ def run_case(
     )
     monitor = DeadLinkMonitor().attach(sim) if with_monitor else None
     strict = StepStateMonitor().attach(sim)
+    if router == "lcmp":
+        # every LCMP row's registers and C_cong against the per-port reference
+        RegisterOracle().attach(sim)
     if recorder is not None:
         recorder.attach(sim)
     result = sim.run()
@@ -172,4 +180,6 @@ def check_all_invariants(
     for recorder in recorders.values():
         check_decision_accounting(recorder)
         check_stranded_retry(recorder, case.scenario)
+        check_live_first_hop(recorder, case.scenario)
+        check_lazy_invalidation(recorder)
     return results

@@ -21,6 +21,7 @@ from repro.scenarios.events import (
 )
 from repro.scenarios.injector import EventOutcome, ScenarioMetrics
 from repro.congestion_control import make_cc_factory
+from repro.core import PortLivenessTracker, lcmp_router_factory
 from repro.routing import make_router_factory
 from repro.scenarios.fuzz import build_fuzz_pathset, build_fuzz_topology
 from repro.scenarios.invariants import (
@@ -31,6 +32,8 @@ from repro.scenarios.invariants import (
     assert_results_identical,
     check_decision_accounting,
     check_demand_conservation,
+    check_lazy_invalidation,
+    check_live_first_hop,
     check_recovery_bound,
     check_stranded_retry,
     down_intervals,
@@ -343,13 +346,16 @@ class NeverWakes(FluidSimulation):
         return False
 
 
-def recorded_run(vectorized, sim_cls=FluidSimulation):
+def recorded_run(vectorized, sim_cls=FluidSimulation, router="ecmp"):
     """Eight DC1->DC4 flows on the diamond through :data:`DC4_CUT`, recorded."""
     topology = build_fuzz_topology("diamond")
+    paths = build_fuzz_pathset(topology)
     config = SimulationConfig(seed=2, vectorized=vectorized)
-    network = RuntimeNetwork(
-        topology, build_fuzz_pathset(topology), make_router_factory("ecmp"), config
-    )
+    if router == "lcmp":
+        factory = lcmp_router_factory(topology, paths)
+    else:
+        factory = make_router_factory(router)
+    network = RuntimeNetwork(topology, paths, factory, config)
     demands = [
         FlowDemand(
             flow_id=i,
@@ -421,3 +427,68 @@ class TestRoutingInvariants:
         _, recorder = recorded_run(vectorized, sim_cls=NeverWakes)
         with pytest.raises(InvariantViolation, match="DC3->DC4"):
             check_stranded_retry(recorder, DC4_CUT)
+
+
+@pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "array"])
+class TestLiveFirstHop:
+    """Routing invariant (i), from the DecisionLog and the outage timeline."""
+
+    @pytest.mark.parametrize("router", ["ecmp", "lcmp"])
+    def test_holds_on_a_real_run(self, vectorized, router):
+        _, recorder = recorded_run(vectorized, router=router)
+        check_live_first_hop(recorder, DC4_CUT)
+
+    def test_fires_on_a_decision_through_a_dead_port(self, vectorized):
+        sim, recorder = recorded_run(vectorized)
+        network = sim.network
+        via_dc2, via_dc3 = network.pathset.candidates("DC1", "DC4")[:2]
+        assert {via_dc2.first_hop, via_dc3.first_hop} == {"DC2", "DC3"}
+        # a flow walked DC1 -> DC2 -> DC4 while DC2->DC4 was down and
+        # DC2's other candidate, via DC3, was up
+        dc2_to_dc4 = next(c for c in network.pathset.candidates("DC2", "DC4") if c.first_hop == "DC4")
+        network.switch("DC1").decision_log.append(
+            flow_id=77, time_s=0.015,
+            chosen=via_dc2 if via_dc2.first_hop == "DC2" else via_dc3,
+            dst_dc="DC4", num_candidates=2, fallback=False,
+        )
+        network.switch("DC2").decision_log.append(
+            flow_id=77, time_s=0.015, chosen=dc2_to_dc4,
+            dst_dc="DC4", num_candidates=2, fallback=False,
+        )
+        with pytest.raises(InvariantViolation, match="DC2 sent flow 77 to dead DC2->DC4"):
+            check_live_first_hop(recorder, DC4_CUT)
+
+
+@pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "array"])
+class TestLazyInvalidation:
+    """Routing invariant (iv), from the recorded flow-cache lookups."""
+
+    def test_holds_on_a_real_run(self, vectorized):
+        sim, recorder = recorded_run(vectorized, router="lcmp")
+        check_lazy_invalidation(recorder)
+        on_dead = [lk for lk in recorder.lookups if lk.cached_port and not lk.port_up]
+        # the 10 ms cut stranded every flow's cached DC2->DC4 (then DC3->DC4) entry
+        assert {(lookup.switch, lookup.cached_port, lookup.now) for lookup in on_dead} == {
+            ("DC2", "DC4", 0.010), ("DC3", "DC4", 0.010)
+        }
+        assert all(lookup.invalidations == 1 for lookup in on_dead)
+        lazy = sum(s.router.liveness.lazy_invalidations for s in sim.network.switches.values())
+        assert lazy == sum(lookup.invalidations for lookup in recorder.lookups)
+
+    def test_fires_on_a_missed_invalidation(self, vectorized):
+        _, recorder = recorded_run(vectorized, router="lcmp")
+        lookup = next(
+            lookup for lookup in recorder.lookups if lookup.invalidations == 1
+        )
+        lookup.invalidations = 0
+        with pytest.raises(InvariantViolation, match="on dead port DC4"):
+            check_lazy_invalidation(recorder)
+
+    def test_fires_when_port_deaths_never_reach_the_tracker(self, vectorized, monkeypatch):
+        observe = PortLivenessTracker.observe
+        monkeypatch.setattr(
+            PortLivenessTracker, "observe", lambda self, port, up: up and observe(self, port, up)
+        )
+        _, recorder = recorded_run(vectorized, router="lcmp")
+        with pytest.raises(InvariantViolation, match="counted 0 lazy invalidations"):
+            check_lazy_invalidation(recorder)

@@ -163,9 +163,14 @@ class TestRouterStateAcrossCores:
         for dc, switch in sim.network.switches.items():
             router = switch.router
             if router.name == "lcmp":
+                regs = router.registers
                 registers = {
-                    port: dataclasses.asdict(router.estimator.port_state(port))
-                    for port in router.estimator.ports()
+                    port: tuple(
+                        getattr(regs, name)[row].item()
+                        for name in ("queue_cur", "trend", "dur_cnt", "sample_s",
+                                     "interval_s", "rate_bps", "c_cong")
+                    ) + (regs.c_cong_list[row],)
+                    for port, row in router.port_rows.items()
                 }
                 state[dc] = (registers, dataclasses.asdict(router.liveness))
             else:

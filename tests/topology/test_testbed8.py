@@ -35,13 +35,6 @@ class TestStructure:
         for dc in testbed_topology.dcs:
             assert testbed_topology.hosts_in(dc) == 16
 
-    def test_expand_pods_builds_fabric(self):
-        topo = build_testbed8(hosts_per_dc=16, expand_pods=True)
-        nodes = topo.nodes
-        assert "DC1/spine0" in nodes
-        assert "DC1/leaf3" in nodes
-        assert "DC1/host15" in nodes
-
     def test_capacity_scale(self):
         topo = build_testbed8(capacity_scale=0.1)
         assert topo.link("DC1", "DC2").cap_bps == pytest.approx(20 * GBPS)
