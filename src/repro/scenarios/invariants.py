@@ -28,10 +28,14 @@ correct run must satisfy regardless of the timeline:
 
 Alongside them, a strict step check (:class:`StepStateMonitor`, live)
 holds the per-step state physical on both cores: finite, non-negative
-rates, ``0 <= queue <= buffer`` and ``remaining >= 0``.  Four routing
-invariants, fed by a live :class:`FailoverRecorder`, guard the fast-failover
-path (paper §3.4), its re-route wait list and the port liveness it relies on:
+rates, ``0 <= queue <= buffer`` and ``remaining >= 0``.  Five routing
+invariants, fed by a live :class:`FailoverRecorder`, guard the distributed
+walk, the fast-failover path (paper §3.4), its re-route wait list and the
+port liveness it relies on:
 
+* **Loop-free paths** (:func:`check_loop_free_paths`) — every path the
+  run resolved visits each DC at most once and crosses at most
+  ``_MAX_RESOLVE_HOPS`` inter-DC links.
 * **Decision accounting** (:func:`check_decision_accounting`) — the
   DecisionLog rows at each inter-DC flow's source switch total the admitted
   inter-DC flows plus the run's re-route attempts (every walk decides once
@@ -66,6 +70,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..simulator.link import RuntimeLink
+from ..simulator.network import _MAX_RESOLVE_HOPS
 from .events import (
     DCMaintenance,
     LinkDown,
@@ -87,6 +92,7 @@ __all__ = [
     "DeadLinkMonitor",
     "StepStateMonitor",
     "FailoverRecorder",
+    "check_loop_free_paths",
     "check_decision_accounting",
     "check_stranded_retry",
     "check_live_first_hop",
@@ -374,7 +380,8 @@ class StepStateMonitor:
             remaining = table.remaining_bytes[rows]
             inc = sim._incidence
             links = inc.links
-            queue, buffer = inc.queue_bytes, inc.buffer_bytes
+            # every per-link array ends with the sentinel column
+            queue, buffer = inc.queue_bytes[:-1], inc.buffer_bytes[:-1]
         for kind, values in (("sending-rate", sending), ("achieved-rate", achieved)):
             for i in np.flatnonzero(~(np.isfinite(values) & (values >= 0.0))).tolist():
                 self.violations.append((kind, now, flows[i].flow_id, float(values[i])))
@@ -587,13 +594,14 @@ class CacheLookup:
 
 
 class FailoverRecorder:
-    """Live recorder behind the routing invariants (iii), (iv) and (v).
+    """Live recorder behind the routing invariants (ii) to (v).
 
     Attach with :meth:`attach` (before ``run()``).  It wraps three methods
     of the simulation instance — admission, the re-route attempt and the
     re-validation sweep — to record every admitted flow's endpoints, every
     attempt ``(now, flow_id)`` and, per sweep, which disrupted flows it
-    attempted or healed.  It also wraps the per-flow ``select`` of every
+    attempted or healed, and the network's two path resolvers to record
+    every resolved path.  It also wraps the per-flow ``select`` of every
     router with a flow cache and a liveness tracker (LCMP) to record each
     decision's cache entry and lazy invalidations (:class:`CacheLookup`).
     It changes no simulation state.
@@ -607,6 +615,8 @@ class FailoverRecorder:
         self.attempts: List[Tuple[float, int]] = []
         self.calls: List[RevalidateCall] = []
         self.lookups: List[CacheLookup] = []
+        #: ``(flow_id, path)`` of every resolved path, in order
+        self.resolved: List[Tuple[int, list]] = []
 
     def _watch_cache(self, switch) -> None:
         router = switch.router
@@ -667,10 +677,55 @@ class FailoverRecorder:
                 )
             )
 
+        network = sim.network
+        resolve_one = network.resolve_path
+        resolve_batch = network.resolve_paths_batch
+
+        def resolve_path(demand, now):
+            path = resolve_one(demand, now)
+            self.resolved.append((demand.flow_id, path))
+            return path
+
+        def resolve_paths_batch(demands, times):
+            paths = resolve_batch(demands, times)
+            self.resolved.extend(zip([d.flow_id for d in demands], paths))
+            return paths
+
         sim._append_active = admit
         sim._reroute_flow = attempt
         sim.revalidate_flows = sweep
+        network.resolve_path = resolve_path
+        network.resolve_paths_batch = resolve_paths_batch
         return self
+
+
+def check_loop_free_paths(recorder: FailoverRecorder) -> None:
+    """Routing invariant (ii): every resolved path is loop-free and bounded.
+
+    Every path the run resolved, at admission or on a re-route attempt,
+    visits each DC at most once and crosses at most ``_MAX_RESOLVE_HOPS``
+    inter-DC links: the walk never re-enters a visited DC and gives up past
+    that many hops.  (The array core's path grid is as wide as the longest
+    active path, so a looping path would also widen every step it is on.)
+
+    Raises:
+        InvariantViolation: naming the flow and its DC sequence.
+    """
+    for flow_id, path in recorder.resolved:
+        # a path is [source NIC uplink, inter-DC links..., destination NIC
+        # downlink]; each link after the first leaves the next DC on the walk
+        dcs = [link.spec.src for link in path[1:]]
+        hops = len(path) - 2
+        if hops > _MAX_RESOLVE_HOPS:
+            _violate(
+                f"loop-free path: flow {flow_id} resolved {hops} inter-DC hops, "
+                f"over the {_MAX_RESOLVE_HOPS}-hop bound"
+            )
+        if len(set(dcs)) != len(dcs):
+            _violate(
+                f"loop-free path: flow {flow_id} resolved {'->'.join(dcs)}, "
+                f"which revisits a DC"
+            )
 
 
 def check_decision_accounting(recorder: FailoverRecorder) -> None:

@@ -803,34 +803,6 @@ class FluidSimulation:
             deliver_s = None
         self._cc_kernel_dispatches += table.deliver_feedback(rows, signals, now, deliver_s)
 
-    def _accumulate_path_signals(self, inc, not_marked_links, delay_links):
-        """Per-flow path products/sums in exact scalar accumulation order.
-
-        Dispatches to the ``path_signals`` kernel (see
-        :mod:`repro.backend`), which walks the paths position by position,
-        so each flow's ECN survival product and queueing-delay sum
-        associate strictly left to right — exactly like the scalar loop in
-        :meth:`_feedback_for`.  ``np.multiply.reduceat`` /
-        ``np.add.reduceat`` are *not* usable here: their intra-segment
-        association is unspecified (numpy may block the reduction), which
-        lands one ulp away from the scalar result on some queue patterns
-        and breaks the bit-identity contract.  When every path has the
-        same hop count — the common testbed geometry — the kernel walks
-        contiguous column strides instead of masked per-hop gathers,
-        preserving the association order.
-
-        Args:
-            inc: the flow×link incidence structure (CSR layout).
-            not_marked_links: per-link ECN survival probability (1 - mark).
-            delay_links: per-link queueing delay in seconds.
-
-        Returns:
-            ``(not_marked, queue_delay)`` per-flow arrays.
-        """
-        return self._backend.path_signals(
-            inc.idx, inc.starts, inc.lengths, not_marked_links, delay_links
-        )
-
     def _update_step_scalar(self) -> None:
         """The original pure-Python update step (the executable spec)."""
         now = self.engine.now
@@ -916,16 +888,20 @@ class FluidSimulation:
             table = self._table
             rows = self._active_rows()
             inc.refresh(rows)
-            idx, starts = inc.idx, inc.starts
+            grid = inc.grid
             cap, up = inc.cap_bps, inc.up
 
             # 1. offered load per link: flow-major scatter-add, which keeps
             # the per-link accumulation order identical to the scalar dict
-            # loop
+            # loop; the sentinel's bin collects the padded lanes and is
+            # dropped, so the sentinel column stays unloaded
             rates = bk.gather_rows(table.cc_rate_bps, rows)
             offered = bk.scatter_add(
-                inc.num_links, idx, bk.expand_segments(rates, inc.lengths)
+                inc.sentinel + 1,
+                grid.ravel(),
+                bk.expand_segments(rates, grid.shape[1]),
             )
+            offered[inc.sentinel] = 0.0
 
             # 2. queue integration (active slots only — the scalar path
             # only integrates links that appear on some active flow's path)
@@ -956,9 +932,7 @@ class FluidSimulation:
 
         with self._sp_signals:
             # 3. per-flow achieved rate: min scale across the path
-            factor = bk.segment_reduce(
-                bk.gather_rows(scale, idx), starts, inc.lengths, "min"
-            )
+            factor = bk.segment_reduce(bk.gather_rows(scale, grid), "min")
             achieved = rates * factor
             want = achieved * dt / 8.0
             before = bk.gather_rows(table.remaining_bytes, rows)
@@ -977,12 +951,10 @@ class FluidSimulation:
             )
 
             util = bk.masked_divide(offered, cap, cap > 0)
-            max_util = bk.segment_reduce(
-                bk.gather_rows(util, idx), starts, inc.lengths, "max"
-            )
+            max_util = bk.segment_reduce(bk.gather_rows(util, grid), "max")
 
-            not_marked, queue_delay = self._accumulate_path_signals(
-                inc, 1.0 - mark, q * 8.0 / cap
+            not_marked, queue_delay = bk.path_signals(
+                grid, 1.0 - mark, q * 8.0 / cap
             )
             ecn_fraction = 1.0 - not_marked
             base_rtt = bk.gather_rows(table.base_rtt_s, rows)

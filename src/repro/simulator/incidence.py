@@ -1,29 +1,36 @@
 """Flow×link incidence arrays — the vectorized core's data layout.
 
 The scalar update step walks Python dicts over every flow×link pair at every
-1 ms tick.  :class:`FlowLinkIncidence` replaces those walks with a CSR-style
+1 ms tick.  :class:`FlowLinkIncidence` replaces those walks with a padded
 index structure over numpy arrays:
 
 * a **link registry**: every :class:`~repro.simulator.link.RuntimeLink` that
   has ever appeared on an active flow's path gets a stable integer slot;
   static per-link attributes (buffer size, ECN thresholds) live in parallel
   arrays indexed by slot;
-* a **hop matrix**: one padded row of registry slots per
+* a **hop matrix**: one row of registry slots per
   :class:`~repro.simulator.flow_table.FlowTable` row slot, plus a hop-count
   column.  A flow's row is written once at arrival (or re-route) time; the
   matrix doubles in rows when a row past its capacity arrives and widens
-  when a path longer than any seen arrives.  Slots past a row's hop count
-  are stale padding and are never read;
-* a **concatenated view**: the active rows' hops in active-flow order
-  (``idx``), plus segment ``starts``/``lengths`` — exactly the layout
-  ``np.add.at`` / ``np.minimum.reduceat`` / ``np.multiply.reduceat`` want.
-  It is one gather ``hops[active_rows, :width]`` (``width`` = the longest
-  active path): a plain ravel when every active path has ``width`` hops,
-  else a ``arange(width) < lengths[:, None]`` mask, which keeps the
-  flow-major lane order.
+  when a path longer than any seen arrives;
+* a **sentinel link column**: every per-link array ends with one extra
+  entry (slot :attr:`~FlowLinkIncidence.sentinel`, one past the last
+  link), and every hop-matrix slot past a row's hop count points at it.
+  Up, with infinite capacity, an empty queue and no offered load, it is
+  the identity of every per-path reduction.  A link registered later
+  takes the sentinel's slot, so registration first moves the padding one
+  slot on.  The sentinel is in neither :attr:`~FlowLinkIncidence.links`
+  nor :attr:`~FlowLinkIncidence.active_slots`, and is never integrated
+  or written back;
+* a **path grid** over the active flows: ``grid = hops[active_rows,
+  :width]`` (``width`` = the longest active path), one row per active flow
+  in active-list order.  Every geometry, uniform or ragged, is that one
+  gather, and the kernels of :mod:`repro.backend` reduce it column by
+  column; ``grid.ravel()`` is the flow-major lane order of the offered-load
+  scatter.
 
-The concatenated view is rebuilt **only when flow membership or a path
-changes** (arrival, completion, failure, re-route) — event-driven and rare
+The grid is rebuilt **only when flow membership or a path changes**
+(arrival, completion, failure, re-route) or a link registers — rare
 relative to update ticks.  Link capacity / liveness arrays are cached and
 re-gathered only when :attr:`RuntimeLink.state_version` says some link
 mutated (scenario fault injection, capacity events) or the registry grew;
@@ -51,9 +58,18 @@ from .link import RuntimeLink
 
 __all__ = ["FlowLinkIncidence"]
 
+#: per-link state held in the arrays while a run is in flight
+_STATE = (
+    "queue_bytes",
+    "peak_queue_bytes",
+    "carried_bytes",
+    "dropped_bytes",
+    "offered_bps",
+)
+
 
 class FlowLinkIncidence:
-    """CSR-style flow×link incidence over a stable link registry."""
+    """Padded flow×link incidence over a stable link registry."""
 
     def __init__(self) -> None:
         """Create an empty incidence structure."""
@@ -67,31 +83,33 @@ class FlowLinkIncidence:
         self._kmin_l: List[float] = []
         self._kmax_l: List[float] = []
         self._pmax_l: List[float] = []
+        # every per-link array below ends with the sentinel column; the
+        # sentinel has no buffer and never marks (kmin = kmax = 0 with an
+        # empty queue)
         # frozen static arrays (rebuilt when the registry grows)
-        self.buffer_bytes = np.empty(0)
-        self.ecn_kmin = np.empty(0)
-        self.ecn_kmax = np.empty(0)
-        self.ecn_pmax = np.empty(0)
+        self.buffer_bytes = np.zeros(1)
+        self.ecn_kmin = np.zeros(1)
+        self.ecn_kmax = np.zeros(1)
+        self.ecn_pmax = np.zeros(1)
         # mutable per-link state (authoritative between syncs)
-        self.queue_bytes = np.empty(0)
-        self.peak_queue_bytes = np.empty(0)
-        self.carried_bytes = np.empty(0)
-        self.dropped_bytes = np.empty(0)
-        self.offered_bps = np.empty(0)
+        self.queue_bytes = np.zeros(1)
+        self.peak_queue_bytes = np.zeros(1)
+        self.carried_bytes = np.zeros(1)
+        self.dropped_bytes = np.zeros(1)
+        self.offered_bps = np.zeros(1)
         # cached dynamic per-link attributes (capacity, liveness)
-        self.cap_bps = np.empty(0)
-        self.up = np.empty(0, dtype=bool)
+        self.cap_bps = np.full(1, np.inf)
+        self.up = np.ones(1, dtype=bool)
         self._all_up = True
         self._seen_state_version = -1
         # --- per-flow structure, indexed by FlowTable row slot ---
-        #: padded registry slots of each row's path (row-major hop matrix)
+        #: registry slots of each row's path, sentinel-padded (row-major)
         self.hops = np.zeros((0, 0), dtype=np.intp)
         #: hop count of each row's path (0 for a free row)
         self.hop_counts = np.zeros(0, dtype=np.intp)
-        # concatenated CSR view over the active flows
-        self.idx = np.empty(0, dtype=np.intp)
-        self.starts = np.empty(0, dtype=np.intp)
-        self.lengths = np.empty(0, dtype=np.intp)
+        #: the active rows' paths, ``(active flows, longest active path)``
+        self.grid = np.zeros((0, 0), dtype=np.intp)
+        #: registered slots on some active path (the sentinel excluded)
         self.active_slots = np.empty(0, dtype=np.intp)
         self._membership_dirty = True
         self._registry_dirty = True
@@ -110,6 +128,11 @@ class FlowLinkIncidence:
         return len(self._links)
 
     @property
+    def sentinel(self) -> int:
+        """The sentinel column's slot: one past the last registered link."""
+        return len(self._links)
+
+    @property
     def links(self) -> List[RuntimeLink]:
         """The registered links, in slot order."""
         return list(self._links)
@@ -118,6 +141,10 @@ class FlowLinkIncidence:
         slot = self._slot_of.get(link)
         if slot is None:
             slot = len(self._links)
+            # the new link takes the sentinel's slot: move the padding one
+            # slot on first, and regather the grid from the moved padding
+            self.hops[self.hops == slot] = slot + 1
+            self._membership_dirty = True
             self._slot_of[link] = slot
             self._links.append(link)
             self._buffer_l.append(float(link.buffer_bytes))
@@ -130,22 +157,16 @@ class FlowLinkIncidence:
     def _refresh_registry(self) -> None:
         """Regrow the static and state arrays after new links registered."""
         self.registry_rebuilds += 1
-        old = len(self.queue_bytes)
+        old = len(self.queue_bytes) - 1
         new = len(self._links)
-        self.buffer_bytes = np.array(self._buffer_l)
-        self.ecn_kmin = np.array(self._kmin_l)
-        self.ecn_kmax = np.array(self._kmax_l)
-        self.ecn_pmax = np.array(self._pmax_l)
-        for name in (
-            "queue_bytes",
-            "peak_queue_bytes",
-            "carried_bytes",
-            "dropped_bytes",
-            "offered_bps",
-        ):
-            grown = np.empty(new)
-            grown[:old] = getattr(self, name)
-            grown[old:] = [getattr(link, name) for link in self._links[old:]]
+        self.buffer_bytes = np.array(self._buffer_l + [0.0])
+        self.ecn_kmin = np.array(self._kmin_l + [0.0])
+        self.ecn_kmax = np.array(self._kmax_l + [0.0])
+        self.ecn_pmax = np.array(self._pmax_l + [0.0])
+        for name in _STATE:
+            grown = np.zeros(new + 1)
+            grown[:old] = getattr(self, name)[:old]
+            grown[old:new] = [getattr(link, name) for link in self._links[old:]]
             setattr(self, name, grown)
         self._registry_dirty = False
         self._seen_state_version = -1  # force a cap/up re-gather
@@ -154,13 +175,13 @@ class FlowLinkIncidence:
         """Re-gather capacity / liveness when some link mutated."""
         self.dynamic_regathers += 1
         n = len(self._links)
-        self.cap_bps = np.fromiter(
+        cap = np.fromiter(
             (link.cap_bps for link in self._links), dtype=np.float64, count=n
         )
-        self.up = np.fromiter(
-            (link.up for link in self._links), dtype=bool, count=n
-        )
-        self._all_up = bool(self.up.all())
+        up = np.fromiter((link.up for link in self._links), dtype=bool, count=n)
+        self.cap_bps = np.append(cap, np.inf)
+        self.up = np.append(up, True)
+        self._all_up = bool(up.all())
         self._seen_state_version = RuntimeLink.state_version
 
     def register_links(self, links: Sequence[RuntimeLink]) -> List[int]:
@@ -201,6 +222,7 @@ class FlowLinkIncidence:
         if row >= rows or n > width:
             self._grow(row, n)
         self.hops[row, :n] = slots
+        self.hops[row, n:] = self.sentinel
         self.hop_counts[row] = n
         self._membership_dirty = True
 
@@ -208,11 +230,12 @@ class FlowLinkIncidence:
         """Reallocate the hop matrix to hold row ``row`` and ``length`` hops.
 
         Rows grow by doubling; the width grows to the longest path seen.
+        New slots point at the sentinel.
         """
         old_rows, old_width = self.hops.shape
         rows = max(row + 1, 2 * old_rows) if row >= old_rows else old_rows
         width = max(old_width, length)
-        hops = np.zeros((rows, width), dtype=np.intp)
+        hops = np.full((rows, width), self.sentinel, dtype=np.intp)
         hops[:old_rows, :old_width] = self.hops
         counts = np.zeros(rows, dtype=np.intp)
         counts[:old_rows] = self.hop_counts
@@ -236,7 +259,7 @@ class FlowLinkIncidence:
 
         Args:
             active_rows: FlowTable row slots of the active flows, in
-                active-list order (the CSR segment order).
+                active-list order (the grid's row order).
 
         Cheap when nothing changed: two flag checks and one integer
         comparison against :attr:`RuntimeLink.state_version`.
@@ -245,26 +268,11 @@ class FlowLinkIncidence:
             self._refresh_registry()
         if self._membership_dirty:
             self.membership_rebuilds += 1
-            if len(active_rows):
-                lengths = self.hop_counts[active_rows]
-                width = int(lengths.max())
-                block = self.hops[active_rows, :width]
-                if int(lengths.min()) == width:
-                    self.idx = block.ravel()
-                else:
-                    self.idx = block[np.arange(width) < lengths[:, None]]
-                self.lengths = lengths
-                starts = np.zeros(len(lengths), dtype=np.intp)
-                np.cumsum(lengths[:-1], out=starts[1:])
-                self.starts = starts
-                mask = np.zeros(len(self._links), dtype=bool)
-                mask[self.idx] = True
-                self.active_slots = np.flatnonzero(mask)
-            else:
-                self.idx = np.empty(0, dtype=np.intp)
-                self.starts = np.empty(0, dtype=np.intp)
-                self.lengths = np.empty(0, dtype=np.intp)
-                self.active_slots = np.empty(0, dtype=np.intp)
+            width = int(self.hop_counts[active_rows].max()) if len(active_rows) else 0
+            self.grid = self.hops[active_rows, :width]
+            mask = np.zeros(len(self._links) + 1, dtype=bool)
+            mask[self.grid] = True
+            self.active_slots = np.flatnonzero(mask[:-1])
             self._membership_dirty = False
         if self._seen_state_version != RuntimeLink.state_version:
             self._refresh_dynamic()
@@ -279,14 +287,11 @@ class FlowLinkIncidence:
         While every registered link is up no path can cross a dead one, so
         the answer is all-False without a gather or reduction.
         """
-        if self._all_up or len(self.starts) == 0:
-            return np.zeros(len(self.starts), dtype=bool)
+        if self._all_up or not len(self.grid):
+            return np.zeros(len(self.grid), dtype=bool)
         bk = self.backend
         path_up = bk.segment_reduce(
-            bk.gather_rows(self.up, self.idx).astype(np.float64),
-            self.starts,
-            self.lengths,
-            "min",
+            bk.gather_rows(self.up, self.grid).astype(np.float64), "min"
         )
         return path_up < 0.5
 
@@ -296,17 +301,12 @@ class FlowLinkIncidence:
     def sync_all(self) -> None:
         """Write the state arrays back to their links (result build).
 
-        Only slots the arrays already cover are written: a link registered
-        after the last refresh — or a run that stopped before its first
-        update step — still holds its own state on the object.
+        Only slots the arrays already cover are written, the sentinel
+        column excluded: a link registered after the last refresh — or a
+        run that stopped before its first update step — still holds its
+        own state on the object.
         """
         links = self._links
-        for name in (
-            "queue_bytes",
-            "peak_queue_bytes",
-            "carried_bytes",
-            "dropped_bytes",
-            "offered_bps",
-        ):
-            for link, value in zip(links, getattr(self, name).tolist()):
+        for name in _STATE:
+            for link, value in zip(links, getattr(self, name)[:-1].tolist()):
                 setattr(link, name, value)

@@ -104,7 +104,7 @@ class PathView:
     the view (mirroring the FlowRecord-over-MetricsStore pattern).
     """
 
-    __slots__ = ("_ps", "_row", "path_id", "_dcs", "_links")
+    __slots__ = ("_ps", "_row", "path_id", "_dcs", "_links", "_first_hop")
 
     def __init__(self, pathset: "PathSet", row: int, path_id: int) -> None:
         self._ps = pathset
@@ -113,6 +113,7 @@ class PathView:
         self.path_id = path_id
         self._dcs: Optional[Tuple[str, ...]] = None
         self._links: Optional[Tuple[LinkSpec, ...]] = None
+        self._first_hop: Optional[str] = None
 
     @property
     def links(self) -> Tuple[LinkSpec, ...]:
@@ -125,6 +126,7 @@ class PathView:
             self._links = tuple(
                 specs[r] for r in ps._geom_links[start:end].tolist()
             )
+            self._first_hop = self._links[0].dst
         return self._links
 
     @property
@@ -162,8 +164,13 @@ class PathView:
 
     @property
     def first_hop(self) -> str:
-        """The next DC after the source — the egress decision LCMP makes."""
-        return self.links[0].dst
+        """The next DC after the source — the egress decision LCMP makes.
+
+        Read several times per routing decision, so it is cached when
+        :attr:`links` is first built.
+        """
+        hop = self._first_hop
+        return hop if hop is not None else self.links[0].dst
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         route = "->".join(self.dcs)

@@ -9,13 +9,12 @@ failures, scenario outcomes) for each congestion control, each router,
 LCMP and a mixed-CC fleet.
 
 Every case runs twice: on testbed8, where all candidate paths have equal
-hop counts (the kernels' uniform-length fast path), and on bso13 with
-5-hop and 2-hop pairs active together (the masked-walk fallback).
+hop counts (no grid row is padded), and on bso13 with 5-hop and 2-hop
+pairs active together (short rows padded with the sentinel link column).
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.backend import get_backend
@@ -73,8 +72,8 @@ def run_with(
     return result
 
 
-#: topologies every case runs on: uniform hop counts (the kernels'
-#: fast path) and :data:`RAGGED_PAIRS` on bso13 (the masked-walk fallback)
+#: topologies every case runs on: uniform hop counts (unpadded path
+#: grids) and :data:`RAGGED_PAIRS` on bso13 (rows padded with the sentinel)
 TOPOLOGIES = ["testbed8", "bso13-ragged"]
 
 
@@ -82,8 +81,8 @@ def run_pair(topology, **kwargs):
     """Scalar and array runs of one case on ``topology``.
 
     On ``"bso13-ragged"`` this also checks that the array run's
-    path-signal walk really saw segments of unequal length, i.e. that the
-    fallback tier ran.
+    path-signal walk really saw paths of unequal length, i.e. that some
+    grid row was padded with the sentinel column (the last link entry).
     """
     if topology == "testbed8":
         return run_with(False, **kwargs), run_with(True, **kwargs)
@@ -92,9 +91,9 @@ def run_pair(topology, **kwargs):
     original = shared.path_signals
     ragged_steps = []
 
-    def recording(idx, starts, lengths, *args):
-        ragged_steps.append(len(np.unique(lengths)) > 1)
-        return original(idx, starts, lengths, *args)
+    def recording(grid, not_marked_links, *args):
+        ragged_steps.append(bool((grid == len(not_marked_links) - 1).any()))
+        return original(grid, not_marked_links, *args)
 
     shared.path_signals = recording
     try:

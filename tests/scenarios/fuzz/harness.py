@@ -7,9 +7,9 @@ core, ``check_all_invariants`` runs the full cross-core sweep — scalar
 built path set (the lazy-vs-eager lane), the live dead-link monitor
 attached wherever the run is not instrumented and the strict step-state
 monitor on every run — and asserts all four invariant families on the
-results, plus the routing invariants (decision accounting, stranded-flow
-retries, live first hops and lazy invalidation, from a
-:class:`FailoverRecorder` on every run): four runs per case.  Every entry
+results, plus the routing invariants (loop-free paths, decision
+accounting, stranded-flow retries, live first hops and lazy invalidation,
+from a :class:`FailoverRecorder` on every run): four runs per case.  Every entry
 point takes the router to run (ECMP by default); LCMP is provisioned by
 its control plane, as the experiment runner does it.
 """
@@ -32,6 +32,7 @@ from repro.scenarios.invariants import (
     check_demand_conservation,
     check_lazy_invalidation,
     check_live_first_hop,
+    check_loop_free_paths,
     check_no_dead_link_traffic,
     check_recovery_bound,
     check_stranded_retry,
@@ -178,6 +179,7 @@ def check_all_invariants(
     assert_results_identical(reference, eager, label="lazy vs eager pathset")
     results["eager_paths"] = eager
     for recorder in recorders.values():
+        check_loop_free_paths(recorder)
         check_decision_accounting(recorder)
         check_stranded_retry(recorder, case.scenario)
         check_live_first_hop(recorder, case.scenario)

@@ -23,6 +23,7 @@ from repro.scenarios.injector import EventOutcome, ScenarioMetrics
 from repro.congestion_control import make_cc_factory
 from repro.core import PortLivenessTracker, lcmp_router_factory
 from repro.routing import make_router_factory
+from repro.scenarios import invariants as invariants_module
 from repro.scenarios.fuzz import build_fuzz_pathset, build_fuzz_topology
 from repro.scenarios.invariants import (
     CORE_CONFIGS,
@@ -34,6 +35,7 @@ from repro.scenarios.invariants import (
     check_demand_conservation,
     check_lazy_invalidation,
     check_live_first_hop,
+    check_loop_free_paths,
     check_recovery_bound,
     check_stranded_retry,
     down_intervals,
@@ -427,6 +429,34 @@ class TestRoutingInvariants:
         _, recorder = recorded_run(vectorized, sim_cls=NeverWakes)
         with pytest.raises(InvariantViolation, match="DC3->DC4"):
             check_stranded_retry(recorder, DC4_CUT)
+
+
+@pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "array"])
+class TestLoopFreePaths:
+    """Routing invariant (ii), from the recorded path resolutions."""
+
+    def test_holds_on_a_real_run(self, vectorized):
+        _, recorder = recorded_run(vectorized)
+        check_loop_free_paths(recorder)
+        # every admission and every re-route attempt resolved one path
+        assert len(recorder.resolved) == len(recorder.admitted) + len(recorder.attempts)
+        assert {fid for fid, _ in recorder.resolved} == set(recorder.admitted)
+
+    def test_fires_on_a_looping_path(self, vectorized):
+        sim, recorder = recorded_run(vectorized)
+        network = sim.network
+        flow_id, path = recorder.resolved[0]
+        # a detour DC1 -> DC2 -> DC1 before the walk's own first hop
+        detour = [network.link("DC1", "DC2"), network.link("DC2", "DC1")]
+        recorder.resolved[0] = (flow_id, path[:1] + detour + path[1:])
+        with pytest.raises(InvariantViolation, match=f"flow {flow_id} resolved DC1->DC2->DC1->"):
+            check_loop_free_paths(recorder)
+
+    def test_fires_past_the_hop_bound(self, vectorized, monkeypatch):
+        _, recorder = recorded_run(vectorized)
+        monkeypatch.setattr(invariants_module, "_MAX_RESOLVE_HOPS", 1)
+        with pytest.raises(InvariantViolation, match="2 inter-DC hops, over the 1-hop bound"):
+            check_loop_free_paths(recorder)
 
 
 @pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "array"])

@@ -1,10 +1,12 @@
 """Unit tests for the flow×link incidence structure (the array core's layout).
 
-Each FlowTable row's path is one row of a padded hop matrix; the CSR view
-the kernels read (``idx``/``starts``/``lengths``/``active_slots``) is one
-gather over the active rows.  These tests pin that view against a
-per-flow-concatenate oracle through growth, row reuse and ragged hop
-counts, and check the liveness query through a cut and its repair.
+Each FlowTable row's path is one row of a hop matrix padded with the
+sentinel link column; the path grid the kernels read (``grid``, plus
+``active_slots``) is one gather over the active rows.  These tests pin
+that grid against a per-flow oracle through growth, row reuse, ragged hop
+counts and links registered mid-run, check that every padded lane reads
+the reductions' identities, and check the liveness query through a cut
+and its repair.
 """
 
 from __future__ import annotations
@@ -34,27 +36,34 @@ def make_links(n):
 
 
 def oracle(inc, paths, active_rows):
-    """The CSR view built the obvious way: concatenate per-flow slot arrays."""
+    """The grid built the obvious way: pad per-flow slot arrays with the sentinel."""
     per_flow = [
-        np.array([inc.register_links([link])[0] for link in paths[row]], dtype=np.intp)
-        for row in active_rows
+        [inc.register_links([link])[0] for link in paths[row]] for row in active_rows
     ]
-    lengths = np.array([len(a) for a in per_flow], dtype=np.intp)
-    idx = np.concatenate(per_flow)
-    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]]).astype(np.intp)
-    return idx, starts, lengths, np.unique(idx)
+    width = max((len(slots) for slots in per_flow), default=0)
+    grid = np.full((len(per_flow), width), inc.sentinel, dtype=np.intp)
+    for i, slots in enumerate(per_flow):
+        grid[i, : len(slots)] = slots
+    return grid, np.unique([s for slots in per_flow for s in slots]).astype(np.intp)
 
 
 def assert_view(inc, paths, active_rows):
     rows = np.asarray(active_rows, dtype=np.intp)
     inc.refresh(rows)
-    idx, starts, lengths, active_slots = oracle(inc, paths, active_rows)
-    np.testing.assert_array_equal(inc.idx, idx)
-    np.testing.assert_array_equal(inc.starts, starts)
-    np.testing.assert_array_equal(inc.lengths, lengths)
+    grid, active_slots = oracle(inc, paths, active_rows)
+    np.testing.assert_array_equal(inc.grid, grid)
     np.testing.assert_array_equal(inc.active_slots, active_slots)
-    for name in ("idx", "starts", "lengths", "active_slots"):
+    for name in ("grid", "active_slots"):
         assert getattr(inc, name).dtype == np.intp, name
+    # the sentinel is no registered link, and every padded lane reads the
+    # reductions' identities from it
+    sentinel = inc.sentinel
+    assert sentinel == inc.num_links == len(inc.links)
+    assert sentinel not in inc.active_slots
+    padded = inc.grid[inc.grid == sentinel]
+    assert np.isinf(inc.cap_bps[padded]).all() and inc.up[padded].all()
+    for name in ("queue_bytes", "offered_bps", "ecn_kmin", "ecn_kmax"):
+        assert not getattr(inc, name)[padded].any(), name
 
 
 class TestHopMatrixGrowth:
@@ -93,15 +102,17 @@ class TestHopMatrixGrowth:
         assert inc.membership_rebuilds == 2
 
     def test_reroute_rewrites_the_row(self):
-        links = make_links(5)
+        links = make_links(7)
         inc = FlowLinkIncidence()
-        paths = {0: links[:3], 1: links[3:5]}
+        paths = {0: links[:3], 1: links[3:7]}
         for row, path in paths.items():
             inc.set_path(row, path)
         assert_view(inc, paths, [0, 1])
-        paths[0] = [links[4], links[0]]
+        # a shorter path on a live row: its old hops 1..2 become padding
+        paths[0] = [links[4]]
         inc.set_path(0, paths[0])
         assert_view(inc, paths, [0, 1])
+        assert not np.isin([1, 2], inc.grid).any()
 
 
 class TestRowReuse:
@@ -115,13 +126,15 @@ class TestRowReuse:
         inc.remove_row(0)
         assert inc.hop_counts[0] == 0
         assert_view(inc, paths, [1])
-        # row 0 is reused by a 2-hop flow; its old hops 2..4 stay in the
-        # padding and must not appear in the view
+        # row 0 is reused by a 2-hop flow while a 4-hop row keeps the grid
+        # wide: its old hops 2..4 must read as padding, not as links
         paths[0] = [links[5], links[0]]
+        paths[2] = [links[1], links[0], links[5], links[1]]
         inc.set_path(0, paths[0])
-        assert_view(inc, paths, [0, 1])
-        assert not np.isin([2, 3, 4], inc.idx).any()
-        assert list(inc.active_slots) == [0, 5]
+        inc.set_path(2, paths[2])
+        assert_view(inc, paths, [0, 1, 2])
+        assert not np.isin([2, 3, 4], inc.grid).any()
+        assert list(inc.active_slots) == [0, 1, 5]
 
     def test_uniform_rows_after_reuse(self):
         """Every active path as wide as the longest: the plain-ravel case."""
@@ -158,14 +171,23 @@ class TestRaggedView:
             paths[row] = [links[i] for i in rng.choice(12, size=2, replace=False)]
             inc.set_path(row, paths[row])
         assert_view(inc, paths, active[5:][::-1])
+        # links registered while padded rows are active take the slots the
+        # padding pointed at: one up front (as the telemetry plane does),
+        # one on a re-routed path
+        extra = make_links(14)[12:]
+        inc.register_links([extra[0]])
+        assert_view(inc, paths, active[5:][::-1])
+        paths[active[5]] = [extra[1]]
+        inc.set_path(active[5], paths[active[5]])
+        assert_view(inc, paths, active[5:][::-1])
 
     def test_no_active_rows(self):
         links = make_links(3)
         inc = FlowLinkIncidence()
         inc.set_path(0, links)
         inc.refresh(np.empty(0, dtype=np.intp))
-        for name in ("idx", "starts", "lengths", "active_slots"):
-            assert len(getattr(inc, name)) == 0
+        assert inc.grid.shape == (0, 0)
+        assert len(inc.active_slots) == 0
         assert inc.broken_flows().shape == (0,)
 
 
@@ -173,25 +195,26 @@ class TestBrokenFlows:
     def test_cut_and_repair(self):
         links = make_links(4)
         inc = FlowLinkIncidence()
-        paths = {0: links[:2], 1: links[2:4], 2: [links[1], links[3]]}
+        # row 3 is one hop long: its padded lane reads the sentinel's "up"
+        paths = {0: links[:2], 1: links[2:4], 2: [links[1], links[3]], 3: [links[0]]}
         for row, path in paths.items():
             inc.set_path(row, path)
-        rows = np.array([2, 0, 1], dtype=np.intp)
+        rows = np.array([2, 0, 3, 1], dtype=np.intp)
 
         version = RuntimeLink.state_version
         inc.refresh(rows)
-        np.testing.assert_array_equal(inc.broken_flows(), [False, False, False])
+        np.testing.assert_array_equal(inc.broken_flows(), [False] * 4)
 
         links[1].fail()
         assert RuntimeLink.state_version != version
         version = RuntimeLink.state_version
         inc.refresh(rows)
-        np.testing.assert_array_equal(inc.broken_flows(), [True, True, False])
+        np.testing.assert_array_equal(inc.broken_flows(), [True, True, False, False])
 
         links[1].recover()
         assert RuntimeLink.state_version != version
         inc.refresh(rows)
-        np.testing.assert_array_equal(inc.broken_flows(), [False, False, False])
+        np.testing.assert_array_equal(inc.broken_flows(), [False] * 4)
 
     def test_all_up_skips_the_reduction(self):
         links = make_links(3)

@@ -379,7 +379,7 @@ class TestHighConcurrencyEquivalence:
 
 class PerFlowIncidence(FlowLinkIncidence):
     """The layout the hop matrix replaced: one slot array per row, and a
-    view rebuilt by concatenating the active rows' arrays."""
+    grid rebuilt by padding the active rows' arrays with the sentinel."""
 
     def __init__(self):
         super().__init__()
@@ -394,14 +394,15 @@ class PerFlowIncidence(FlowLinkIncidence):
         self.per_flow.pop(row, None)
 
     def refresh(self, active_rows):
-        rebuild = self._membership_dirty and len(active_rows) > 0
+        rebuild = self._membership_dirty
         super().refresh(active_rows)
         if rebuild:
             arrays = [self.per_flow[row] for row in active_rows.tolist()]
-            self.lengths = np.array([len(a) for a in arrays], dtype=np.intp)
-            self.idx = np.concatenate(arrays)
-            self.starts = np.concatenate([[0], np.cumsum(self.lengths)[:-1]]).astype(np.intp)
-            self.active_slots = np.unique(self.idx)
+            width = max((len(a) for a in arrays), default=0)
+            self.grid = np.full((len(arrays), width), self.sentinel, dtype=np.intp)
+            for i, slots in enumerate(arrays):
+                self.grid[i, : len(slots)] = slots
+            self.active_slots = np.unique(np.concatenate([[], *arrays])).astype(np.intp)
 
 
 class TestHopMatrixChurnEquivalence:
@@ -428,8 +429,16 @@ class TestHopMatrixChurnEquivalence:
             network, demands, make_cc_factory("dcqcn"), config, scenario=scenario
         )
         shapes = []
+        self.sentinel_on_a_path = []
         if vectorized:
-            sim.add_step_observer(lambda s, now: shapes.append(s._incidence.hops.shape))
+
+            def observe(s, now):
+                inc = s._incidence
+                shapes.append(inc.hops.shape)
+                self.sentinel_on_a_path.append(inc.sentinel in inc.active_slots)
+
+            sim.add_step_observer(observe)
+        self.sim = sim
         return sim.run(), shapes
 
     def test_scalar_identical_through_row_reuse_and_widening(self):
@@ -444,6 +453,20 @@ class TestHopMatrixChurnEquivalence:
         assert rows < counters["arrivals.flows_admitted"]
         assert len(array.records) == counters["arrivals.flows_admitted"]
         assert width > shapes[0][1], "the hop matrix never widened mid-run"
+
+    def test_sentinel_stays_invisible(self):
+        """After a ragged run the sentinel column is no link, was on no
+        active path, was never integrated and still holds its identities."""
+        self.run_churn(vectorized=True)
+        inc = self.sim._incidence
+        sentinel = inc.sentinel
+        assert sentinel == len(inc.links) and len(inc.queue_bytes) == sentinel + 1
+        assert self.sentinel_on_a_path and not any(self.sentinel_on_a_path)
+        for name in (
+            "queue_bytes", "peak_queue_bytes", "carried_bytes", "dropped_bytes", "offered_bps"
+        ):
+            assert getattr(inc, name)[sentinel] == 0.0, name
+        assert inc.cap_bps[sentinel] == np.inf and inc.up[sentinel]
 
     def test_counters_match_the_per_flow_layout(self, monkeypatch):
         array, _ = self.run_churn(vectorized=True)
