@@ -69,10 +69,11 @@ class NumpyBackend:
 
         A short row's padding lanes must leave its result unchanged: the op
         identity, or for ``min``/``max`` any value on the far side of every
-        real lane (1.0 pads a minimum of scale factors in ``[0, 1]``).  For ``sum`` a +0.0 padding lane is exact even after a -0.0
-        real lane: the accumulator starts at +0.0, and under
-        round-to-nearest ``x + y`` is -0.0 only when both are -0.0, so it
-        never holds -0.0 and ``acc + 0.0 == acc`` bit for bit.
+        real lane (1.0 pads a minimum of scale factors in ``[0, 1]``).
+        For ``sum`` a +0.0 padding lane is exact even after a -0.0 real
+        lane: the accumulator starts at +0.0, and under round-to-nearest
+        ``x + y`` is -0.0 only when both are -0.0, so it never holds -0.0
+        and ``acc + 0.0 == acc`` bit for bit.
 
         Args:
             grid: float64 lanes, one row per path in hop order.

@@ -13,6 +13,8 @@ geometries that historically break fused kernels:
 * uniform rows (no padding) and ragged mixes (padded after each short
   row's last lane),
 * a -0.0 in a short row's last real lane, right before its padding,
+* one fluid step's kernel calls on the grid its active rows gather from
+  a sentinel-padded hop matrix (``TestHopMatrixGrid``),
 * the 20k-flow step shape at full size (``TestHotLaneGeometry``: 80k
   lanes onto 40 links, where a reordered accumulation shows), uniform
   and ragged.
@@ -287,6 +289,130 @@ class TestPathSignals:
         )
         _assert_equal(nm, want_nm)
         _assert_equal(qd, want_qd)
+
+
+# --------------------------------------------------------------------- #
+# one fluid step's kernels on row subsets of a padded hop matrix
+# --------------------------------------------------------------------- #
+#: links of the hop-matrix fixture; the sentinel is slot HOP_LINKS
+HOP_LINKS = 9
+
+
+def hop_matrix():
+    """A padded hop matrix shaped like the incidence's: 12 flow rows of
+    1-6 hops over 9 shared links in an 8-column matrix, every slot past a
+    row's hop count holding the sentinel slot."""
+    rng = np.random.default_rng(31)
+    counts = np.array([3, 1, 6, 2, 4, 6, 1, 5, 3, 2, 4, 3], dtype=np.int64)
+    paths = [rng.choice(HOP_LINKS, size=n, replace=False) for n in counts]
+    return pad(paths, HOP_LINKS, width=8).astype(np.intp), counts
+
+
+HOPS, HOP_COUNTS = hop_matrix()
+
+#: active-row lists (the active-list order) the step gathers its grid for
+ACTIVE_ROWS = {
+    "all": np.arange(len(HOPS)),
+    "permuted": np.random.default_rng(37).permutation(len(HOPS)),
+    # freed rows in between, out of slot order
+    "non-contiguous": np.array([10, 2, 7, 4]),
+    # no 6-hop row active: the grid is narrower than the longest path
+    "narrowed": np.array([8, 0, 3, 9, 1]),
+    "single-hop": np.array([6, 1]),
+    "empty": np.array([], dtype=np.int64),
+}
+
+
+def link_state():
+    """Per-link step state with the sentinel entry appended: each array's
+    sentinel value is its reduction's identity, as in the incidence."""
+    rng = np.random.default_rng(41)
+    scale = rng.uniform(0.0, 1.0, size=HOP_LINKS)
+    scale[[2, 5]] = 1.0, 0.0
+    util = rng.uniform(0.0, 2.0, size=HOP_LINKS)
+    util[4] = 0.0
+    up = np.ones(HOP_LINKS, dtype=bool)
+    up[3] = False
+    delay = rng.uniform(0.0, 1e-3, size=HOP_LINKS)
+    # the single-hop rows' only link: a -0.0 lane right before padding
+    delay[[6, 0]] = -0.0, 0.0
+    return {
+        "scale": np.append(scale, 1.0),
+        "util": np.append(util, 0.0),
+        "up": np.append(up, True),
+        "not_marked": np.append(rng.uniform(0.5, 1.0, size=HOP_LINKS), 1.0),
+        "delay": np.append(delay, 0.0),
+    }
+
+
+LINK_STATE = link_state()
+
+
+class TestHopMatrixGrid:
+    """The fluid step's kernel calls on ``hops[active_rows, :width]`` (the
+    incidence's refresh) against the loop oracle over each active row's
+    real hops, for every row-subset shape the active list takes."""
+
+    @staticmethod
+    def grid_of(subset):
+        rows = ACTIVE_ROWS[subset]
+        width = int(HOP_COUNTS[rows].max()) if len(rows) else 0
+        return HOPS[rows, :width]
+
+    @staticmethod
+    def real_hops(subset):
+        """Each active row's real link slots, in hop order."""
+        return [HOPS[r, : HOP_COUNTS[r]] for r in ACTIVE_ROWS[subset].tolist()]
+
+    def loop_reduce(self, backend, subset, links, op):
+        rows = [links[hops].tolist() for hops in self.real_hops(subset)]
+        return backend._segment_reduce_loop(*csr(rows), op)
+
+    @pytest.mark.parametrize("subset", list(ACTIVE_ROWS))
+    def test_offered_load(self, backend, subset):
+        grid = self.grid_of(subset)
+        rates = np.arange(1, len(grid) + 1, dtype=np.float64) * 1.25e9
+        got = backend.scatter_add(
+            HOP_LINKS + 1, grid.ravel(), backend.expand_segments(rates, grid.shape[1])
+        )
+        got[HOP_LINKS] = 0.0
+        want = np.zeros(HOP_LINKS + 1)
+        for rate, hops in zip(rates.tolist(), self.real_hops(subset)):
+            for link in hops.tolist():
+                want[link] += rate
+        _assert_equal(got, want)
+
+    @pytest.mark.parametrize("subset", list(ACTIVE_ROWS))
+    def test_scale_min(self, backend, subset):
+        scale = LINK_STATE["scale"]
+        got = backend.segment_reduce(
+            backend.gather_rows(scale, self.grid_of(subset)), "min"
+        )
+        _assert_equal(got, self.loop_reduce(backend, subset, scale, "min"))
+
+    @pytest.mark.parametrize("subset", list(ACTIVE_ROWS))
+    def test_util_max(self, backend, subset):
+        util = LINK_STATE["util"]
+        got = backend.segment_reduce(
+            backend.gather_rows(util, self.grid_of(subset)), "max"
+        )
+        _assert_equal(got, self.loop_reduce(backend, subset, util, "max"))
+
+    @pytest.mark.parametrize("subset", list(ACTIVE_ROWS))
+    def test_liveness_min(self, backend, subset):
+        up = LINK_STATE["up"]
+        got = backend.segment_reduce(
+            backend.gather_rows(up, self.grid_of(subset)).astype(np.float64), "min"
+        )
+        want = self.loop_reduce(backend, subset, up.astype(np.float64), "min")
+        _assert_equal(got, want)
+
+    @pytest.mark.parametrize("subset", list(ACTIVE_ROWS))
+    def test_path_signals(self, backend, subset):
+        not_marked, delay = LINK_STATE["not_marked"], LINK_STATE["delay"]
+        nm, qd = backend.path_signals(self.grid_of(subset), not_marked, delay)
+        _assert_equal(nm, self.loop_reduce(backend, subset, not_marked, "prod"))
+        _assert_equal(qd, self.loop_reduce(backend, subset, delay, "sum"))
 
 
 # --------------------------------------------------------------------- #
