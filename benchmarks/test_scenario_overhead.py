@@ -187,8 +187,9 @@ CC_FLEET_WINDOW_S = 0.25
 #: maximum tolerated instrumentation cost on the 2000-flow HPCC lane:
 #: instrumented / uninstrumented host time of the whole run
 MAX_INSTRUMENTATION_OVERHEAD = 1.03
-#: lockstep rounds pooled by one measurement of the overhead
-OVERHEAD_ROUNDS = 5
+#: lockstep rounds pooled by one measurement of the overhead, in pairs:
+#: one round with each side stepping first
+OVERHEAD_ROUNDS = 32
 #: per-round time limit; a lockstep round takes under a second
 LOCKSTEP_TIMEOUT_S = 120.0
 
@@ -296,13 +297,17 @@ def _instrumentation_overhead(rounds: int = OVERHEAD_ROUNDS):
     """Instrumented / uninstrumented host time of whole HPCC-lane runs.
 
     Each round runs the lane off and on in lockstep (see
-    :func:`run_lockstep`) on one CPU, alternating which side steps first,
-    and takes the ratio of the two sides' whole-run times; the median over
-    rounds discards a round in which a scheduling stall hit one side.
+    :func:`run_lockstep`) on one CPU and takes the ratio of the two sides'
+    whole-run times.  Rounds alternate which side steps first, and each
+    pair of consecutive rounds gives one paired ratio, the geometric mean
+    of its two, so what stepping first costs cancels inside the pair.  Two
+    fresh simulations differ by ~5 % in one round even when neither is
+    instrumented, so the estimate is the median over many pairs, which
+    also discards a pair in which a scheduling stall hit one side.
 
     Returns:
-        ``(ratio, base_s, inst_s)`` — the median ratio and the two sides'
-        summed host seconds over all rounds.
+        ``(ratio, base_s, inst_s)`` — the median paired ratio and the two
+        sides' summed host seconds over all rounds.
     """
     ratios = []
     base_s = inst_s = 0.0
@@ -317,14 +322,15 @@ def _instrumentation_overhead(rounds: int = OVERHEAD_ROUNDS):
             ratios.append(inst / base)
             base_s += base
             inst_s += inst
-    return float(np.median(ratios)), base_s, inst_s
+    paired = np.sqrt(np.multiply(ratios[0::2], ratios[1::2]))
+    return float(np.median(paired)), base_s, inst_s
 
 
 def test_instrumentation_overhead():
     """Instrumentation costs <= 3 % on the 2000-flow HPCC lane, with
     bit-identical FCTs and a populated stats snapshot.
 
-    The cost is the median whole-run ratio of lockstep rounds (see
+    The cost is the median paired whole-run ratio of lockstep rounds (see
     :func:`_instrumentation_overhead`); back-to-back runs of this ~0.25 s
     lane differ by up to 20 % on a shared host, far more than the bound.
     One re-measurement covers an unlucky window, as in the other gates.
@@ -344,10 +350,10 @@ def test_instrumentation_overhead():
         "instrumentation_overhead.txt",
         "observability-plane overhead "
         f"({CC_FLEET_FLOWS} concurrent flows, uniform HPCC, testbed8, "
-        f"{OVERHEAD_ROUNDS} lockstep rounds on one CPU)\n"
+        f"{OVERHEAD_ROUNDS} lockstep rounds in pairs on one CPU)\n"
         f"uninstrumented : {base_s:8.3f} s\n"
         f"instrumented   : {inst_s:8.3f} s\n"
-        f"overhead       : {(ratio - 1.0):8.2%} median over rounds (allowed <= "
+        f"overhead       : {(ratio - 1.0):8.2%} median over pairs (allowed <= "
         f"{MAX_INSTRUMENTATION_OVERHEAD - 1.0:.0%})\n",
     )
     assert ratio <= MAX_INSTRUMENTATION_OVERHEAD, (

@@ -5,8 +5,9 @@
 * :mod:`~repro.core.congestion` — the on-switch Q/T/D estimator (C_cong):
   per-port registers as columns of a :class:`CongestionRegisters` block,
   updated for many ports per vector pass by :class:`CongestionEstimator`.
-* :mod:`~repro.core.cost_fusion` — Eq. 1 (fused cost).
-* :mod:`~repro.core.selection` — filter + diversity-preserving hash.
+* :func:`~repro.core.selection.reduce_set` — Eq. 1 cost fusion, the herd
+  check and the low-cost filter of one candidate set, on plain integers;
+  a flow then hashes into the reduced set it returns.
 * :mod:`~repro.core.flow_cache` — bounded flow2output mapping + GC.
 * :mod:`~repro.core.control_plane` — slow-path provisioning.
 * :class:`~repro.core.lcmp_router.LCMPRouter` — the full data-plane pipeline
@@ -45,7 +46,6 @@ registers and C_cong live in its own rows::
 from .config import LCMPConfig
 from .congestion import CongestionEstimator, CongestionRegisters
 from .control_plane import ControlPlane, lcmp_router_factory
-from .cost_fusion import PathCost, fuse_cost, score_candidates
 from .failover import PortLivenessTracker
 from .flow_cache import FlowCache, FlowCacheEntry
 from .lcmp_router import LCMPRouter, LCMPTelemetryFeed
@@ -64,7 +64,7 @@ from .resource_model import (
     per_new_flow_ops,
     port_cache_bytes,
 )
-from .selection import SelectionOutcome, filter_candidates, select_path
+from .selection import reduce_set
 from .switch_tables import SwitchTables, lookup_level
 
 __all__ = [
@@ -73,9 +73,6 @@ __all__ = [
     "CongestionRegisters",
     "ControlPlane",
     "lcmp_router_factory",
-    "PathCost",
-    "fuse_cost",
-    "score_candidates",
     "PortLivenessTracker",
     "FlowCache",
     "FlowCacheEntry",
@@ -92,9 +89,7 @@ __all__ = [
     "per_new_flow_ops",
     "PER_FLOW_BYTES",
     "PER_PORT_BYTES",
-    "SelectionOutcome",
-    "filter_candidates",
-    "select_path",
+    "reduce_set",
     "SwitchTables",
     "lookup_level",
 ]

@@ -96,7 +96,7 @@ class ControlPlane:
         identical ``candidate_path_quality``), so decisions are
         bit-identical; the lazy/eager equivalence suite pins that.
         """
-        router.install_tables(self.build_tables(), {})
+        router.install_tables(self.build_tables())
 
     def install_all(self, network) -> int:
         """Install on every LCMP router of a runtime network.

@@ -6,12 +6,13 @@ For the first packet of a new flow the switch
    continuously by the queue monitor: the telemetry plane runs one
    :class:`CongestionEstimator` pass per sweep over every LCMP switch's
    register rows, and each switch reads only its own rows),
-2. looks up the precomputed path-quality score C_path of each candidate (or,
-   when the control plane has not installed it, derives it on demand from
-   the candidate's static attributes — the paper's on-demand table creation),
-3. fuses the two into the weighted cost C(p) = alpha*C_path + beta*C_cong,
-4. filters the high-cost suffix and performs a diversity-preserving hash
-   inside the reduced set, and
+2. derives the path-quality score C_path of each candidate on demand from
+   its static attributes under the installed tables, once per path (the
+   paper's on-demand table creation),
+3. fuses the two into the weighted cost C(p) = alpha*C_path + beta*C_cong
+   and filters the high-cost suffix (:func:`~repro.core.selection.reduce_set`,
+   memoised per candidate set as a selection plan),
+4. performs a diversity-preserving hash inside the reduced set, and
 5. records the chosen egress in the bounded flow cache so subsequent packets
    follow the same path (per-flow stickiness; garbage-collected when idle).
 
@@ -34,11 +35,10 @@ from ..topology.paths import CandidatePath
 from .config import LCMPConfig
 from .congestion import CongestionEstimator, CongestionRegisters
 from .control_plane import PathKey
-from .cost_fusion import score_candidates
 from .failover import PortLivenessTracker
 from .flow_cache import FlowCache
 from .path_quality import candidate_path_quality
-from .selection import reduce_candidates
+from .selection import reduce_set
 from .switch_tables import SwitchTables
 
 __all__ = ["LCMPRouter", "LCMPTelemetryFeed"]
@@ -80,14 +80,10 @@ class LCMPRouter(Router):
     # ------------------------------------------------------------------ #
     # control-plane installation
     # ------------------------------------------------------------------ #
-    def install_tables(self, tables: SwitchTables, path_scores: Dict[PathKey, int]) -> None:
-        """Install bootstrap tables and precomputed C_path scores."""
-        self._path_scores = dict(path_scores)
-        self._provision(tables)
-
-    def _provision(self, tables: SwitchTables) -> None:
-        """Adopt ``tables``; this switch's registers start afresh under them."""
+    def install_tables(self, tables: SwitchTables) -> None:
+        """Adopt ``tables``; this switch's registers and C_path scores start afresh under them."""
         self.tables = tables
+        self._path_scores.clear()
         if self._rows:
             self.registers.reset(list(self._rows.values()))
         self._plans.clear()
@@ -100,7 +96,7 @@ class LCMPRouter(Router):
         buffer the monitor reports, as :meth:`ControlPlane.build_tables`
         does over the topology's links.
         """
-        self._provision(
+        self.install_tables(
             SwitchTables.bootstrap(
                 config=self.config,
                 max_capacity_bps=max(max(view.cap_bps.tolist()), 1.0),
@@ -192,38 +188,8 @@ class LCMPRouter(Router):
         demand: FlowDemand,
         now: float,
     ) -> CandidatePath:
-        """Full LCMP decision for the first packet of a flow."""
-        self.decisions += 1
-        self.last_choice_pinned = False
-
-        # flow identification: established flows follow the cached egress
-        cached = self.flow_cache.lookup(demand.flow_id, now)
-        if cached is not None:
-            if self.liveness.is_up(cached.out_port):
-                sticky = self._candidate_via(candidates, cached.out_port)
-                if sticky is not None:
-                    self.sticky_hits += 1
-                    self.last_choice_pinned = True
-                    return sticky
-            else:
-                # lazy fast-failover: invalidate and treat as a new flow
-                self.flow_cache.invalidate(demand.flow_id)
-                self.liveness.record_lazy_invalidation()
-                self.failover_rehashes += 1
-
-        if not self.installed:
-            # safe fallback: behave exactly like ECMP until provisioned
-            self.ecmp_fallbacks += 1
-            chosen = candidates[flow_hash(demand.flow_id, self.config.hash_salt) % len(candidates)]
-            self.flow_cache.insert(demand.flow_id, chosen.first_hop, now)
-            return chosen
-
-        herd, positions = self._plan(candidates, tuple([c.dcs for c in candidates]))
-        if herd:
-            self.herd_fallbacks += 1
-        chosen = candidates[self._pick(positions, demand.flow_id)]
-        self.flow_cache.insert(demand.flow_id, chosen.first_hop, now)
-        return chosen
+        """Full LCMP decision for the first packet of a flow (a batch of one)."""
+        return candidates[self._decide(candidates, (demand,), (now,), None)[0]]
 
     def select_batch(
         self,
@@ -234,80 +200,102 @@ class LCMPRouter(Router):
         now: float = 0.0,
         path_ids: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
-        """Batched LCMP decision, identical per flow to :meth:`select`.
+        """Batched LCMP decision: :meth:`select`'s decision per flow, in arrival order."""
+        times = [now] * len(demands) if times is None else times
+        return np.array(self._decide(candidates, demands, times, path_ids), dtype=np.intp)
 
-        The flow-independent stages (cost fusion, the herd filter and the
-        reduced set) come from the candidate set's selection plan
-        (:meth:`_plan`), so only the per-flow pieces remain: the
-        flow-identification lookup, the diversity-preserving hash and the
-        cache insert, in arrival order.  The fast path requires that the
-        batch cannot interact with the flow cache's LRU state (the
-        simulator's arrival batches carry fresh unique ids, so lookups all
-        miss and inserts cannot evict); when a batched flow is already
-        cached, or inserting the batch could evict, the batch takes the
-        generic sequential loop instead, which is identical by
-        construction.
+    def _decide(
+        self,
+        candidates: Sequence[CandidatePath],
+        demands: Sequence[FlowDemand],
+        times: Sequence[float],
+        path_ids: Optional[Sequence[int]],
+    ) -> List[int]:
+        """One candidate position per flow, decided flow by flow in arrival order.
+
+        Per flow: the flow-identification lookup (an established flow
+        follows its cached egress while that port is up; a cached entry on
+        a dead port is invalidated on the fly and the flow treated as new),
+        then the ECMP safe fallback until provisioned, or the diversity-
+        preserving hash into the candidate set's selection plan
+        (:meth:`_plan`), and the cache insert.  No decision changes a
+        plan's inputs, so the first flow that needs the plan fetches it
+        for the whole call.
         """
-        n = len(demands)
         cache = self.flow_cache
-        if len(cache) + n > cache.capacity or any(d.flow_id in cache for d in demands):
-            return Router.select_batch(self, dst_dc, candidates, demands, times, now)
-        times_l = [float(now)] * n if times is None else [float(t) for t in times]
-        self.decisions += n
-        if not self.installed:
-            # safe fallback: behave exactly like ECMP until provisioned
-            self.ecmp_fallbacks += n
-            positions: Sequence[int] = range(len(candidates))
-        else:
-            key = tuple(path_ids) if path_ids is not None else tuple([c.dcs for c in candidates])
-            herd, positions = self._plan(candidates, key)
-            if herd:
-                self.herd_fallbacks += n
-        for demand, t in zip(demands, times_l):
-            # guaranteed miss (guard above); keeps the miss counter exact
-            cache.lookup(demand.flow_id, t)
-        chosen = []
-        for demand, t in zip(demands, times_l):
-            j = self._pick(positions, demand.flow_id)
+        liveness = self.liveness
+        installed = self.tables is not None
+        positions: Optional[Sequence[int]] = None
+        chosen: List[int] = []
+        self.decisions += len(demands)
+        for demand, t in zip(demands, times):
+            flow_id = demand.flow_id
+            t = float(t)
+            self.last_choice_pinned = False
+            cached = cache.lookup(flow_id, t)
+            if cached is not None:
+                port = cached.out_port
+                if liveness.is_up(port):
+                    j = next((j for j, c in enumerate(candidates) if c.first_hop == port), None)
+                    if j is not None:
+                        self.sticky_hits += 1
+                        self.last_choice_pinned = True
+                        chosen.append(j)
+                        continue
+                else:
+                    # lazy fast-failover: invalidate and treat as a new flow
+                    cache.invalidate(flow_id)
+                    liveness.record_lazy_invalidation()
+                    self.failover_rehashes += 1
+            if positions is None:
+                # safe fallback: behave exactly like ECMP until provisioned
+                herd, positions = (
+                    self._plan(candidates, path_ids)
+                    if installed
+                    else (False, range(len(candidates)))
+                )
+            if not installed:
+                self.ecmp_fallbacks += 1
+            elif herd:
+                self.herd_fallbacks += 1
+            j = self._pick(positions, flow_id)
             chosen.append(j)
-            cache.insert(demand.flow_id, candidates[j].first_hop, t)
-        return np.array(chosen, dtype=np.intp)
+            cache.insert(flow_id, candidates[j].first_hop, t)
+        return chosen
 
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
     def _plan(
-        self, candidates: Sequence[CandidatePath], key: tuple
+        self, candidates: Sequence[CandidatePath], path_ids: Optional[Sequence[int]]
     ) -> Tuple[bool, Tuple[int, ...]]:
-        """The selection plan of one candidate set: ``(all_congested, positions)``.
+        """The selection plan of one candidate set: :func:`reduce_set`'s ``(herd, positions)``.
 
-        ``positions`` are the candidate positions of the reduced set (just
-        the minimum-cost one under the herd fallback).  A plan depends on
-        C_path, which changes only when tables are installed (that drops
-        every plan), and on the first hops' C_cong, which changes only
-        when the estimator samples a port.  So the plan is memoised per
-        ``key`` (the candidates' global path ids, or their DC tuples) with
-        a reader of its first hops' register rows and its C_path scores,
-        and recomputed only when those rows' C_cong differ from the values
-        it was built from.
+        A plan depends on C_path, which changes only when tables are
+        installed (that drops every plan), and on the first hops' C_cong,
+        which changes only when the estimator samples a port.  So the plan
+        is memoised per candidate set (keyed on ``path_ids``, the
+        candidates' global path ids, or else on their DC tuples) with a
+        reader of its first hops' register rows, its C_path scores and DC
+        tuples, and recomputed only when those rows' C_cong differ from
+        the values it was built from.
         """
+        key = tuple(path_ids) if path_ids is not None else tuple([c.dcs for c in candidates])
         scores = self.registers.c_cong_list
         plan = self._plans.get(key)
         if plan is None:
             read = itemgetter(*[self._row_of(c.first_hop) for c in candidates])
             c_paths = [self._path_quality_of(c) for c in candidates]
+            dcs = [c.dcs for c in candidates]
         else:
-            read, cong, herd, positions, c_paths = plan
+            read, cong, herd, positions, c_paths, dcs = plan
             if read(scores) == cong:
                 return herd, positions
         cong = read(scores)
-        costs = score_candidates(
-            candidates, c_paths, cong if len(candidates) > 1 else (cong,), self.config
+        herd, positions = reduce_set(
+            c_paths, cong if len(candidates) > 1 else (cong,), dcs, self.config
         )
-        reduced, herd = reduce_candidates(costs, self.config)
-        position_of = {id(c): j for j, c in enumerate(costs)}
-        positions = tuple([position_of[id(c)] for c in reduced])
-        self._plans[key] = (read, cong, herd, positions, c_paths)
+        self._plans[key] = (read, cong, herd, positions, c_paths, dcs)
         return herd, positions
 
     def _pick(self, positions: Sequence[int], flow_id: int) -> int:
@@ -316,20 +304,11 @@ class LCMPRouter(Router):
             return positions[0]
         return positions[flow_hash(flow_id, self.config.hash_salt) % len(positions)]
 
-    def _candidate_via(
-        self, candidates: Sequence[CandidatePath], next_hop: str
-    ) -> Optional[CandidatePath]:
-        for candidate in candidates:
-            if candidate.first_hop == next_hop:
-                return candidate
-        return None
-
     def _path_quality_of(self, candidate: CandidatePath) -> int:
+        """C_path of ``candidate`` under the installed tables, derived once per path."""
         key: PathKey = (candidate.dst, candidate.dcs)
         score = self._path_scores.get(key)
         if score is None:
-            # on-demand derivation when the control plane table lacks the
-            # entry (e.g. a path installed after bootstrap)
             score = candidate_path_quality(candidate, self.tables, self.config)
             self._path_scores[key] = score
         return score

@@ -1,89 +1,51 @@
-"""Diversity-preserving selection for herd mitigation (paper §3.4).
+"""Cost fusion and diversity-preserving selection (paper Eq. 1 and §3.4).
 
-When many flows arrive nearly simultaneously and each picks the currently
-cheapest path, they collapse onto the same next hop (the herd effect).  LCMP
-therefore selects in two stages:
-
-1. **filter** — sort candidates by fused cost and drop the expensive suffix,
-   keeping the low-cost half (``keep_fraction``);
-2. **diversity-preserving hash** — ECMP-style hashing of the flow id inside
-   the reduced set, so simultaneous arrivals spread across all good paths.
-
-Fallback: when every candidate is highly congested the randomisation is
-pointless, so the minimum-cost path is chosen directly.
+LCMP fuses the control-plane path quality C_path (propagation delay +
+provisioned capacity) and the switch's own congestion estimate C_cong into
+one integer cost per candidate, C(p) = alpha*C_path + beta*C_cong, not
+re-normalised: fused costs are only compared with each other.  To avoid
+the herd effect (simultaneous arrivals all taking the cheapest path) it
+then keeps the low-cost prefix of the candidates and hashes each flow id
+inside it, so a burst spreads over all good paths.  When every candidate
+is highly congested, randomising is pointless and the cheapest path wins.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from ..routing.base import flow_hash
 from .config import LCMPConfig
-from .cost_fusion import PathCost
 
-__all__ = ["SelectionOutcome", "filter_candidates", "reduce_candidates", "select_path"]
-
-
-@dataclass(frozen=True)
-class SelectionOutcome:
-    """The result of one two-stage selection, with bookkeeping for tests."""
-
-    chosen: PathCost
-    reduced_set: List[PathCost]
-    all_congested: bool
+__all__ = ["reduce_set"]
 
 
-def filter_candidates(costs: Sequence[PathCost], keep_fraction: float) -> List[PathCost]:
-    """Stage 1: sort by fused cost and keep the low-cost prefix.
+def reduce_set(
+    c_paths: Sequence[int],
+    c_congs: Sequence[int],
+    dcs: Sequence[tuple],
+    config: LCMPConfig,
+) -> Tuple[bool, Tuple[int, ...]]:
+    """Fuse, herd-check and filter one candidate set.
 
-    At least one candidate is always retained.  Ties are broken by the
-    candidate's DC sequence so the reduced set is deterministic.
-    """
-    if not costs:
-        raise ValueError("no candidates to filter")
-    if not 0 < keep_fraction <= 1:
-        raise ValueError("keep_fraction must be in (0, 1]")
-    ordered = sorted(costs, key=lambda c: (c.fused, c.candidate.dcs))
-    keep = max(1, math.ceil(len(ordered) * keep_fraction))
-    return ordered[:keep]
-
-
-def reduce_candidates(
-    costs: Sequence[PathCost], config: LCMPConfig
-) -> Tuple[List[PathCost], bool]:
-    """The flow-independent part of :func:`select_path`.
+    ``dcs`` (each candidate's DC sequence) breaks ties between equal fused
+    costs, so the reduced set is deterministic.
 
     Returns:
-        ``(reduced, all_congested)``: the set the flow hash picks from and
-        the herd verdict.  Under the herd fallback the set is just the
-        minimum-cost path, so the hash always lands on it.
+        ``(herd, positions)``: ``herd`` is True when every C_cong is at or
+        above ``config.congested_threshold``; ``positions`` are the
+        candidate positions the flow hash picks from, cheapest first —
+        the ``max(1, ceil(n * keep_fraction))`` cheapest, or just the
+        cheapest under the herd fallback.
     """
-    if not costs:
+    if not c_paths:
         raise ValueError("no candidates to select from")
-    if all(c.congestion >= config.congested_threshold for c in costs):
+    alpha, beta = config.alpha, config.beta
+    fused = [alpha * c_path + beta * c_cong for c_path, c_cong in zip(c_paths, c_congs)]
+    order = [j for _, _, j in sorted(zip(fused, dcs, range(len(fused))))]
+    if all(c_cong >= config.congested_threshold for c_cong in c_congs):
         # randomising among uniformly bad choices is pointless: take the
         # minimum-cost path (paper §3.4, fallbacks and corner cases)
-        return [min(costs, key=lambda c: (c.fused, c.candidate.dcs))], True
-    return filter_candidates(costs, config.keep_fraction), False
-
-
-def select_path(
-    costs: Sequence[PathCost],
-    flow_id: int,
-    config: LCMPConfig,
-) -> SelectionOutcome:
-    """Run the full two-stage selection for one new flow.
-
-    Args:
-        costs: fused costs of every live candidate.
-        flow_id: the flow identifier fed to the diversity-preserving hash.
-        config: keep fraction, congestion-fallback threshold and hash salt.
-
-    Returns:
-        A :class:`SelectionOutcome`; ``chosen`` is the selected path.
-    """
-    reduced, all_congested = reduce_candidates(costs, config)
-    index = flow_hash(flow_id, config.hash_salt) % len(reduced)
-    return SelectionOutcome(chosen=reduced[index], reduced_set=reduced, all_congested=all_congested)
+        return True, (order[0],)
+    keep = max(1, math.ceil(len(order) * config.keep_fraction))
+    return False, tuple(order[:keep])

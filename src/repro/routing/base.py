@@ -99,9 +99,6 @@ class Router(abc.ABC):
         self.backend = get_backend("numpy")
         #: number of select() calls served
         self.decisions = 0
-        #: decisions served through the base sequential select_batch loop
-        #: (routers without an array override fall back here)
-        self.sequential_batch_decisions = 0
 
     # ------------------------------------------------------------------ #
     def attach(self, switch) -> None:
@@ -164,7 +161,6 @@ class Router(abc.ABC):
         Returns:
             Integer index into ``candidates`` per demand.
         """
-        self.sequential_batch_decisions += len(demands)
         positions = {id(c): j for j, c in enumerate(candidates)}
         out = np.empty(len(demands), dtype=np.intp)
         for i, demand in enumerate(demands):

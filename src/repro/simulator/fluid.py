@@ -1153,15 +1153,13 @@ class FluidSimulation:
             counters["incidence.registry_rebuilds"] = inc.registry_rebuilds
             counters["incidence.membership_rebuilds"] = inc.membership_rebuilds
             counters["incidence.dynamic_regathers"] = inc.dynamic_regathers
-        batch_calls = fallbacks = sequential = 0
+        batch_calls = fallbacks = 0
         hits = misses = evictions = gc_evictions = 0
         for switch in self.network.switches.values():
             batch_calls += switch.batch_calls
             log = switch.decision_log
             fallbacks += int(log.fallback[: len(log)].sum())
-            router = switch.router
-            sequential += getattr(router, "sequential_batch_decisions", 0)
-            cache = getattr(router, "flow_cache", None)
+            cache = getattr(switch.router, "flow_cache", None)
             if cache is not None:
                 hits += cache.hits
                 misses += cache.misses
@@ -1169,7 +1167,6 @@ class FluidSimulation:
                 gc_evictions += cache.gc_evictions
         counters["routing.batch_calls"] = batch_calls
         counters["routing.fallback_decisions"] = fallbacks
-        counters["slow_path.sequential_batch_decisions"] = sequential
         counters["flow_cache.hits"] = hits
         counters["flow_cache.misses"] = misses
         counters["flow_cache.evictions"] = evictions

@@ -159,6 +159,49 @@ class TestStickinessAndFailover:
         assert len(router.flow_cache) == 0
 
 
+class TestOneDecisionLoop:
+    """``select_batch`` runs :meth:`LCMPRouter.select`'s per-flow decision in
+    arrival order, whatever mix of cached and fresh flows a call carries."""
+
+    def test_mixed_batch_equals_sequential_select(
+        self, testbed_topology, testbed_paths, dc1_candidates
+    ):
+        routers = []
+        for _ in range(2):
+            router = LCMPRouter(LCMPConfig())
+            ControlPlane(testbed_topology, testbed_paths, router.config).install(router, "DC1")
+            sweep(router, dc1_candidates, now=0.0)
+            routers.append(router)
+        sequential, batched = routers
+        # two established flows on different egress ports
+        hops = {}
+        for flow_id in range(1, 50):
+            for router in routers:
+                hop = router.select("DC8", dc1_candidates, make_demand(flow_id), now=0.0).first_hop
+            hops.setdefault(hop, flow_id)
+            if len(hops) == 2:
+                break
+        (dead_port, dying_flow), (live_port, live_flow) = sorted(hops.items())
+        for router in routers:
+            router.on_telemetry(port_view(dead_port, up=False), now=1e-3)
+        live = [c for c in dc1_candidates if c.first_hop != dead_port]
+
+        # sticky hit, lazy invalidation, fresh flows (one of them twice)
+        ids = [live_flow, dying_flow, 100, 101, 102, 101]
+        demands = [make_demand(flow_id) for flow_id in ids]
+        times = [2e-3 + i * 1e-4 for i in range(len(ids))]
+        expected = [
+            live.index(sequential.select("DC8", live, d, t)) for d, t in zip(demands, times)
+        ]
+        got = batched.select_batch("DC8", live, demands, times)
+        assert got.tolist() == expected
+        assert live[expected[0]].first_hop == live_port
+        assert batched.stats() == sequential.stats()
+        assert batched.stats()["sticky_hits"] == 2
+        assert batched.failover_rehashes == 1
+        assert batched.liveness.lazy_invalidations == sequential.liveness.lazy_invalidations == 1
+
+
 class TestAblationBehaviour:
     def test_rm_alpha_ignores_path_quality(self, testbed_topology, testbed_paths, dc1_candidates):
         """With alpha = 0 and an idle network every candidate costs the same,
@@ -193,15 +236,15 @@ class TestAblationBehaviour:
 
 @pytest.fixture
 def plan_builds(monkeypatch):
-    """Count the router's ``score_candidates`` calls: one per plan it builds."""
+    """Count the router's ``reduce_set`` calls: one per plan it builds."""
     calls = []
-    real = lcmp_router_module.score_candidates
+    real = lcmp_router_module.reduce_set
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(lcmp_router_module, "score_candidates", counting)
+    monkeypatch.setattr(lcmp_router_module, "reduce_set", counting)
     return calls
 
 

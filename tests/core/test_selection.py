@@ -1,125 +1,141 @@
-"""Tests for the diversity-preserving two-stage selection (paper §3.4)."""
+"""Tests for cost fusion and diversity-preserving selection (Eq. 1, paper §3.4)."""
+
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LCMPConfig, filter_candidates, select_path
-from repro.core.cost_fusion import PathCost
-from repro import topology as _topology
-
-#: module-level path set reused by the hypothesis property test (building the
-#: topology once keeps the property test fast)
-_PATHS = _topology.testbed8_pathset(_topology.build_testbed8())
+from repro.core import LCMPConfig, reduce_set
+from repro.routing.base import flow_hash
 
 
-def make_costs(testbed_paths, fused_values, congestion_values=None):
-    cands = testbed_paths.candidates("DC1", "DC8")
-    assert len(fused_values) <= len(cands)
-    congestion_values = congestion_values or [0] * len(fused_values)
-    return [
-        PathCost(candidate=cands[i], path_quality=0, congestion=congestion_values[i], fused=fused_values[i])
-        for i in range(len(fused_values))
-    ]
+def dcs_of(n):
+    """``n`` distinct DC tuples, in ascending order."""
+    return [("DC1", f"X{j}", "DC8") for j in range(n)]
+
+
+def reduce_fused(fused, config=None):
+    """:func:`reduce_set` over candidates whose fused cost is ``fused`` (C_cong alone)."""
+    config = (config or LCMPConfig()).with_overrides(alpha=0, beta=1)
+    return reduce_set([0] * len(fused), fused, dcs_of(len(fused)), config)
+
+
+def pick(positions, flow_id, config):
+    """The diversity-preserving hash of ``flow_id`` into the reduced set."""
+    return positions[flow_hash(flow_id, config.hash_salt) % len(positions)]
+
+
+class TestFusion:
+    """Eq. 1: C = alpha * C_path + beta * C_cong, compared on plain integers."""
+
+    @pytest.mark.parametrize(
+        "c_congs, order", [([42, 40], (0, 1)), ([44, 40], (1, 0)), ([43, 40], (0, 1))]
+    )
+    def test_eq1_default_weights(self, c_congs, order):
+        # 3*100 + C_cong vs 3*101 + 40 = 343: one unit of C_cong decides
+        cfg = LCMPConfig(alpha=3, beta=1, keep_fraction=1.0)
+        assert reduce_set([100, 101], c_congs, dcs_of(2), cfg) == (False, order)
+
+    def test_rm_alpha_uses_only_congestion(self):
+        cfg = LCMPConfig(keep_fraction=1.0)
+        c_paths, c_congs = [200, 0], [10, 50]
+        assert reduce_set(c_paths, c_congs, dcs_of(2), cfg)[1] == (1, 0)
+        rm_alpha = cfg.ablate_path_quality()
+        assert reduce_set(c_paths, c_congs, dcs_of(2), rm_alpha)[1] == (0, 1)
+
+    def test_rm_beta_uses_only_path_quality(self):
+        cfg = LCMPConfig(keep_fraction=1.0)
+        c_paths, c_congs = [10, 50], [150, 0]
+        assert reduce_set(c_paths, c_congs, dcs_of(2), cfg)[1] == (1, 0)
+        rm_beta = cfg.ablate_congestion()
+        assert reduce_set(c_paths, c_congs, dcs_of(2), rm_beta)[1] == (0, 1)
+
+    def test_ordering_follows_fused_cost(self):
+        cfg = LCMPConfig(alpha=1, beta=1, keep_fraction=1.0)
+        assert reduce_set([100, 10, 50], [0, 0, 0], dcs_of(3), cfg)[1] == (1, 2, 0)
+
+    def test_equal_fused_costs_ordered_by_dc_tuple(self):
+        cfg = LCMPConfig(keep_fraction=1.0)
+        dcs = list(reversed(dcs_of(3)))
+        # candidates 0 and 2 tie at 30; candidate 2's DC tuple sorts first
+        assert reduce_set([10, 0, 10], [0, 0, 0], dcs, cfg)[1] == (1, 2, 0)
+
+    def test_empty_candidates_rejected(self):
+        with pytest.raises(ValueError):
+            reduce_set([], [], [], LCMPConfig())
 
 
 class TestFilter:
-    def test_keeps_low_cost_half(self, testbed_paths):
-        costs = make_costs(testbed_paths, [60, 10, 40, 90, 20, 70])
-        reduced = filter_candidates(costs, keep_fraction=0.5)
-        assert len(reduced) == 3
-        assert [c.fused for c in reduced] == [10, 20, 40]
+    def test_keeps_low_cost_half(self):
+        herd, positions = reduce_fused([60, 10, 40, 90, 20, 70])
+        assert not herd
+        assert positions == (1, 4, 2)
 
-    def test_always_keeps_at_least_one(self, testbed_paths):
-        costs = make_costs(testbed_paths, [50])
-        assert len(filter_candidates(costs, keep_fraction=0.1)) == 1
-
-    def test_keep_fraction_one_keeps_all(self, testbed_paths):
-        costs = make_costs(testbed_paths, [3, 2, 1])
-        assert len(filter_candidates(costs, keep_fraction=1.0)) == 3
-
-    def test_invalid_inputs(self, testbed_paths):
-        with pytest.raises(ValueError):
-            filter_candidates([], 0.5)
-        costs = make_costs(testbed_paths, [1, 2])
-        with pytest.raises(ValueError):
-            filter_candidates(costs, 0)
+    @pytest.mark.parametrize(
+        "n, keep, kept", [(1, 0.1, 1), (3, 0.5, 2), (5, 0.5, 3), (5, 0.1, 1), (3, 1.0, 3)]
+    )
+    def test_keeps_the_ceiling_of_the_fraction(self, n, keep, kept):
+        positions = reduce_fused(list(range(n, 0, -1)), config=LCMPConfig(keep_fraction=keep))[1]
+        assert positions == tuple(range(n - 1, n - 1 - kept, -1))
 
 
-class TestSelect:
-    def test_chosen_is_from_reduced_set(self, testbed_paths):
+class TestHerdFallback:
+    def test_all_congested_falls_back_to_min_cost(self):
+        cfg = LCMPConfig(congested_threshold=200)
+        # fused costs 898, 501, 699, every C_cong at or above the threshold
+        herd, positions = reduce_set([216, 97, 148], [250, 210, 255], dcs_of(3), cfg)
+        assert herd
+        assert positions == (1,)
+        assert all(pick(positions, flow_id, cfg) == 1 for flow_id in range(50))
+
+    def test_not_all_congested_keeps_diversity(self):
+        cfg = LCMPConfig(congested_threshold=200)
+        herd, positions = reduce_set([0, 0, 0], [250, 10, 255], dcs_of(3), cfg)
+        assert not herd
+        assert positions == (1, 0)
+
+
+class TestDiversityPreservingHash:
+    def test_chosen_is_from_reduced_set(self):
         cfg = LCMPConfig()
-        costs = make_costs(testbed_paths, [60, 10, 40, 90, 20, 70])
-        outcome = select_path(costs, flow_id=1234, config=cfg)
-        assert outcome.chosen in outcome.reduced_set
-        assert not outcome.all_congested
-        assert len(outcome.reduced_set) == 3
+        _, positions = reduce_fused([60, 10, 40, 90, 20, 70])
+        assert pick(positions, 1234, cfg) in positions
 
-    def test_diversity_across_flow_ids(self, testbed_paths):
+    def test_diversity_across_flow_ids(self):
         """The herd-mitigation property: a burst of simultaneous new flows is
         spread over *all* members of the low-cost set, not just the single
         cheapest path."""
         cfg = LCMPConfig()
-        costs = make_costs(testbed_paths, [60, 10, 40, 90, 20, 70])
-        chosen_hops = {
-            select_path(costs, flow_id=i, config=cfg).chosen.candidate.first_hop
-            for i in range(200)
-        }
-        reduced_hops = {
-            c.candidate.first_hop for c in filter_candidates(costs, cfg.keep_fraction)
-        }
-        assert chosen_hops == reduced_hops
+        _, positions = reduce_fused([60, 10, 40, 90, 20, 70])
+        assert {pick(positions, flow_id, cfg) for flow_id in range(200)} == set(positions)
 
-    def test_selection_deterministic_per_flow(self, testbed_paths):
+    def test_selection_deterministic_per_flow(self):
         cfg = LCMPConfig()
-        costs = make_costs(testbed_paths, [60, 10, 40, 90, 20, 70])
-        first = select_path(costs, flow_id=77, config=cfg).chosen
-        second = select_path(costs, flow_id=77, config=cfg).chosen
-        assert first.candidate.dcs == second.candidate.dcs
-
-    def test_all_congested_falls_back_to_min_cost(self, testbed_paths):
-        cfg = LCMPConfig(congested_threshold=200)
-        costs = make_costs(
-            testbed_paths,
-            fused_values=[900, 500, 700],
-            congestion_values=[250, 210, 255],
-        )
-        outcome = select_path(costs, flow_id=5, config=cfg)
-        assert outcome.all_congested
-        assert outcome.chosen.fused == 500
-        assert outcome.reduced_set == [outcome.chosen]
-
-    def test_not_all_congested_keeps_diversity(self, testbed_paths):
-        cfg = LCMPConfig(congested_threshold=200)
-        costs = make_costs(
-            testbed_paths,
-            fused_values=[900, 500, 700],
-            congestion_values=[250, 10, 255],
-        )
-        outcome = select_path(costs, flow_id=5, config=cfg)
-        assert not outcome.all_congested
-
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError):
-            select_path([], 1, LCMPConfig())
+        first = reduce_fused([60, 10, 40, 90, 20, 70])
+        second = reduce_fused([60, 10, 40, 90, 20, 70])
+        assert first == second
+        assert pick(first[1], 77, cfg) == pick(second[1], 77, cfg)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    fused=st.lists(st.integers(min_value=0, max_value=1020), min_size=1, max_size=6),
+    costs=st.lists(
+        st.tuples(st.integers(0, 255), st.integers(0, 255)), min_size=1, max_size=6
+    ),
     flow_id=st.integers(min_value=0, max_value=2**32 - 1),
     keep=st.floats(min_value=0.1, max_value=1.0),
 )
-def test_property_selection_invariants(fused, flow_id, keep):
-    """Property: the chosen path always belongs to the low-cost prefix."""
-    cands = _PATHS.candidates("DC1", "DC8")[: len(fused)]
-    costs = [
-        PathCost(candidate=cands[i], path_quality=0, congestion=0, fused=fused[i])
-        for i in range(len(cands))
-    ]
+def test_property_selection_invariants(costs, flow_id, keep):
+    """Property: the reduced set is the low-cost prefix and holds the chosen path."""
     cfg = LCMPConfig(keep_fraction=keep)
-    outcome = select_path(costs, flow_id, cfg)
-    max_kept_cost = max(c.fused for c in outcome.reduced_set)
-    dropped = [c for c in costs if c not in outcome.reduced_set]
-    assert all(c.fused >= max_kept_cost or c in outcome.reduced_set for c in costs)
-    assert outcome.chosen in outcome.reduced_set
+    c_paths = [c_path for c_path, _ in costs]
+    c_congs = [c_cong for _, c_cong in costs]
+    herd, positions = reduce_set(c_paths, c_congs, dcs_of(len(costs)), cfg)
+    fused = [cfg.alpha * p + cfg.beta * c for p, c in costs]
+    assert herd == all(c >= cfg.congested_threshold for c in c_congs)
+    assert len(set(positions)) == len(positions)
+    assert len(positions) == (1 if herd else max(1, math.ceil(len(costs) * keep)))
+    max_kept = max(fused[j] for j in positions)
+    assert all(fused[j] >= max_kept for j in range(len(costs)) if j not in positions)
+    assert pick(positions, flow_id, cfg) in positions
