@@ -2,20 +2,20 @@
 
 The control plane does only slow-path work: at provisioning time it reads
 the topology's per-link one-way delays and configured capacities, builds the
-bootstrap tables of Fig. 3, precomputes the per-path quality score C_path for
-every candidate route, and installs both on each DCI switch's LCMP instance.
-It also pushes the default fusion weights (alpha, beta) = (3, 1) for operator
-tuning.  Nothing here runs at packet time.
+bootstrap tables of Fig. 3 and installs them on each DCI switch's LCMP
+instance, which derives each candidate route's quality score C_path from
+them on first use.  It also pushes the default fusion weights
+(alpha, beta) = (3, 1) for operator tuning.  Nothing here runs at packet
+time.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..topology.graph import Topology
 from ..topology.paths import PathSet
 from .config import LCMPConfig
-from .path_quality import candidate_path_quality
 from .switch_tables import SwitchTables
 
 __all__ = ["ControlPlane", "lcmp_router_factory"]
@@ -69,32 +69,19 @@ class ControlPlane:
         )
         return self._tables_cache
 
-    def compute_path_scores(self, src_dc: str) -> Dict[PathKey, int]:
-        """C_path for every candidate route out of ``src_dc``."""
-        tables = self.build_tables()
-        scores: Dict[PathKey, int] = {}
-        for dst_dc in self.topology.dcs:
-            if dst_dc == src_dc:
-                continue
-            for candidate in self.pathset.candidates(src_dc, dst_dc):
-                scores[(dst_dc, candidate.dcs)] = candidate_path_quality(
-                    candidate, tables, self.config
-                )
-        return scores
-
     # ------------------------------------------------------------------ #
     # installation
     # ------------------------------------------------------------------ #
     def install(self, router, src_dc: str) -> None:
         """Install tables on one LCMP router instance.
 
-        The up-front score walk (:meth:`compute_path_scores`) is skipped —
-        it would materialize every (src, dst) pair of the lazy path set at
-        provisioning time, exactly the O(N²) enumeration laziness exists
-        to avoid.  The router derives each score on demand from the same
-        tables and config (:meth:`LCMPRouter._path_quality_of` calls the
-        identical ``candidate_path_quality``), so decisions are
-        bit-identical; the lazy/eager equivalence suite pins that.
+        No C_path score is computed up front: walking every candidate out
+        of the switch would materialize every (src, dst) pair of the lazy
+        path set at provisioning time, exactly the O(N²) enumeration
+        laziness exists to avoid.  The router derives each score on demand
+        from the same tables and config (:meth:`LCMPRouter._path_quality_of`
+        calls ``candidate_path_quality``); the lazy/eager equivalence suite
+        pins that.
         """
         router.install_tables(self.build_tables())
 

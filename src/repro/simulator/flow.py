@@ -13,6 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .link import RuntimeLink
 
 __all__ = ["FlowDemand", "FeedbackSignal", "Flow"]
@@ -80,7 +82,7 @@ class Flow:
     disruption stamp, the route id, and the sending rate) lives either in
     plain attributes (the scalar reference path, standalone use in tests)
     or in a row of the simulation's
-    :class:`~repro.simulator.flow_table.FlowTable` when :meth:`bind_table`
+    :class:`~repro.simulator.flow_table.FlowTable` when :meth:`bind_rows`
     has been called (the array core).  The public surface is identical in
     both modes — properties dispatch to the table row when bound — so
     routers, the scenario injector and failure handling read the same
@@ -131,18 +133,25 @@ class Flow:
     # ------------------------------------------------------------------ #
     # FlowTable binding (see repro.simulator.flow_table)
     # ------------------------------------------------------------------ #
-    def bind_table(self, table, slot: int) -> None:
-        """Move this flow's mutable state into ``table`` row ``slot``."""
-        table.remaining_bytes[slot] = self._remaining_bytes
-        table.base_rtt_s[slot] = self._base_rtt_s
-        table.achieved_bps[slot] = self._achieved_bps
-        table.disrupted_s[slot] = (
-            self._disrupted_s if self._disrupted_s is not None else float("nan")
-        )
-        table.path_id[slot] = self._route_id_attr
-        table.wait_version[slot], table.wait_epoch[slot] = self._parked_at or (-1, -1)
-        self._table = table
-        self._slot = slot
+    @staticmethod
+    def bind_rows(flows: Sequence["Flow"], table, slots: np.ndarray) -> None:
+        """Move the mutable state of ``flows`` into ``table`` rows ``slots``.
+
+        One column write per state column for the whole batch.
+        """
+        table.remaining_bytes[slots] = [f._remaining_bytes for f in flows]
+        table.base_rtt_s[slots] = [f._base_rtt_s for f in flows]
+        table.achieved_bps[slots] = [f._achieved_bps for f in flows]
+        table.disrupted_s[slots] = [
+            f._disrupted_s if f._disrupted_s is not None else float("nan") for f in flows
+        ]
+        table.path_id[slots] = [f._route_id_attr for f in flows]
+        parked = [f._parked_at or (-1, -1) for f in flows]
+        table.wait_version[slots] = [p[0] for p in parked]
+        table.wait_epoch[slots] = [p[1] for p in parked]
+        for flow, slot in zip(flows, slots.tolist()):
+            flow._table = table
+            flow._slot = slot
 
     def unbind_table(self) -> None:
         """Copy the row's final values back and detach from the table."""

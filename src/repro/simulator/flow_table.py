@@ -51,6 +51,7 @@ from typing import Dict, List, Optional, Sequence, Type
 import numpy as np
 
 from ..backend import get_backend
+from .flow import Flow
 
 __all__ = ["ColumnBlock", "FlowTable"]
 
@@ -256,42 +257,64 @@ class FlowTable:
     # slot lifecycle
     # ------------------------------------------------------------------ #
     def acquire(self, flow) -> int:
-        """Give ``flow`` a row slot and copy its state into it.
+        """Give ``flow`` a row slot: :meth:`acquire_batch` of one flow."""
+        return self.acquire_batch([flow])[0]
 
-        The flow becomes a view onto the row; its controller (``flow.cc``)
-        has its rate, feedback count, state and parameters copied into the
-        row and is not read or called again until :meth:`release`.
+    def acquire_batch(self, flows: Sequence) -> List[int]:
+        """Give each of ``flows`` a row slot and copy its state into it.
+
+        Slots are handed out in order, as one acquire per flow would: the
+        most recently freed slot first, then never-used ones (the columns
+        double when those run out).  Every column is written once for the
+        whole batch.  Each flow becomes a view onto its row; its controller
+        (``flow.cc``) has its rate, feedback count, state and parameters
+        copied into the row and is not read or called again until
+        :meth:`release`.
 
         Returns:
-            The row slot (stable for the flow's lifetime).
+            The row slots, aligned with ``flows`` (stable for each flow's
+            lifetime).
 
         Raises:
-            TypeError: when the controller's class has no column kernels.
+            TypeError: when a controller's class has no column kernels.
         """
-        cc = flow.cc
-        cc_cls = type(cc)
-        cid = self._class_ids.get(cc_cls)
-        if cid is None:
-            cid = self._register_class(cc_cls)
-        if self._free:
-            slot = self._free.pop()
-        else:
-            if self._high_water == self._capacity:
-                self._grow()
-            slot = self._high_water
-            self._high_water += 1
+        ccs = [flow.cc for flow in flows]
+        class_ids = self._class_ids
+        cids = []
+        for cc in ccs:
+            cid = class_ids.get(type(cc))
+            if cid is None:
+                cid = self._register_class(type(cc))
+            cids.append(cid)
 
-        self._flows[slot] = flow
-        self.cc_class_id[slot] = cid
-        self.epoch[slot] += 1
-        self.feedback_live[slot] = True
-        flow.bind_table(self, slot)
-        self.cc_rate_bps[slot] = cc.rate_bps
-        self.feedback_count[slot] = cc.feedback_count
-        block = self._blocks[cc_cls]
-        for name, col in cc_cls.cc_columns.items():
-            getattr(block, name)[slot] = getattr(cc, col.attr)
-        return slot
+        free = self._free
+        reused = min(len(flows), len(free))
+        slots = free[len(free) - reused :][::-1]
+        del free[len(free) - reused :]
+        fresh = len(flows) - reused
+        if fresh:
+            while self._high_water + fresh > self._capacity:
+                self._grow()
+            slots.extend(range(self._high_water, self._high_water + fresh))
+            self._high_water += fresh
+
+        rows = np.array(slots, dtype=np.intp)
+        for flow, slot in zip(flows, slots):
+            self._flows[slot] = flow
+        self.cc_class_id[rows] = cids
+        self.epoch[rows] += 1
+        self.feedback_live[rows] = True
+        Flow.bind_rows(flows, self, rows)
+        self.cc_rate_bps[rows] = [cc.rate_bps for cc in ccs]
+        self.feedback_count[rows] = [cc.feedback_count for cc in ccs]
+        for cid in set(cids):
+            pick = [k for k, c in enumerate(cids) if c == cid]
+            cc_cls = self._classes[cid]
+            block = self._blocks[cc_cls]
+            sel = rows[pick]
+            for name, col in cc_cls.cc_columns.items():
+                getattr(block, name)[sel] = [getattr(ccs[k], col.attr) for k in pick]
+        return slots
 
     def copy_params(self, flow) -> None:
         """Re-copy the parameter columns of a bound flow's controller.

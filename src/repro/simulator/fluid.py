@@ -651,17 +651,18 @@ class FluidSimulation:
         )
         with self._sp_arrival_route:
             paths = self.network.resolve_paths_batch(batch, times)
-        table = self._table
         collector = self.collector
+        flows = []
         for demand, path in zip(batch, paths):
-            self._pending_arrivals -= 1
             base_rtt = 2.0 * sum(link.delay_s for link in path)
             cc = self.cc_factory(path[0].cap_bps, base_rtt, demand.flow_id)
             flow = Flow(demand, path, cc, base_rtt)
             flow.route_id = collector.route_index_for(demand.src_dc, flow.path)
-            row = table.acquire(flow)
-            self._incidence.set_path(row, flow.path)
-            table.path_id[row] = flow.route_id
+            flows.append(flow)
+        self._pending_arrivals -= len(batch)
+        rows = self._table.acquire_batch(flows)
+        self._incidence.set_paths(rows, [flow.path for flow in flows])
+        for flow in flows:
             self._append_active(flow)
 
     # ------------------------------------------------------------------ #

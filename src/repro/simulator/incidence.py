@@ -214,26 +214,41 @@ class FlowLinkIncidence:
     def set_path(self, row: int, path: Sequence[RuntimeLink]) -> None:
         """(Re-)index the path of the flow occupying FlowTable row ``row``.
 
-        Called at arrival time and after every re-route.
+        Called after every re-route; :meth:`set_paths` of one row.
         """
-        slots = [self._slot(link) for link in path]
-        n = len(slots)
-        rows, width = self.hops.shape
-        if row >= rows or n > width:
-            self._grow(row, n)
-        self.hops[row, :n] = slots
-        self.hops[row, n:] = self.sentinel
-        self.hop_counts[row] = n
+        self.set_paths([row], [path])
+
+    def set_paths(
+        self, rows: Sequence[int], paths: Sequence[Sequence[RuntimeLink]]
+    ) -> None:
+        """(Re-)index the paths of FlowTable ``rows`` with one matrix write.
+
+        Links register in path order, as one :meth:`set_path` per row
+        would, and the matrix grows to the same shape.
+        """
+        slots = [[self._slot(link) for link in path] for path in paths]
+        counts = [len(s) for s in slots]
+        num_rows, width = self.hops.shape
+        grown_rows = num_rows
+        for row in rows:
+            if row >= grown_rows:
+                grown_rows = max(row + 1, 2 * grown_rows)
+        longest = max(counts, default=0)
+        if grown_rows > num_rows or longest > width:
+            self._grow(grown_rows, longest)
+            width = self.hops.shape[1]
+        sentinel = self.sentinel
+        self.hops[rows] = [s + [sentinel] * (width - len(s)) for s in slots]
+        self.hop_counts[rows] = counts
         self._membership_dirty = True
 
-    def _grow(self, row: int, length: int) -> None:
-        """Reallocate the hop matrix to hold row ``row`` and ``length`` hops.
+    def _grow(self, rows: int, length: int) -> None:
+        """Reallocate the hop matrix to ``rows`` rows and ``length`` hops.
 
-        Rows grow by doubling; the width grows to the longest path seen.
-        New slots point at the sentinel.
+        The width never shrinks below the longest path seen.  New slots
+        point at the sentinel.
         """
         old_rows, old_width = self.hops.shape
-        rows = max(row + 1, 2 * old_rows) if row >= old_rows else old_rows
         width = max(old_width, length)
         hops = np.full((rows, width), self.sentinel, dtype=np.intp)
         hops[:old_rows, :old_width] = self.hops

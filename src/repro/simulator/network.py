@@ -11,7 +11,7 @@ describes.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +30,28 @@ _MAX_RESOLVE_HOPS = 32
 
 class RoutingLoopError(RuntimeError):
     """Raised when hop-by-hop resolution fails to reach the destination."""
+
+
+class _HopEntry:
+    """What the grouped walk needs at one ``(current, dst, visited)`` hop.
+
+    With a switch decision to take: the switch, the loop-free live
+    candidates and their path ids, the all-ports-dead flag, and per
+    candidate the egress link, the switch log's interned path reference
+    and the next hop's key (``None`` when the candidate's first hop is the
+    destination).  Without one (``switch is None``): the links of the
+    shortest-delay remainder, or ``None`` when the destination is
+    unreachable.
+    """
+
+    __slots__ = (
+        "switch", "candidates", "ids", "fallback", "count", "refs", "dst_ref",
+        "links", "child_keys", "remainder",
+    )
+
+    def __init__(self) -> None:
+        self.switch: Optional[DCISwitch] = None
+        self.remainder: Optional[List[RuntimeLink]] = None
 
 
 class RuntimeNetwork:
@@ -86,6 +108,15 @@ class RuntimeNetwork:
         #: liveness-array cache.
         self._fallback_cache: Dict[Tuple[str, str], object] = {}
         self._fallback_seen_version = RuntimeLink.state_version
+        #: the grouped walk's hop table, keyed ``(current, dst, visited)``
+        #: (see :meth:`_hop_entry`); emptied when link state or the path
+        #: set's LRU moves
+        self._hops: Dict[Tuple[str, str, FrozenSet[str]], _HopEntry] = {}
+        self._hops_version = RuntimeLink.state_version
+        self._hops_evictions = pathset.cache_evictions
+        #: a capped path set's LRU order decides its evictions, so hits
+        #: still touch the pair there
+        self._touch_pairs = pathset.cache_pairs is not None
         #: whether the last :meth:`resolve_path` walk made an adaptive
         #: choice (:attr:`DCISwitch.last_choice_adaptive`) at some switch —
         #: the one way the same link state can give a different walk; the
@@ -244,11 +275,12 @@ class RuntimeNetwork:
         Semantically identical to calling :meth:`resolve_path` once per
         demand at its own arrival instant (``times[i]``), but the hop-by-hop
         walk runs *per group*: demands sharing (source, destination) are
-        routed together — one liveness filter, one
-        :meth:`~repro.routing.base.Router.select_batch` call and one
-        columnar decision append per switch hop — then split by chosen next
-        hop and recursed.  The per-switch decision work becomes O(distinct
-        groups × hops) instead of O(flows × hops).
+        routed together — one :meth:`~repro.routing.base.Router.select_batch`
+        call per switch hop — then split by chosen next hop.  Everything a
+        hop needs besides that call comes from the hop table (see
+        :meth:`_hop_entry`), and each switch's decision rows are written
+        with one columnar append at the end of the batch, in the walk's
+        depth-first order.
 
         Args:
             demands: the arriving flows, in arrival order.
@@ -260,96 +292,156 @@ class RuntimeNetwork:
             inter-DC links, destination NIC downlink), aligned with
             ``demands``.
         """
-        n = len(demands)
-        inter: List[List[RuntimeLink]] = [[] for _ in range(n)]
+        self._sync_hop_table()
+        host_link = self.host_link
+        paths = [[host_link(d.src_dc, d.src_host, "up")] for d in demands]
         groups: Dict[Tuple[str, str], List[int]] = {}
         for i, demand in enumerate(demands):
             if demand.src_dc != demand.dst_dc:
                 groups.setdefault((demand.src_dc, demand.dst_dc), []).append(i)
         times_l = np.asarray(times, dtype=np.float64).tolist()
-        for (src, dst), members in groups.items():
-            self._resolve_group_batch(
-                src, dst, members, demands, times_l, inter, {src}, 0
-            )
-
-        paths: List[List[RuntimeLink]] = []
-        for i, demand in enumerate(demands):
-            links = [self.host_link(demand.src_dc, demand.src_host, "up")]
-            links.extend(inter[i])
-            links.append(self.host_link(demand.dst_dc, demand.dst_host, "down"))
-            paths.append(links)
+        rows: Dict[DCISwitch, list] = {}
+        try:
+            for (src, dst), members in groups.items():
+                self._walk(
+                    (src, dst, frozenset((src,))), members, demands, times_l, paths, rows, 0
+                )
+        finally:
+            for switch, switch_rows in rows.items():
+                switch.decision_log.append_batch(switch_rows)
+        for demand, path in zip(demands, paths):
+            path.append(host_link(demand.dst_dc, demand.dst_host, "down"))
         return paths
 
-    def _resolve_group_batch(
+    def _walk(
         self,
-        current: str,
-        dst: str,
+        key: Tuple[str, str, FrozenSet[str]],
         members: List[int],
         demands: Sequence[FlowDemand],
         times: List[float],
-        inter: List[List[RuntimeLink]],
-        visited: set,
+        paths: List[List[RuntimeLink]],
+        rows: Dict[DCISwitch, list],
         depth: int,
     ) -> None:
-        """One hop of the grouped walk (recurses per chosen next hop).
+        """Walk a group from hop ``key`` to its destination.
 
-        The walk is depth-first: a group is routed to the destination
-        before its sibling groups.  At paper scale groups hold about one
-        flow and their visited sets differ, so a hop-synchronous regroup
-        would merge almost nothing.
+        Each hop makes one decision for every member.  While the members
+        all pick the same next hop — always, for a group of one flow —
+        the walk goes on in a loop; otherwise it splits by next hop and
+        walks each subgroup in turn, so the walk is depth-first: a group
+        reaches its destination before its sibling groups are routed.  At
+        paper scale groups hold about one flow and their visited sets
+        differ, so a hop-synchronous regroup would merge almost nothing.
         """
-        if current == dst:
-            return
-        if depth >= _MAX_RESOLVE_HOPS:
-            raise RoutingLoopError(
-                f"flow {demands[members[0]].flow_id}: exceeded {_MAX_RESOLVE_HOPS} "
-                f"DCI hops resolving toward {dst}"
-            )
-        all_candidates = self.pathset.candidates(current, dst)
-        all_ids = self.pathset.candidate_ids(current, dst)
+        dst = key[1]
+        hops = self._hops
+        touch = self._touch_pairs
+        sub_demands = [demands[i] for i in members]
+        sub_times = [times[i] for i in members]
+        while True:
+            if depth >= _MAX_RESOLVE_HOPS:
+                raise RoutingLoopError(
+                    f"flow {sub_demands[0].flow_id}: exceeded {_MAX_RESOLVE_HOPS} "
+                    f"DCI hops resolving toward {dst}"
+                )
+            entry = hops.get(key)
+            if entry is None or touch:
+                entry = self._hop_entry(key)
+            switch = entry.switch
+            if switch is None:
+                if entry.remainder is None:
+                    raise RoutingLoopError(
+                        f"flow {sub_demands[0].flow_id}: no route from {key[0]} to {dst}"
+                    )
+                for i in members:
+                    paths[i].extend(entry.remainder)
+                return
+            chosen = switch.route_flows_batch(
+                dst, entry.candidates, entry.ids, sub_demands, sub_times
+            ).tolist()
+            switch_rows = rows.get(switch)
+            if switch_rows is None:
+                switch_rows = rows[switch] = []
+            refs, links, child_keys = entry.refs, entry.links, entry.child_keys
+            tail = (entry.dst_ref, entry.count, entry.fallback)
+            by_hop: Dict[Optional[tuple], List[int]] = {}
+            for i, demand, t, j in zip(members, sub_demands, sub_times, chosen):
+                switch_rows.append((demand.flow_id, t, refs[j]) + tail)
+                paths[i].append(links[j])
+                by_hop.setdefault(child_keys[j], []).append(i)
+            depth += 1
+            if len(by_hop) > 1:
+                for child_key, sub_members in by_hop.items():
+                    if child_key is not None:
+                        self._walk(child_key, sub_members, demands, times, paths, rows, depth)
+                return
+            key = child_keys[chosen[0]]
+            if key is None:
+                return
+
+    # ------------------------------------------------------------------ #
+    # the hop table
+    # ------------------------------------------------------------------ #
+    def _sync_hop_table(self) -> None:
+        """Drop every hop entry when link state or the path set's LRU moved."""
+        version = RuntimeLink.state_version
+        evictions = self.pathset.cache_evictions
+        if version != self._hops_version or evictions != self._hops_evictions:
+            self._hops.clear()
+            self._hops_version = version
+            self._hops_evictions = evictions
+
+    def _hop_entry(self, key: Tuple[str, str, FrozenSet[str]]) -> "_HopEntry":
+        """The hop table's entry for ``(current, dst, visited)``, built on a miss.
+
+        On a capped path set a hit still requests the pair's candidate
+        ids, so the path set's LRU sees one touch per hop, as it did when
+        every hop looked its candidates up.  A build that evicts a pair
+        drops the table: entries may hold the evicted pair's views.
+        """
+        entry = self._hops.get(key)
+        if entry is not None:
+            self.pathset.candidate_ids(key[0], key[1])
+            return entry
+        entry = self._build_hop(*key)
+        self._sync_hop_table()
+        self._hops[key] = entry
+        return entry
+
+    def _build_hop(self, current: str, dst: str, visited: FrozenSet[str]) -> "_HopEntry":
+        """Compute one hop entry: the loop-free live candidates and their rows."""
+        entry = _HopEntry()
         candidates = []
         candidate_ids = []
-        for c, pid in zip(all_candidates, all_ids):
+        for c, pid in zip(
+            self.pathset.candidates(current, dst), self.pathset.candidate_ids(current, dst)
+        ):
             if c.first_hop not in visited:
                 candidates.append(c)
                 candidate_ids.append(pid)
         if not candidates:
-            # no loop-free candidate left: commit every member to the
-            # shortest-delay remainder computed over the static topology
+            # no loop-free candidate left: the shortest-delay remainder
+            # computed over the static topology
             remainder = self._fallback_remainder(current, dst)
-            if remainder is None:
-                raise RoutingLoopError(
-                    f"flow {demands[members[0]].flow_id}: no route from {current} to {dst}"
-                )
-            links = [self._links[spec.key] for spec in remainder.links]
-            for i in members:
-                inter[i].extend(links)
-            return
-
+            if remainder is not None:
+                entry.remainder = [self._links[spec.key] for spec in remainder.links]
+            return entry
         switch = self._switches[current]
-        sub_demands = [demands[i] for i in members]
-        sub_times = [times[i] for i in members]
-        chosen_idx, usable = switch.route_flows_batch(
-            dst, candidates, sub_demands, sub_times, path_ids=candidate_ids
-        )
-        by_hop: Dict[str, List[int]] = {}
-        chosen_l = chosen_idx.tolist()
-        for k, i in enumerate(members):
-            chosen = usable[chosen_l[k]]
-            next_dc = chosen.first_hop
-            inter[i].append(self._links[(current, next_dc)])
-            by_hop.setdefault(next_dc, []).append(i)
-        for next_dc, sub_members in by_hop.items():
-            self._resolve_group_batch(
-                next_dc,
-                dst,
-                sub_members,
-                demands,
-                times,
-                inter,
-                visited | {next_dc},
-                depth + 1,
-            )
+        usable, usable_ids, fallback = switch.usable_candidates(dst, candidates, candidate_ids)
+        log = switch.decision_log
+        entry.switch = switch
+        entry.candidates = usable
+        entry.ids = usable_ids
+        entry.fallback = fallback
+        entry.count = len(usable)
+        entry.refs = log.intern_paths(usable, usable_ids)
+        entry.dst_ref = log.intern_dst(dst)
+        next_dcs = [c.first_hop for c in usable]
+        entry.links = [self._links[(current, hop)] for hop in next_dcs]
+        entry.child_keys = [
+            None if hop == dst else (hop, dst, visited | {hop}) for hop in next_dcs
+        ]
+        return entry
 
     def _fallback_remainder(self, current: str, dst: str):
         """Cached shortest-delay remainder for the candidate-less fallback."""

@@ -18,9 +18,11 @@ table), and the legacy :class:`RoutingDecision` objects are materialised
 lazily — and freshly on every access — by the :attr:`DCISwitch.decisions`
 property, so callers can no longer mutate the switch's internal state
 through the returned list.  Batched arrivals route through
-:meth:`DCISwitch.route_flows_batch`, which makes one
-:meth:`~repro.routing.base.Router.select_batch` call for the whole batch
-and appends the decisions as one columnar write.
+:meth:`DCISwitch.route_flows_batch`, one
+:meth:`~repro.routing.base.Router.select_batch` call per group of flows
+over candidates the network's hop table already filtered; the network
+writes the batch's decision rows with one :meth:`DecisionLog.append_batch`
+per switch.
 """
 
 from __future__ import annotations
@@ -72,12 +74,10 @@ class DecisionLog:
         self.fallback = np.empty(capacity, dtype=bool)
         #: interned chosen paths (reference -> CandidatePath); keyed by the
         #: pathset's precomputed global path id when the caller provides
-        #: one (integer lookup, the batched hot path) and by the DC tuple
+        #: one (integer lookup, the batched walk) and by the DC tuple
         #: otherwise (the scalar route_flow path, ad-hoc candidates)
         self._paths = Interner()
         self._global_refs: Dict[int, int] = {}
-        #: interned references of a whole candidate set, per path-id tuple
-        self._refs_by_ids: Dict[Tuple[int, ...], np.ndarray] = {}
         #: interned destination DC names
         self._dsts = Interner()
 
@@ -127,45 +127,41 @@ class DecisionLog:
         self.fallback[n] = fallback
         self._n = n + 1
 
-    def append_batch(
-        self,
-        demands: Sequence[FlowDemand],
-        times: Sequence[float],
-        candidates: Sequence[CandidatePath],
-        chosen_idx: np.ndarray,
-        dst_dc: str,
-        fallback: bool,
-        path_ids: Optional[Sequence[int]] = None,
-    ) -> None:
-        """Record one batched decision (one row per demand).
+    def intern_paths(
+        self, candidates: Sequence[CandidatePath], path_ids: Sequence[int]
+    ) -> List[int]:
+        """Interned references of a candidate set, aligned with ``candidates``.
 
         Args:
-            path_ids: precomputed global path ids aligned with
-                ``candidates`` (see :meth:`PathSet.candidate_ids`); interns
-                by integer lookup when given, and the candidate set's
-                interned references are memoised per ``path_ids``.
+            path_ids: the candidates' global path ids (see
+                :meth:`PathSet.candidate_ids`); interning is an integer
+                lookup for an id seen before.
         """
-        count = len(demands)
+        return [self._intern_path(c, g) for c, g in zip(candidates, path_ids)]
+
+    def intern_dst(self, dst_dc: str) -> int:
+        """Interned reference of a destination DC name."""
+        return self._dsts.intern(dst_dc)
+
+    def append_batch(self, rows: Sequence[Tuple[int, float, int, int, int, bool]]) -> None:
+        """Record decision rows as one columnar write.
+
+        Each row is ``(flow_id, time_s, path_ref, dst_ref, num_candidates,
+        fallback)``, with references from :meth:`intern_paths` and
+        :meth:`intern_dst`; rows land in the order given.
+        """
+        count = len(rows)
         n = self._n
         self._grow_to(n + count)
-        self.flow_id[n : n + count] = [d.flow_id for d in demands]
-        self.time_s[n : n + count] = times
-        if path_ids is None:
-            refs = np.array([self._intern_path(c) for c in candidates], dtype=np.int64)
-        else:
-            key = tuple(path_ids)
-            refs = self._refs_by_ids.get(key)
-            if refs is None:
-                refs = np.array(
-                    [self._intern_path(c, g) for c, g in zip(candidates, key)],
-                    dtype=np.int64,
-                )
-                self._refs_by_ids[key] = refs
-        self.path_ref[n : n + count] = refs[chosen_idx]
-        self.dst_ref[n : n + count] = self._dsts.intern(dst_dc)
-        self.num_candidates[n : n + count] = len(candidates)
-        self.fallback[n : n + count] = fallback
-        self._n = n + count
+        end = n + count
+        flow_ids, times, path_refs, dst_refs, counts, fallbacks = zip(*rows)
+        self.flow_id[n:end] = flow_ids
+        self.time_s[n:end] = times
+        self.path_ref[n:end] = path_refs
+        self.dst_ref[n:end] = dst_refs
+        self.num_candidates[n:end] = counts
+        self.fallback[n:end] = fallbacks
+        self._n = end
 
     # ------------------------------------------------------------------ #
     def first_hops(self) -> List[str]:
@@ -216,10 +212,6 @@ class DCISwitch:
         self.decision_log = DecisionLog()
         #: lifetime count of route_flows_batch calls (batched control plane)
         self.batch_calls = 0
-        #: route_flows_batch's liveness filter per (dst, path ids), valid
-        #: while RuntimeLink.state_version equals _usable_version
-        self._usable_memo: Dict[Tuple[str, Tuple[int, ...]], tuple] = {}
-        self._usable_version = RuntimeLink.state_version
         #: whether the router's choices follow telemetry (see
         #: :attr:`last_choice_adaptive`)
         self._adaptive_router = router.consumes_telemetry()
@@ -234,9 +226,12 @@ class DCISwitch:
     # ports
     # ------------------------------------------------------------------ #
     def add_port(self, next_dc: str, link: RuntimeLink) -> None:
-        """Register the egress port toward ``next_dc``."""
+        """Register the egress port toward ``next_dc``.
+
+        Ports are registered while the owning network is built; its hop
+        table assumes the port set stays fixed afterwards.
+        """
         self._ports[next_dc] = link
-        self._usable_memo.clear()
 
     @property
     def ports(self) -> Dict[str, RuntimeLink]:
@@ -270,7 +265,7 @@ class DCISwitch:
         """Number of decisions taken (O(1), no materialisation)."""
         return len(self.decision_log)
 
-    def _usable_candidates(
+    def usable_candidates(
         self,
         dst_dc: str,
         candidates: Sequence[CandidatePath],
@@ -306,7 +301,7 @@ class DCISwitch:
         Raises:
             ValueError: when ``candidates`` is empty.
         """
-        usable, _, fallback = self._usable_candidates(dst_dc, candidates)
+        usable, _, fallback = self.usable_candidates(dst_dc, candidates)
         router = self.router
         chosen = router.select(dst_dc, usable, demand, now)
         self.last_choice_adaptive = (
@@ -328,52 +323,33 @@ class DCISwitch:
     def route_flows_batch(
         self,
         dst_dc: str,
-        candidates: Sequence[CandidatePath],
+        usable: Sequence[CandidatePath],
+        usable_ids: Sequence[int],
         demands: Sequence[FlowDemand],
         times: Sequence[float],
-        path_ids: Optional[Sequence[int]] = None,
-    ) -> Tuple[np.ndarray, Sequence[CandidatePath]]:
-        """Route a batch of simultaneous arrivals toward ``dst_dc``.
+    ) -> np.ndarray:
+        """Route a group of simultaneous arrivals toward ``dst_dc``.
 
-        One liveness filter and one :meth:`Router.select_batch` call cover
-        the whole batch; each flow is still stamped with its own decision
-        time (``times[i]``).  With ``path_ids`` the filter's outcome is
-        memoised per ``(dst_dc, path_ids)`` until
-        :attr:`RuntimeLink.state_version` moves (a link failed, recovered
-        or changed capacity).
+        One :meth:`Router.select_batch` call covers the group; each flow is
+        still stamped with its own decision time (``times[i]``).  The
+        caller passes the live candidates (the output of
+        :meth:`usable_candidates`, which the network's hop table keeps
+        per ``(switch, destination, visited DCs)``) and records the
+        decision rows itself, one :meth:`DecisionLog.append_batch` per
+        arrival batch.
 
         Args:
-            path_ids: precomputed global path ids aligned with
-                ``candidates``; they key the memo and are forwarded to the
-                router and the decision log so both key on integers.
+            usable: the live candidates (never empty).
+            usable_ids: their global path ids, forwarded to the router so
+                its per-candidate-set state keys on integers.
 
         Returns:
-            ``(chosen_idx, usable)`` — per-demand indices into the
-            liveness-filtered ``usable`` candidates.
-
-        Raises:
-            ValueError: when ``candidates`` is empty.
+            Per-demand indices into ``usable``.
         """
         self.batch_calls += 1
-        if path_ids is None:
-            usable, usable_ids, fallback = self._usable_candidates(dst_dc, candidates)
-        else:
-            if self._usable_version != RuntimeLink.state_version:
-                self._usable_memo.clear()
-                self._usable_version = RuntimeLink.state_version
-            key = (dst_dc, tuple(path_ids))
-            entry = self._usable_memo.get(key)
-            if entry is None:
-                entry = self._usable_candidates(dst_dc, candidates, key[1])
-                self._usable_memo[key] = entry
-            usable, usable_ids, fallback = entry
-        chosen_idx = self.router.select_batch(
+        return self.router.select_batch(
             dst_dc, usable, demands, times, path_ids=usable_ids
         )
-        self.decision_log.append_batch(
-            demands, times, usable, chosen_idx, dst_dc, fallback, path_ids=usable_ids
-        )
-        return chosen_idx, usable
 
     # ------------------------------------------------------------------ #
     def tick(self, now: float) -> None:

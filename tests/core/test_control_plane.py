@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import ControlPlane, LCMPConfig, LCMPRouter, lcmp_router_factory
+from repro.core.path_quality import candidate_path_quality
 from repro.routing import make_router_factory
 from repro.simulator import RuntimeNetwork, SimulationConfig
 from repro.topology import GBPS
@@ -32,17 +33,30 @@ class TestTables:
             cp.build_tables()
 
 
+def path_scores(cp, src_dc):
+    """C_path of every candidate route out of ``src_dc``, keyed by
+    ``(destination DC, route DC tuple)`` — the eager walk the router
+    replaces with on-demand derivation."""
+    tables = cp.build_tables()
+    return {
+        (dst_dc, candidate.dcs): candidate_path_quality(candidate, tables, cp.config)
+        for dst_dc in cp.topology.dcs
+        if dst_dc != src_dc
+        for candidate in cp.pathset.candidates(src_dc, dst_dc)
+    }
+
+
 class TestPathScores:
     def test_scores_for_every_candidate(self, testbed_topology, testbed_paths):
         cp = ControlPlane(testbed_topology, testbed_paths)
-        scores = cp.compute_path_scores("DC1")
+        scores = path_scores(cp, "DC1")
         dc8_scores = {key: val for key, val in scores.items() if key[0] == "DC8"}
         assert len(dc8_scores) == 6
         assert all(0 <= val <= 255 for val in scores.values())
 
     def test_low_delay_paths_score_better(self, testbed_topology, testbed_paths):
         cp = ControlPlane(testbed_topology, testbed_paths)
-        scores = cp.compute_path_scores("DC1")
+        scores = path_scores(cp, "DC1")
         via = {key[1][1]: val for key, val in scores.items() if key[0] == "DC8"}
         assert via["DC3"] < via["DC2"]
         assert via["DC7"] < via["DC6"]
@@ -53,7 +67,7 @@ class TestPathScores:
         cp = ControlPlane(testbed_topology, testbed_paths)
         router = LCMPRouter()
         cp.install(router, "DC1")
-        scores = cp.compute_path_scores("DC1")
+        scores = path_scores(cp, "DC1")
         for (dst, dcs), score in scores.items():
             candidate = next(c for c in testbed_paths.candidates("DC1", dst) if c.dcs == dcs)
             assert router._path_quality_of(candidate) == score

@@ -142,20 +142,21 @@ class TestEpochGuard:
         )
         if reuses is not None:
             table = sim._table
-            acquire = table.acquire
+            acquire_batch = table.acquire_batch
 
-            def watched(flow):
-                slot = acquire(flow)
-                # lanes still queued for this row belong to its previous tenant
-                reuses.append(
+            def watched(flows):
+                slots = acquire_batch(flows)
+                # lanes still queued for these rows belong to their previous tenants
+                reuses.extend(
                     sum(
                         int(np.count_nonzero(gen.ids[0, gen.cursor :] == slot))
                         for gen in sim._feedback_line
                     )
+                    for slot in slots
                 )
-                return slot
+                return slots
 
-            table.acquire = watched
+            table.acquire_batch = watched
         return sim.run()
 
     def test_reacquired_rows_drop_stale_lanes(self):

@@ -56,6 +56,30 @@ class TestSlotLifecycle:
         assert table.acquire(newcomer) == 1
         assert table.flow_at(1) is newcomer
 
+    def test_acquire_batch_equals_one_acquire_per_flow(self):
+        """Free-list reuse, fresh slots and growth inside one batch hand
+        out the slots and write the rows one acquire per flow would."""
+
+        def fill(table, acquire):
+            flows = [make_flow(i, cc=DCQCN(1e9, 0.01) if i % 2 else None) for i in range(6)]
+            acquire(table, flows[:3])
+            table.release(flows[0])
+            table.release(flows[2])
+            slots = acquire(table, flows[3:])
+            assert [f._slot for f in flows[3:]] == slots
+            return slots
+
+        batched, single = FlowTable(capacity=2), FlowTable(capacity=2)
+        assert fill(batched, FlowTable.acquire_batch) == [2, 0, 3]
+        assert fill(single, lambda t, flows: [t.acquire(f) for f in flows]) == [2, 0, 3]
+        assert batched.capacity == single.capacity
+        for name in ("remaining_bytes", "base_rtt_s", "cc_rate_bps", "epoch", "cc_class_id"):
+            assert np.array_equal(getattr(batched, name), getattr(single, name)), name
+        for name in ("target", "p_line", "congested"):
+            assert np.array_equal(
+                getattr(batched.cc_block(DCQCN), name), getattr(single.cc_block(DCQCN), name)
+            ), name
+
     def test_release_requires_occupancy(self):
         table = FlowTable(capacity=2)
         flow = make_flow(0)

@@ -115,6 +115,27 @@ class TestHopMatrixGrowth:
         assert not np.isin([1, 2], inc.grid).any()
 
 
+class TestBatchWrite:
+    def test_set_paths_equals_one_set_path_per_row(self):
+        """Registration order, padding, growth and rows of one batch write
+        match a set_path per row, over existing rows and past capacity."""
+        links = make_links(9)
+        batches = [
+            ([0, 1], [links[:2], links[2:3]]),
+            ([2, 5, 3, 4], [links[3:6], links[1:2], links[6:9] + links[:2], links[8:9]]),
+            ([1, 9, 6], [links[4:5], links[0:3], links[7:9]]),
+        ]
+        batched, single = FlowLinkIncidence(), FlowLinkIncidence()
+        for rows, paths in batches:
+            batched.set_paths(rows, paths)
+            for row, path in zip(rows, paths):
+                single.set_path(row, path)
+            assert batched.links == single.links
+            assert batched.hops.shape == single.hops.shape
+            assert np.array_equal(batched.hops, single.hops)
+            assert np.array_equal(batched.hop_counts, single.hop_counts)
+
+
 class TestRowReuse:
     def test_shorter_path_after_remove_leaks_no_stale_slots(self):
         links = make_links(6)

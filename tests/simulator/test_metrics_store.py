@@ -138,28 +138,30 @@ class TestDecisionLog:
         assert len(log.materialize("A")) == 1
 
     def test_append_batch_matches_scalar_appends(self):
-        from repro.simulator.flow import FlowDemand
-
         direct = make_candidate(["A", "B"])
         detour = make_candidate(["A", "C", "B"])
         candidates = [direct, detour]
-        demands = [FlowDemand(i, "A", "B", 0, 1, 1_000, 0.0) for i in range(6)]
-        times = np.array([0.001 * i for i in range(6)])
-        chosen_idx = np.array([0, 1, 0, 0, 1, 1], dtype=np.intp)
+        times = [0.001 * i for i in range(6)]
+        chosen_idx = [0, 1, 0, 0, 1, 1]
 
         batched = DecisionLog()
-        batched.append_batch(demands, times, candidates, chosen_idx, "B", False)
+        refs = batched.intern_paths(candidates, [40, 41])
+        dst = batched.intern_dst("B")
+        batched.append_batch(
+            [(i, times[i], refs[j], dst, 2, False) for i, j in enumerate(chosen_idx)]
+        )
         scalar = DecisionLog()
-        for i, d in enumerate(demands):
-            scalar.append(
-                d.flow_id, float(times[i]), candidates[int(chosen_idx[i])], "B", 2, False
-            )
+        for i, j in enumerate(chosen_idx):
+            scalar.append(i, times[i], candidates[j], "B", 2, False)
         import dataclasses
 
         got = [dataclasses.asdict(d) for d in batched.materialize("A")]
         want = [dataclasses.asdict(d) for d in scalar.materialize("A")]
-        # append_batch records len(candidates) as num_candidates per row
         assert got == want
+        # a path interned by id and by DC tuple shares one reference
+        assert batched.intern_paths([detour], [41]) == [refs[1]]
+        batched.append(6, 0.006, detour, "B", 2, False)
+        assert batched.path_ref[6] == refs[1]
 
 
 class TestAccessorCopies:

@@ -77,56 +77,15 @@ class TestRouting:
         assert switch.decisions[-1].fallback
 
 
-class TestBatchUsableMemo:
-    """route_flows_batch memoises its liveness filter per (dst, path ids)."""
-
-    IDS = (10, 11)
-
-    @staticmethod
-    def count_filters(switch, monkeypatch):
-        calls = []
-        real = switch._usable_candidates
-
-        def counting(dst_dc, candidates, path_ids=None):
-            calls.append(dst_dc)
-            return real(dst_dc, candidates, path_ids)
-
-        monkeypatch.setattr(switch, "_usable_candidates", counting)
-        return calls
-
-    def route(self, switch, candidates, flow_id):
-        chosen_idx, usable = switch.route_flows_batch(
-            "B", candidates, [demand(flow_id)], [0.0], path_ids=self.IDS
-        )
-        return usable, switch.decisions[-1]
-
-    def test_filter_reused_while_links_are_unchanged(self, switch_and_candidates, monkeypatch):
+class TestRouteFlowsBatch:
+    def test_one_select_batch_call_per_group(self, switch_and_candidates):
         switch, candidates, _, _ = switch_and_candidates
-        calls = self.count_filters(switch, monkeypatch)
-        for flow_id in range(4):
-            usable, _ = self.route(switch, candidates, flow_id)
-            assert list(usable) == candidates
-        assert calls == ["B"]
-        # without path ids there is nothing to key on: filtered every call
-        switch.route_flows_batch("B", candidates, [demand(9)], [0.0])
-        assert calls == ["B", "B"]
-
-    def test_filter_rerun_after_link_fails_and_recovers(self, switch_and_candidates, monkeypatch):
-        switch, candidates, link_b, link_c = switch_and_candidates
-        calls = self.count_filters(switch, monkeypatch)
-        self.route(switch, candidates, 1)
-        link_b.fail()
-        usable, decision = self.route(switch, candidates, 2)
-        assert list(usable) == [candidates[1]]
-        assert decision.num_candidates == 1 and not decision.fallback
-        link_c.fail()
-        usable, decision = self.route(switch, candidates, 3)
-        assert list(usable) == candidates and decision.fallback
-        link_b.recover()
-        link_c.recover()
-        usable, decision = self.route(switch, candidates, 4)
-        assert list(usable) == candidates and not decision.fallback
-        assert len(calls) == 4
+        demands = [demand(flow_id) for flow_id in range(5)]
+        chosen = switch.route_flows_batch("B", candidates, (10, 11), demands, [0.0] * 5)
+        assert switch.batch_calls == 1
+        assert len(chosen) == 5 and set(chosen.tolist()) <= {0, 1}
+        # the caller records the rows: the switch wrote none
+        assert switch.decision_count == 0
 
 
 class TestTick:

@@ -385,9 +385,10 @@ class PerFlowIncidence(FlowLinkIncidence):
         super().__init__()
         self.per_flow = {}
 
-    def set_path(self, row, path):
-        super().set_path(row, path)
-        self.per_flow[row] = np.array([self._slot(link) for link in path], dtype=np.intp)
+    def set_paths(self, rows, paths):
+        super().set_paths(rows, paths)
+        for row, path in zip(rows, paths):
+            self.per_flow[row] = np.array([self._slot(link) for link in path], dtype=np.intp)
 
     def remove_row(self, row):
         super().remove_row(row)
