@@ -35,19 +35,15 @@ class RoutingLoopError(RuntimeError):
 class _HopEntry:
     """What the grouped walk needs at one ``(current, dst, visited)`` hop.
 
-    With a switch decision to take: the switch, the loop-free live
-    candidates and their path ids, the all-ports-dead flag, and per
-    candidate the egress link, the switch log's interned path reference
-    and the next hop's key (``None`` when the candidate's first hop is the
-    destination).  Without one (``switch is None``): the links of the
-    shortest-delay remainder, or ``None`` when the destination is
-    unreachable.
+    With a switch decision to take: the switch, its
+    :class:`~repro.simulator.switch.BatchRoute` over the loop-free
+    candidates, and per live candidate the egress link and the next hop's
+    key (``None`` when the candidate's first hop is the destination).
+    Without one (``switch is None``): the links of the shortest-delay
+    remainder, or ``None`` when the destination is unreachable.
     """
 
-    __slots__ = (
-        "switch", "candidates", "ids", "fallback", "count", "refs", "dst_ref",
-        "links", "child_keys", "remainder",
-    )
+    __slots__ = ("switch", "route", "links", "child_keys", "remainder")
 
     def __init__(self) -> None:
         self.switch: Optional[DCISwitch] = None
@@ -114,9 +110,6 @@ class RuntimeNetwork:
         self._hops: Dict[Tuple[str, str, FrozenSet[str]], _HopEntry] = {}
         self._hops_version = RuntimeLink.state_version
         self._hops_evictions = pathset.cache_evictions
-        #: a capped path set's LRU order decides its evictions, so hits
-        #: still touch the pair there
-        self._touch_pairs = pathset.cache_pairs is not None
         #: whether the last :meth:`resolve_path` walk made an adaptive
         #: choice (:attr:`DCISwitch.last_choice_adaptive`) at some switch —
         #: the one way the same link state can give a different walk; the
@@ -334,8 +327,6 @@ class RuntimeNetwork:
         differ, so a hop-synchronous regroup would merge almost nothing.
         """
         dst = key[1]
-        hops = self._hops
-        touch = self._touch_pairs
         sub_demands = [demands[i] for i in members]
         sub_times = [times[i] for i in members]
         while True:
@@ -344,9 +335,7 @@ class RuntimeNetwork:
                     f"flow {sub_demands[0].flow_id}: exceeded {_MAX_RESOLVE_HOPS} "
                     f"DCI hops resolving toward {dst}"
                 )
-            entry = hops.get(key)
-            if entry is None or touch:
-                entry = self._hop_entry(key)
+            entry = self._hop_entry(key)
             switch = entry.switch
             if switch is None:
                 if entry.remainder is None:
@@ -356,17 +345,13 @@ class RuntimeNetwork:
                 for i in members:
                     paths[i].extend(entry.remainder)
                 return
-            chosen = switch.route_flows_batch(
-                dst, entry.candidates, entry.ids, sub_demands, sub_times
-            ).tolist()
             switch_rows = rows.get(switch)
             if switch_rows is None:
                 switch_rows = rows[switch] = []
-            refs, links, child_keys = entry.refs, entry.links, entry.child_keys
-            tail = (entry.dst_ref, entry.count, entry.fallback)
+            chosen = switch.route_flows_batch(entry.route, sub_demands, sub_times, switch_rows)
+            links, child_keys = entry.links, entry.child_keys
             by_hop: Dict[Optional[tuple], List[int]] = {}
-            for i, demand, t, j in zip(members, sub_demands, sub_times, chosen):
-                switch_rows.append((demand.flow_id, t, refs[j]) + tail)
+            for i, j in zip(members, chosen):
                 paths[i].append(links[j])
                 by_hop.setdefault(child_keys[j], []).append(i)
             depth += 1
@@ -394,10 +379,10 @@ class RuntimeNetwork:
     def _hop_entry(self, key: Tuple[str, str, FrozenSet[str]]) -> "_HopEntry":
         """The hop table's entry for ``(current, dst, visited)``, built on a miss.
 
-        On a capped path set a hit still requests the pair's candidate
-        ids, so the path set's LRU sees one touch per hop, as it did when
-        every hop looked its candidates up.  A build that evicts a pair
-        drops the table: entries may hold the evicted pair's views.
+        A hit still requests the pair's candidate ids, so a capped path
+        set's LRU sees one touch per hop, as it would if every hop looked
+        its candidates up.  A build that evicts a pair drops the table:
+        entries may hold the evicted pair's views.
         """
         entry = self._hops.get(key)
         if entry is not None:
@@ -409,7 +394,7 @@ class RuntimeNetwork:
         return entry
 
     def _build_hop(self, current: str, dst: str, visited: FrozenSet[str]) -> "_HopEntry":
-        """Compute one hop entry: the loop-free live candidates and their rows."""
+        """Compute one hop entry: the switch's route over the loop-free candidates."""
         entry = _HopEntry()
         candidates = []
         candidate_ids = []
@@ -427,16 +412,9 @@ class RuntimeNetwork:
                 entry.remainder = [self._links[spec.key] for spec in remainder.links]
             return entry
         switch = self._switches[current]
-        usable, usable_ids, fallback = switch.usable_candidates(dst, candidates, candidate_ids)
-        log = switch.decision_log
         entry.switch = switch
-        entry.candidates = usable
-        entry.ids = usable_ids
-        entry.fallback = fallback
-        entry.count = len(usable)
-        entry.refs = log.intern_paths(usable, usable_ids)
-        entry.dst_ref = log.intern_dst(dst)
-        next_dcs = [c.first_hop for c in usable]
+        entry.route = switch.batch_route(dst, candidates, candidate_ids)
+        next_dcs = [c.first_hop for c in entry.route.candidates]
         entry.links = [self._links[(current, hop)] for hop in next_dcs]
         entry.child_keys = [
             None if hop == dst else (hop, dst, visited | {hop}) for hop in next_dcs

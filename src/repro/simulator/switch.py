@@ -18,11 +18,13 @@ table), and the legacy :class:`RoutingDecision` objects are materialised
 lazily — and freshly on every access — by the :attr:`DCISwitch.decisions`
 property, so callers can no longer mutate the switch's internal state
 through the returned list.  Batched arrivals route through
-:meth:`DCISwitch.route_flows_batch`, one
+:meth:`DCISwitch.route_flows_batch`: one
 :meth:`~repro.routing.base.Router.select_batch` call per group of flows
-over candidates the network's hop table already filtered; the network
-writes the batch's decision rows with one :meth:`DecisionLog.append_batch`
-per switch.
+over a :class:`BatchRoute` (live candidates and interned log references,
+prepared once by :meth:`DCISwitch.batch_route` and kept by the network's
+hop table).  The decision rows collect in a caller-owned list that one
+:meth:`DecisionLog.append_batch` per switch writes at the end of an
+arrival batch.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .flow import FlowDemand
 from .interning import Interner
 from .link import RuntimeLink
 
-__all__ = ["DCISwitch", "RoutingDecision", "DecisionLog"]
+__all__ = ["BatchRoute", "DCISwitch", "RoutingDecision", "DecisionLog"]
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,8 @@ class DecisionLog:
 
         Each row is ``(flow_id, time_s, path_ref, dst_ref, num_candidates,
         fallback)``, with references from :meth:`intern_paths` and
-        :meth:`intern_dst`; rows land in the order given.
+        :meth:`intern_dst`, as :meth:`DCISwitch.route_flows_batch` forms
+        them; rows land in the order given.
         """
         count = len(rows)
         n = self._n
@@ -196,6 +199,34 @@ class DecisionLog:
         ]
 
 
+class BatchRoute:
+    """A switch's prepared decision toward one destination.
+
+    Built by :meth:`DCISwitch.batch_route` from one candidate set: the
+    live candidates and their path ids, the all-ports-dead flag, and the
+    switch log's interned references, so :meth:`DCISwitch.route_flows_batch`
+    only calls the router and forms the rows.  Valid while link state holds.
+    """
+
+    __slots__ = ("dst_dc", "candidates", "ids", "fallback", "_refs", "_tail")
+
+    def __init__(
+        self,
+        log: DecisionLog,
+        dst_dc: str,
+        candidates: Tuple[CandidatePath, ...],
+        ids: Tuple[int, ...],
+        fallback: bool,
+    ) -> None:
+        self.dst_dc = dst_dc
+        self.candidates = candidates
+        self.ids = ids
+        self.fallback = fallback
+        self._refs = log.intern_paths(candidates, ids)
+        #: the row columns every decision of this route shares
+        self._tail = (log.intern_dst(dst_dc), len(candidates), fallback)
+
+
 class DCISwitch:
     """Runtime DCI switch: ports + router + columnar decision bookkeeping."""
 
@@ -228,8 +259,8 @@ class DCISwitch:
     def add_port(self, next_dc: str, link: RuntimeLink) -> None:
         """Register the egress port toward ``next_dc``.
 
-        Ports are registered while the owning network is built; its hop
-        table assumes the port set stays fixed afterwards.
+        Ports are registered while the owning network is built; a
+        :class:`BatchRoute` assumes the port set stays fixed afterwards.
         """
         self._ports[next_dc] = link
 
@@ -265,7 +296,7 @@ class DCISwitch:
         """Number of decisions taken (O(1), no materialisation)."""
         return len(self.decision_log)
 
-    def usable_candidates(
+    def _usable_candidates(
         self,
         dst_dc: str,
         candidates: Sequence[CandidatePath],
@@ -301,7 +332,7 @@ class DCISwitch:
         Raises:
             ValueError: when ``candidates`` is empty.
         """
-        usable, _, fallback = self.usable_candidates(dst_dc, candidates)
+        usable, _, fallback = self._usable_candidates(dst_dc, candidates)
         router = self.router
         chosen = router.select(dst_dc, usable, demand, now)
         self.last_choice_adaptive = (
@@ -320,36 +351,50 @@ class DCISwitch:
         )
         return chosen
 
-    def route_flows_batch(
-        self,
-        dst_dc: str,
-        usable: Sequence[CandidatePath],
-        usable_ids: Sequence[int],
-        demands: Sequence[FlowDemand],
-        times: Sequence[float],
-    ) -> np.ndarray:
-        """Route a group of simultaneous arrivals toward ``dst_dc``.
+    def batch_route(
+        self, dst_dc: str, candidates: Sequence[CandidatePath], path_ids: Sequence[int]
+    ) -> BatchRoute:
+        """Prepare decisions toward ``dst_dc`` over ``candidates``.
 
-        One :meth:`Router.select_batch` call covers the group; each flow is
-        still stamped with its own decision time (``times[i]``).  The
-        caller passes the live candidates (the output of
-        :meth:`usable_candidates`, which the network's hop table keeps
-        per ``(switch, destination, visited DCs)``) and records the
-        decision rows itself, one :meth:`DecisionLog.append_batch` per
-        arrival batch.
+        Applies the liveness filter once (see :meth:`route_flow`) and
+        interns the survivors in the decision log.  The caller keeps the
+        result while :attr:`RuntimeLink.state_version` holds.
 
         Args:
-            usable: the live candidates (never empty).
-            usable_ids: their global path ids, forwarded to the router so
-                its per-candidate-set state keys on integers.
+            path_ids: the candidates' global path ids, aligned with
+                ``candidates``.
+
+        Raises:
+            ValueError: when ``candidates`` is empty.
+        """
+        usable, usable_ids, fallback = self._usable_candidates(dst_dc, candidates, path_ids)
+        return BatchRoute(self.decision_log, dst_dc, usable, usable_ids, fallback)
+
+    def route_flows_batch(
+        self,
+        route: BatchRoute,
+        demands: Sequence[FlowDemand],
+        times: Sequence[float],
+        rows: list,
+    ) -> List[int]:
+        """Route a group of simultaneous arrivals along ``route``.
+
+        One :meth:`Router.select_batch` call covers the group; each flow is
+        still stamped with its own decision time (``times[i]``).  One
+        decision row per demand is appended to ``rows``, a caller-owned
+        list that :meth:`DecisionLog.append_batch` writes once per arrival
+        batch.
 
         Returns:
-            Per-demand indices into ``usable``.
+            Per-demand indices into ``route.candidates``.
         """
         self.batch_calls += 1
-        return self.router.select_batch(
-            dst_dc, usable, demands, times, path_ids=usable_ids
-        )
+        chosen = self.router.select_batch(
+            route.dst_dc, route.candidates, demands, times, path_ids=route.ids
+        ).tolist()
+        refs, tail = route._refs, route._tail
+        rows.extend([(d.flow_id, t, refs[j]) + tail for d, t, j in zip(demands, times, chosen)])
+        return chosen
 
     # ------------------------------------------------------------------ #
     def tick(self, now: float) -> None:

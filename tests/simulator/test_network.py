@@ -118,13 +118,13 @@ class TestHopTable:
     def count_filters(network, monkeypatch, dc="A"):
         calls = []
         switch = network.switch(dc)
-        real = switch.usable_candidates
+        real = switch.batch_route
 
-        def counting(dst_dc, candidates, path_ids=None):
+        def counting(dst_dc, candidates, path_ids):
             calls.append(dst_dc)
             return real(dst_dc, candidates, path_ids)
 
-        monkeypatch.setattr(switch, "usable_candidates", counting)
+        monkeypatch.setattr(switch, "batch_route", counting)
         return calls
 
     @staticmethod
@@ -159,13 +159,13 @@ class TestHopTable:
         tiny_network.fail_link("A", "B")
         tiny_network.fail_link("A", "C")
         decision = self.route(tiny_network, 1)
-        entry = tiny_network._hops[self.ROOT]
-        assert entry.fallback and decision.fallback
-        assert entry.count == decision.num_candidates == 2
+        route = tiny_network._hops[self.ROOT].route
+        assert route.fallback and decision.fallback
+        assert len(route.candidates) == decision.num_candidates == 2
         tiny_network.recover_link("A", "B")
         tiny_network.recover_link("A", "C")
         assert not self.route(tiny_network, 2).fallback
-        assert not tiny_network._hops[self.ROOT].fallback
+        assert not tiny_network._hops[self.ROOT].route.fallback
 
     def test_eviction_drops_entries_holding_evicted_views(self, tiny_topology):
         pathset = PathSet(tiny_topology, max_candidates=4, max_extra_hops=1, cache_pairs=2)
@@ -179,7 +179,9 @@ class TestHopTable:
                 cached = pathset._pair_cache.get((dc_id(current), dc_id(dst)))
                 assert cached is not None, f"entry for evicted pair {current}->{dst}"
                 if entry.switch is not None:
-                    assert all(any(c is v for v in cached[0]) for c in entry.candidates)
+                    assert all(
+                        any(c is v for v in cached[0]) for c in entry.route.candidates
+                    )
 
         self.route(network, 1)
         assert self.ROOT in network._hops

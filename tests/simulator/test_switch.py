@@ -81,11 +81,30 @@ class TestRouteFlowsBatch:
     def test_one_select_batch_call_per_group(self, switch_and_candidates):
         switch, candidates, _, _ = switch_and_candidates
         demands = [demand(flow_id) for flow_id in range(5)]
-        chosen = switch.route_flows_batch("B", candidates, (10, 11), demands, [0.0] * 5)
+        route = switch.batch_route("B", candidates, (10, 11))
+        rows = []
+        chosen = switch.route_flows_batch(route, demands, [0.0] * 5, rows)
         assert switch.batch_calls == 1
-        assert len(chosen) == 5 and set(chosen.tolist()) <= {0, 1}
-        # the caller records the rows: the switch wrote none
-        assert switch.decision_count == 0
+        assert len(chosen) == 5 and set(chosen) <= {0, 1}
+        # rows collect in the caller's list until it writes them
+        assert len(rows) == 5 and switch.decision_count == 0
+        switch.decision_log.append_batch(rows)
+        assert [(d.flow_id, d.chosen) for d in switch.decisions] == [
+            (flow_id, candidates[j]) for flow_id, j in enumerate(chosen)
+        ]
+
+    def test_route_records_the_all_dead_fallback(self, switch_and_candidates):
+        switch, candidates, link_b, link_c = switch_and_candidates
+        link_b.fail()
+        assert switch.batch_route("B", candidates, (10, 11)).candidates == (candidates[1],)
+        link_c.fail()
+        route = switch.batch_route("B", candidates, (10, 11))
+        assert route.fallback and route.candidates == tuple(candidates)
+        rows = []
+        switch.route_flows_batch(route, [demand()], [0.5], rows)
+        switch.decision_log.append_batch(rows)
+        decision = switch.decisions[-1]
+        assert decision.fallback and decision.num_candidates == 2 and decision.time_s == 0.5
 
 
 class TestTick:
